@@ -39,7 +39,6 @@ bytes inside tokens are plain non-delimiter bytes (reference behavior).
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -194,12 +193,10 @@ class RuleEncodeStage:
     """
 
     def __init__(self, ruleset: RuleSet | None = None, text_col: str = "text",
-                 keep_text: bool = False, use_dfa: bool | None = None):
+                 keep_text: bool = False, use_dfa: bool = True):
         self.ruleset = ruleset or RuleSet()
         self.delim_mode = self.ruleset.delimiters is not None
         self.dfa = None
-        if use_dfa is None:
-            use_dfa = os.environ.get("CLP_RULES_DFA", "1") != "0"
         if self.delim_mode and use_dfa:
             # table-driven DFA lexer (log-surgeon's engine shape); regex
             # scanner stays as the fallback for unsupported syntax and as

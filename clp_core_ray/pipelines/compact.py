@@ -32,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.state.dictionaries import (
     N_FINALIZE_BUCKETS,
     _dedup_unified,
@@ -245,7 +246,7 @@ def _finish_retirement(frag_base: str, journal: dict,
         sink = os.path.join(frag_base, f"fragment={frag}")
         shutil.rmtree(sink, ignore_errors=True)
     journal["done"] = True
-    tmp = f"{journal_path}.{os.getpid()}.inprogress"
+    tmp = inprogress_path(journal_path)
     with open(tmp, "w") as f:
         json.dump(journal, f)
     os.replace(tmp, journal_path)

@@ -8,16 +8,18 @@ pipeline:
       → RouteStage (logtype_class)                # fan-out key, from raw text
       → EnrichStage (broadcast role/tool meta)    # J6, no shuffle
       → EncodeStage (logtype + typed vars)        # M3/M4 vectorized kernels
-      → write_parquet(partition_cols=[class])     # K1 fan-out sinks
+      → per-class parquet files, written by the   # K1 fan-out sinks
+        same task (FusedSinkStage)
       + logtype/var dictionary datasets           # T1/T2
-      + groupby(class) counts                     # A1 (partial+final)
+      + per-class counts folded from task stats   # A1 (partial+final)
       + per-fragment lineage manifests            # checkpoint/resume
 
-Scale notes: the only shuffles are the dictionary distincts and the final
-count-by-class over *pre-aggregated partials*; the encode path is per-batch
-with no exchange. Sinks are partitioned parquet (one dir per class), never a
-single file. Fragmented execution (run_fragments) bounds the blast radius of
-a failure to one fragment and makes reruns skip completed work.
+Scale notes: the only shuffle is the dictionary distinct; the encode path is
+per-batch with no exchange, and each task returns a few pre-aggregated stats
+rows instead of its encoded data. Sinks are partitioned parquet (one dir per
+class), never a single file. Fragmented execution (run_fragments) bounds the
+blast radius of a failure to one fragment and makes reruns skip completed
+work.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from clp_core_ray.stages.encode import DecodeStage, EncodeStage
 from clp_core_ray.stages.enrich import EnrichStage
 from clp_core_ray.stages.route import RouteStage
 from clp_core_ray.state import manifest as mf
+from clp_core_ray.state.atomic import atomic_write_table
 
 # Segment codec choices (K2 breadth): the reference's Compressor.hpp offers
 # passthrough/zstd/lzma; parquet's codec set maps passthrough→NONE and covers
@@ -60,13 +63,23 @@ FUSED_ROWS_PER_BLOCK = 64 * 1024  # fused-sink file target → ≥~7k rows/class
 # fewer, bigger blocks instead of shattering into per-class files of a few
 # hundred rows each.
 FUSED_MIN_ROWS_PER_BLOCK = 4096
+# parquet dictionary pages only for genuinely repetitive columns:
+# dictionary-encoding the mostly-unique var/text columns costs ~1.5x write
+# time AND more bytes (measured 20.4s/384MB default vs 13.9s/352MB selective
+# at sf1.6, 16 CPUs). Non-compact sinks add the inline ``logtype`` column.
+SINK_DICT_COLS = ["conv_id", "role", "tool", "role_group", "tool_category"]
+# one row per (task, class) a FusedSinkStage call wrote
+_STATS_SCHEMA = pa.schema([("logtype_class", pa.string()),
+                           ("cnt", pa.int64()),
+                           ("ts_min", pa.int64()),
+                           ("ts_max", pa.int64())])
 
 
 class _DeltaWatcher:
     """Overlap dictionary finalize with the sink write: a driver thread polls
     the delta dir and submits pre-dedup Ray tasks for new files as encode
     tasks flush them (atomic rename makes partially-written files
-    invisible). By the time write_parquet returns, most of the finalize's
+    invisible). By the time the sink write returns, most of the finalize's
     read+dedup work is done or in flight — the serial tail is just the
     per-bucket merge. This converts the finalize from a constant ~2 s of
     driver time into work that scales with the cluster."""
@@ -112,10 +125,13 @@ class _DeltaWatcher:
             if len(p) >= self.min_batch:
                 self._submit(p)
 
-    def finish(self) -> list:
-        """Stop polling, submit any remaining files, return all task refs."""
+    def stop(self) -> None:
         self._stop.set()
         self._thread.join()
+
+    def finish(self) -> list:
+        """Stop polling, submit any remaining files, return all task refs."""
+        self.stop()
         p = self._pending()
         if p:
             self._submit(p)
@@ -125,9 +141,9 @@ class _DeltaWatcher:
 class FullEncodeStage:
     """route → enrich → encode fused into one stage (single object-store hop).
 
-    Run as an actor pool when ``dict_delta_dir`` is set (per-actor dictionary
-    seen-sets, T1/T2); as stateless tasks otherwise. Even task-based, the
-    instance lives for a whole block, so delta dedup is at least per-block.
+    Runs as stateless tasks: the instance lives for a whole block, so
+    dictionary delta dedup (T1/T2) is per-block; the finalize distinct
+    removes cross-block duplicates.
 
     With ``compact=True`` (the archival mode) the per-row ``logtype`` string
     and inline ``dict_vars`` are dropped from the output: rows carry only
@@ -156,19 +172,16 @@ class FullEncodeStage:
 
 
 class FusedSinkStage:
-    """Encode + sink write fused into one task/actor — CLP's per-worker
-    segment writer (Archive.cpp:298-316 feeding Segment.cpp in the same
-    process), re-expressed for Ray Data.
+    """Encode + sink write fused into one task — CLP's per-worker segment
+    writer (Archive.cpp:298-316 feeding Segment.cpp in the same process),
+    re-expressed for Ray Data.
 
-    The unfused pipeline ships every encoded block through the object store
-    twice (encode task → plasma → write task). Fused, each task encodes its
-    block in ENCODE_BATCH_SIZE slices, writes the per-class parquet files
-    itself (atomic .inprogress → .parquet rename), and emits only tiny
-    (class, cnt, ts_min, ts_max) stats rows — the encoded data never
-    re-enters shared memory, which matters most exactly when the host's
-    memory path is the contended resource (the documented hi-concurrency
-    decay mode of this sandbox; on a real cluster it saves a full
-    object-store copy + one serialize/deserialize per block)."""
+    Each task encodes its block in ENCODE_BATCH_SIZE slices, writes the
+    per-class parquet files itself (state/atomic.py: content-named,
+    tmp → os.replace), and emits only tiny (class, cnt, ts_min, ts_max)
+    stats rows — the encoded data never enters the object store (an
+    encode → write_parquet pipeline would ship every encoded block through
+    it: encode task → plasma → write task)."""
 
     def __init__(self, routed_dir: str, keep_text: bool = False,
                  dict_delta_dir: str | None = None, compact: bool = False,
@@ -184,38 +197,8 @@ class FusedSinkStage:
         self.row_group_rows = row_group_rows
         self.compression, self.compression_level = _codec(codec, codec_level)
 
-    @staticmethod
-    def _part_name(cls: str, sub: pa.Table) -> str:
-        """Deterministic file name from the slice's content, so a retried
-        task overwrites its own output instead of duplicating it (Ray's
-        write operator gets the same property from per-task write ids;
-        content-addressing gives it to us without task identity).
-
-        Hashes the FULL conv_id, turn_idx and ts column buffers — a
-        first/last-row digest would let two distinct slices that share
-        endpoints collide to one final name, and os.replace would then
-        silently drop one slice while the stats rows count both. Full-key
-        hashing is ~32 B/row through sha1 — noise next to the write."""
-        import hashlib
-
-        import pyarrow.compute as pc
-
-        h = hashlib.sha1()
-        h.update(cls.encode())
-        h.update(str(len(sub)).encode())
-        if len(sub):
-            for col in (sub.column("conv_id").combine_chunks(),
-                        sub.column("turn_idx").combine_chunks(),
-                        pc.cast(sub.column("ts"), pa.int64(), safe=False)
-                        .combine_chunks()):
-                for buf in col.buffers():
-                    if buf is not None:
-                        h.update(buf)
-        return f"part-{h.hexdigest()[:24]}"
-
     def __call__(self, block: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
         # split each encode slice by class while it is still cache-resident
         # (one big concat + per-class filters over the full block would make
@@ -234,7 +217,7 @@ class FusedSinkStage:
                     sub.drop_columns(["logtype_class"])
                 )
         if not bufs:
-            return _fused_stats_empty()
+            return _STATS_SCHEMA.empty_table()
         dict_cols = None
         out_cls: list[str] = []
         out_cnt: list[int] = []
@@ -248,17 +231,15 @@ class FusedSinkStage:
                              if c in sub.schema.names]
             d = os.path.join(self.routed_dir, f"logtype_class={cls}")
             os.makedirs(d, exist_ok=True)
-            name = self._part_name(cls, sub)
-            # tmp name is per-process: two live attempts of one task may
-            # overlap (speculative retry) — each writes its own tmp, both
-            # os.replace() to the SAME deterministic final name (atomic,
-            # identical content, last-wins)
-            tmp = os.path.join(d, f"{name}.{os.getpid()}.inprogress")
-            pq.write_table(sub, tmp, compression=self.compression,
-                           compression_level=self.compression_level,
-                           use_dictionary=dict_cols,
-                           row_group_size=self.row_group_rows)
-            os.replace(tmp, os.path.join(d, name + ".parquet"))
+            # the name hashes the FULL row keys, so a retried task replaces
+            # its own file instead of duplicating it; the class dir keeps
+            # classes apart
+            atomic_write_table(sub, d, prefix="part",
+                               cols=["conv_id", "turn_idx", "ts"],
+                               compression=self.compression,
+                               compression_level=self.compression_level,
+                               use_dictionary=dict_cols,
+                               row_group_size=self.row_group_rows)
             mm = pc.min_max(
                 sub.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
             )
@@ -266,42 +247,35 @@ class FusedSinkStage:
             out_cnt.append(len(sub))
             out_lo.append(mm["min"].as_py())
             out_hi.append(mm["max"].as_py())
-        return pa.table({
-            "logtype_class": pa.array(out_cls, type=pa.string()),
-            "cnt": pa.array(out_cnt, type=pa.int64()),
-            "ts_min": pa.array(out_lo, type=pa.int64()),
-            "ts_max": pa.array(out_hi, type=pa.int64()),
-        })
+        return pa.table([out_cls, out_cnt, out_lo, out_hi],
+                        schema=_STATS_SCHEMA)
 
 
-def _fused_stats_empty() -> pa.Table:
-    return pa.table({
-        "logtype_class": pa.array([], type=pa.string()),
-        "cnt": pa.array([], type=pa.int64()),
-        "ts_min": pa.array([], type=pa.int64()),
-        "ts_max": pa.array([], type=pa.int64()),
+def fold_sink_stats(stats: pa.Table) -> tuple[pa.Table, tuple[int, int] | None]:
+    """FusedSinkStage stats rows (one per task and class) → (per-class
+    count table sorted by class, (ts_min, ts_max) or None)."""
+    agg: dict[str, int] = {}
+    lo = hi = None
+    if stats.num_rows:
+        for cls, c, l, h in zip(stats.column("logtype_class").to_pylist(),
+                                stats.column("cnt").to_pylist(),
+                                stats.column("ts_min").to_pylist(),
+                                stats.column("ts_max").to_pylist()):
+            agg[cls] = agg.get(cls, 0) + c
+            if l is not None:
+                lo = l if lo is None else min(lo, l)
+            if h is not None:
+                hi = h if hi is None else max(hi, h)
+    counts_tbl = pa.table({
+        "logtype_class": pa.array(sorted(agg), type=pa.string()),
+        "cnt": pa.array([agg[k] for k in sorted(agg)], type=pa.int64()),
     })
+    return counts_tbl, ((lo, hi) if lo is not None else None)
 
 
-def _use_encode_actors() -> bool:
-    """Actor pool vs stateless tasks for the encode stage.
-
-    Tasks win, and not narrowly: stateless map_batches lets the streaming
-    executor fuse read → encode → sink into ONE task per block — the data
-    never enters the object store at all — while an actor pool de-fuses the
-    chain and ships every input block through plasma to the actor process.
-    Measured at sf1.6 (9.6M turns, fused sink): actors 17.4 s vs tasks
-    8.8 s at 16 CPUs — the actor pool DOUBLES wall time. What actors buy is
-    per-actor dictionary seen-sets spanning many blocks (fewer duplicate
-    delta entries); per-task seen-sets still dedup within a block, and the
-    finalize distinct removes cross-block duplicates anyway, with the delta
-    watcher overlapping that work with the sink write. So: tasks unless the
-    user forces ``CLP_ENCODE_ACTORS=1`` (a dictionary-dominated corpus where
-    delta volume, not wall time, is the binding constraint)."""
-    env = os.environ.get("CLP_ENCODE_ACTORS")
-    if env is not None:
-        return env == "1"
-    return False
+def _class_counts(counts_tbl: pa.Table) -> dict[str, int]:
+    return dict(zip(counts_tbl.column("logtype_class").to_pylist(),
+                    counts_tbl.column("cnt").to_pylist()))
 
 
 def _rows_from_footers(files) -> int:
@@ -314,35 +288,9 @@ def _rows_from_footers(files) -> int:
 def build_encoded(ds, keep_text: bool = False, concurrency=None,
                   dict_delta_dir: str | None = None, compact: bool = False):
     """transcripts Dataset → routed+enriched+encoded Dataset (lazy)."""
-    import ray
-
     # resolve the dictionary-epoch cap on the driver (workers may not see
     # env changes made after the Ray session started)
     dict_cap = int(os.environ.get("CLP_DICT_CAP_ENTRIES", 4_000_000))
-
-    use_actors = dict_delta_dir is not None and _use_encode_actors()
-    if use_actors:
-        # actor-pool mode: per-actor dictionary seen-sets span many blocks
-        # (fewest delta duplicates), but each execution pays pool spin-up —
-        # right at long-job scale, wrong for short benchmarks
-        if concurrency is None:
-            ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            concurrency = (1, ncpu)
-        return ds.map_batches(
-            FullEncodeStage,
-            fn_constructor_kwargs={
-                "keep_text": keep_text,
-                "dict_delta_dir": dict_delta_dir,
-                "compact": compact,
-                "dict_cap_entries": dict_cap,
-            },
-            batch_format="pyarrow",
-            batch_size=ENCODE_BATCH_SIZE,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    # task mode: the stage instance lives per block → per-block delta dedup;
-    # duplicate entries across blocks are removed by the finalize distinct
     return ds.map_batches(
         FullEncodeStage(keep_text=keep_text, compact=compact,
                         dict_delta_dir=dict_delta_dir,
@@ -385,151 +333,64 @@ def compress(
     """
     import time
 
-    # fused sink (default): encode tasks write their own per-class parquet
-    # files and return stats rows — the encoded table never re-enters the
-    # object store. CLP_FUSED_SINK=0 falls back to encode→write_parquet.
-    use_fused = os.environ.get("CLP_FUSED_SINK", "1") == "1"
-    ds_provided = ds is not None
-    expected_rows = None
-    if ds is None:
-        from clp_core_ray.sources.transcripts import transcript_files
-
-        # footer-only row count feeds block sizing + the actor-mode override
-        expected_rows = _rows_from_footers(transcript_files(sf_dir_or_sf))
-        read_kwargs = {}
-        if use_fused:
-            # block = sink-file granularity in fused mode: parallelism
-            # (≥1 block/CPU) wins while blocks still hold at least
-            # FUSED_MIN_ROWS_PER_BLOCK rows; below that a small job keeps
-            # fewer, bigger blocks instead of shattering the archive into
-            # per-class files of a few hundred rows (search pays per-file
-            # footer+planning cost)
-            import ray
-
-            ncpu = (int(ray.cluster_resources().get("CPU", 8))
-                    if ray.is_initialized() else 8)
-            by_file = expected_rows // FUSED_ROWS_PER_BLOCK or 1
-            by_min = expected_rows // FUSED_MIN_ROWS_PER_BLOCK or 1
-            read_kwargs["override_num_blocks"] = max(
-                1, min(4 * ncpu, max(by_file, min(ncpu, by_min)))
-            )
-        ds = read_transcripts(sf_dir_or_sf, **read_kwargs)
-    delta_dir = os.path.join(out_dir, "dict.deltas")
-    routed_dir = os.path.join(out_dir, "routed")
-    timing = os.environ.get("CLP_TIMING") == "1"
-    t0 = time.time()
-    # watcher default ON: pre-dedup of dictionary deltas overlaps the sink
-    # write (its ~20 cpu-s disappear into idle write slots), leaving only the
-    # fast bucket merge after the write — finalize 3.2s → 0.3s at 16 CPUs
-    # once the merge's parquet writes skip dictionary pages. Opt out with
-    # CLP_DELTA_WATCHER=0.
-    use_watcher = os.environ.get("CLP_DELTA_WATCHER", "1") == "1"
-    watcher = _DeltaWatcher(delta_dir).start() if use_watcher else None
-    # parquet dictionary pages only for genuinely repetitive columns:
-    # dictionary-encoding the mostly-unique var/text columns costs ~1.5x
-    # write time AND more bytes (measured 20.4s/384MB default vs
-    # 13.9s/352MB selective at sf1.6, 16 CPUs)
-    dict_cols = ["conv_id", "role", "tool", "role_group", "tool_category"]
-    if not compact:
-        dict_cols.append("logtype")
-    from concurrent.futures import ThreadPoolExecutor
+    import ray
 
     from clp_core_ray.state.dictionaries import write_archive_dicts
 
-    if use_fused:
-        import ray
+    ds_provided = ds is not None
+    if ds is None:
+        from clp_core_ray.sources.transcripts import transcript_files
 
-        dict_cap = int(os.environ.get("CLP_DICT_CAP_ENTRIES", 4_000_000))
-        stage_kwargs = dict(
-            routed_dir=routed_dir, keep_text=keep_text,
-            dict_delta_dir=delta_dir, compact=compact,
-            dict_cap_entries=dict_cap, dict_cols=dict_cols,
-            codec=codec, codec_level=codec_level,
+        # block = sink-file granularity: parallelism (≥1 block/CPU) wins
+        # while blocks still hold at least FUSED_MIN_ROWS_PER_BLOCK rows;
+        # below that a small job keeps fewer, bigger blocks instead of
+        # shattering the archive into per-class files of a few hundred rows
+        # (search pays per-file footer+planning cost). The row count comes
+        # from parquet footers only.
+        expected_rows = _rows_from_footers(transcript_files(sf_dir_or_sf))
+        ncpu = (int(ray.cluster_resources().get("CPU", 8))
+                if ray.is_initialized() else 8)
+        by_file = expected_rows // FUSED_ROWS_PER_BLOCK or 1
+        by_min = expected_rows // FUSED_MIN_ROWS_PER_BLOCK or 1
+        ds = read_transcripts(
+            sf_dir_or_sf,
+            override_num_blocks=max(
+                1, min(4 * ncpu, max(by_file, min(ncpu, by_min)))),
         )
-        os.makedirs(routed_dir, exist_ok=True)
-        if _use_encode_actors():
-            ncpu = (int(ray.cluster_resources().get("CPU", 8))
-                    if ray.is_initialized() else 8)
-            stats_ds = ds.map_batches(
-                FusedSinkStage, fn_constructor_kwargs=stage_kwargs,
-                batch_format="pyarrow", batch_size=None,
-                concurrency=(1, ncpu) if concurrency is None else concurrency,
-                num_cpus=1,
-            )
-        else:
-            stats_ds = ds.map_batches(
-                FusedSinkStage(**stage_kwargs), batch_format="pyarrow",
-                batch_size=None, concurrency=concurrency,
-            )
-        stats = _to_table(stats_ds)
-        # the job is complete: any surviving *.inprogress is a dead attempt
-        # (task killed mid-pq.write_table; its retry wrote its OWN tmp and
-        # replaced the final name, never the dead attempt's tmp). Readers
-        # also filter to *.parquet, but a stale tmp would still count toward
-        # archive_bytes and confuse directory listings — sweep it here.
-        sweep_inprogress(routed_dir)
-        t_write = time.time()
-        # aggregate the per-task stats rows (tiny) → per-class counts + range
-        agg: dict[str, int] = {}
-        lo = hi = None
-        if stats.num_rows:
-            for cls, c, l, h in zip(stats.column("logtype_class").to_pylist(),
-                                    stats.column("cnt").to_pylist(),
-                                    stats.column("ts_min").to_pylist(),
-                                    stats.column("ts_max").to_pylist()):
-                agg[cls] = agg.get(cls, 0) + c
-                if l is not None:
-                    lo = l if lo is None else min(lo, l)
-                if h is not None:
-                    hi = h if hi is None else max(hi, h)
-        counts_tbl = pa.table({
-            "logtype_class": pa.array(sorted(agg), type=pa.string()),
-            "cnt": pa.array([agg[k] for k in sorted(agg)], type=pa.int64()),
-        })
-        ts_range = (lo, hi) if lo is not None else None
-        t_counts = time.time()
-        write_archive_dicts(
-            out_dir, delta_dir,
-            prededup_refs=watcher.finish() if watcher else None,
-        )
-        t_dicts = time.time()
-    else:
-        encoded = build_encoded(
-            ds, keep_text=keep_text, concurrency=concurrency,
-            dict_delta_dir=delta_dir, compact=compact,
-        )
-        # zstd level 3 = CLP's own default (CommandLineArguments.hpp:90); at
-        # this level the sink write costs the same wall time as level 1 but
-        # produces ~6% smaller archives (measured 8.4s/269MB vs 8.5s/286MB
-        # at sf1.6)
-        comp, lvl = _codec(codec, codec_level)
-        encoded.write_parquet(routed_dir, partition_cols=["logtype_class"],
-                              compression=comp, compression_level=lvl,
-                              use_dictionary=dict_cols)
-        t_write = time.time()
-        # the two post-write steps are independent (footer reads vs the delta
-        # bucket merge, whose pre-dedup tasks the watcher already launched) —
-        # overlap them so only the slower one sits on the critical path
-        with ThreadPoolExecutor(2) as ex:
-            f_counts = ex.submit(sink_class_stats, routed_dir)
-            f_dicts = ex.submit(
-                write_archive_dicts, out_dir, delta_dir,
-                prededup_refs=watcher.finish() if watcher else None,
-            )
-            counts_tbl, ts_range = f_counts.result()
-            t_counts = time.time()
-            f_dicts.result()
-            t_dicts = time.time()
-    if timing:
-        import sys
-
-        print(
-            f"[clp timing] write={t_write - t0:.2f}s "
-            f"counts_done=+{t_counts - t_write:.2f}s "
-            f"dicts_done=+{t_dicts - t_write:.2f}s "
-            f"finalize(counts+dicts)={time.time() - t_write:.2f}s",
-            file=sys.stderr,
-        )
+    delta_dir = os.path.join(out_dir, "dict.deltas")
+    routed_dir = os.path.join(out_dir, "routed")
+    t0 = time.time()
+    # pre-dedup of dictionary deltas overlaps the sink write (its ~20 cpu-s
+    # disappear into idle write slots), leaving only the fast bucket merge
+    # after the write — finalize 3.2s → 0.3s at 16 CPUs once the merge's
+    # parquet writes skip dictionary pages
+    watcher = _DeltaWatcher(delta_dir).start()
+    os.makedirs(routed_dir, exist_ok=True)
+    sink = FusedSinkStage(
+        routed_dir=routed_dir, keep_text=keep_text, dict_delta_dir=delta_dir,
+        compact=compact,
+        dict_cap_entries=int(os.environ.get("CLP_DICT_CAP_ENTRIES",
+                                            4_000_000)),
+        dict_cols=SINK_DICT_COLS + ([] if compact else ["logtype"]),
+        codec=codec, codec_level=codec_level,
+    )
+    try:
+        stats = _to_table(ds.map_batches(sink, batch_format="pyarrow",
+                                         batch_size=None,
+                                         concurrency=concurrency))
+    finally:
+        # a failed write must not leave the poller thread running
+        watcher.stop()
+    # the job is complete: any surviving *.inprogress is a dead attempt
+    # (task killed mid-write; its retry wrote its OWN tmp and replaced the
+    # final name, never the dead attempt's tmp). Readers also filter to
+    # *.parquet, but a stale tmp would still count toward archive_bytes and
+    # confuse directory listings — sweep it here.
+    sweep_inprogress(routed_dir)
+    t_write = time.time()
+    counts_tbl, ts_range = fold_sink_stats(stats)
+    write_archive_dicts(out_dir, delta_dir, prededup_refs=watcher.finish())
+    t_dicts = time.time()
     mf.record_fragment(
         out_dir,
         "full",
@@ -538,12 +399,7 @@ def compress(
                       else "dataset-override" if ds_provided
                       else str(transcripts_path(sf_dir_or_sf))),
             "sink": routed_dir,
-            "class_counts": dict(
-                zip(
-                    counts_tbl.column("logtype_class").to_pylist(),
-                    counts_tbl.column("cnt").to_pylist(),
-                )
-            ),
+            "class_counts": _class_counts(counts_tbl),
             "archive_bytes": dir_bytes(out_dir),
             **({"tags": list(tags)} if tags else {}),
             **({"ts_min": ts_range[0], "ts_max": ts_range[1]} if ts_range else {}),
@@ -645,134 +501,6 @@ def raw_text_bytes(sf_dir_or_sf) -> int:
     return int(pa.compute.sum(tbl.column("b")).as_py() or 0)
 
 
-def sink_class_stats(routed_dir: str) -> tuple[pa.Table, tuple[int, int] | None]:
-    """(per-class row counts, (ts_min, ts_max)) from one pass over the sink
-    parquet footers — metadata only, exact.
-
-    (The A1 aggregate over the data itself is count_by(); this is the
-    sink-side accounting used for the lineage manifest and the routed-row
-    equality check; the ts range is the per-archive begin/end timestamp CLP's
-    metadata DB records for time-range archive pruning.) Footer reads run as
-    one Ray task per class dir — true parallelism (the pq.ParquetFile
-    metadata path holds the GIL, so driver threads serialize); falls back to
-    driver threads without a Ray session."""
-    dirs = sorted(
-        d for d in os.listdir(routed_dir) if d.startswith("logtype_class=")
-    )
-
-    import ray
-
-    if ray.is_initialized() and len(dirs) > 1:
-        task = _count_task_cache.setdefault(
-            "t", ray.remote(num_cpus=0.5)(_stat_sink_dir_local)
-        )
-        stats = ray.get(
-            [task.remote(os.path.join(routed_dir, d)) for d in dirs]
-        )
-    else:
-        stats = [_stat_sink_dir_local(os.path.join(routed_dir, d)) for d in dirs]
-    counts_tbl = pa.table(
-        {"logtype_class": pa.array([d.split("=", 1)[1] for d in dirs],
-                                   type=pa.string()),
-         "cnt": pa.array([s[0] for s in stats], type=pa.int64())}
-    )
-    los = [s[1] for s in stats if s[1] is not None]
-    his = [s[2] for s in stats if s[2] is not None]
-    ts_range = (min(los), max(his)) if los else None
-    return counts_tbl, ts_range
-
-
-def sink_class_counts(routed_dir: str) -> pa.Table:
-    """Per-class row counts from sink parquet footers — metadata only."""
-    return sink_class_stats(routed_dir)[0]
-
-
-def _stat_sink_dir_local(full: str, ts_column: str = "ts"):
-    """(num_rows, ts_min_us, ts_max_us) of one sink dir from parquet footers."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    import pyarrow.parquet as pq
-
-    files = [os.path.join(full, f) for f in os.listdir(full) if f.endswith(".parquet")]
-
-    def one(p):
-        md = pq.ParquetFile(p).metadata
-        lo = hi = None
-        try:
-            ci = md.schema.names.index(ts_column)
-        except ValueError:
-            return md.num_rows, None, None
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is None or not st.has_min_max:
-                continue
-            mn, mx = _ts_stat_to_us(st.min), _ts_stat_to_us(st.max)
-            lo = mn if lo is None else min(lo, mn)
-            hi = mx if hi is None else max(hi, mx)
-        return md.num_rows, lo, hi
-
-    with ThreadPoolExecutor(8) as ex:
-        parts = list(ex.map(one, files))
-    n = sum(p[0] for p in parts)
-    los = [p[1] for p in parts if p[1] is not None]
-    his = [p[2] for p in parts if p[2] is not None]
-    return n, (min(los) if los else None), (max(his) if his else None)
-
-
-def _ts_stat_to_us(v) -> int:
-    """Parquet footer timestamp statistic → epoch microseconds (naive
-    datetimes are UTC here; .timestamp() would apply the host zone)."""
-    import datetime as _dt
-
-    if isinstance(v, _dt.datetime):
-        epoch = _dt.datetime(1970, 1, 1, tzinfo=v.tzinfo)
-        return (v - epoch) // _dt.timedelta(microseconds=1)
-    return int(v)
-
-
-_count_task_cache: dict = {}
-
-
-def sink_ts_range(sink_dir: str, column: str = "ts") -> tuple[int, int] | None:
-    """(min, max) epoch-microseconds of ``column`` across a sink's parquet
-    footers — metadata only, no data read.
-
-    This is the per-archive begin/end timestamp CLP's metadata DB records for
-    time-range archive pruning (streaming_archive metadata role; clg's
-    --tge/--tle selection). Returns None when the column has no stats."""
-    import datetime as _dt
-
-    import pyarrow.parquet as pq
-
-    lo = hi = None
-    for root, _, files in os.walk(sink_dir):
-        for f in files:
-            if not f.endswith(".parquet"):
-                continue
-            md = pq.ParquetFile(os.path.join(root, f)).metadata
-            try:
-                ci = md.schema.names.index(column)
-            except ValueError:
-                continue
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(ci).statistics
-                if st is None or not st.has_min_max:
-                    continue
-                mn, mx = st.min, st.max
-                if isinstance(mn, _dt.datetime):
-                    # naive datetimes are UTC here; .timestamp() would apply
-                    # the host zone — use epoch arithmetic instead
-                    epoch = _dt.datetime(1970, 1, 1, tzinfo=mn.tzinfo)
-                    us = _dt.timedelta(microseconds=1)
-                    mn = (mn - epoch) // us
-                    mx = (mx - epoch) // us
-                lo = mn if lo is None else min(lo, mn)
-                hi = mx if hi is None else max(hi, mx)
-    if lo is None:
-        return None
-    return int(lo), int(hi)
-
-
 def _to_table(ds) -> pa.Table:
     tables = [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
     return pa.concat_tables(tables) if tables else pa.table({})
@@ -840,8 +568,6 @@ def run_fragments(sf_dir_or_sf, out_dir: str,
     logs) per-file fragments would mean per-archive dict/manifest overhead
     and no size balancing.
     """
-    import ray.data as rd
-
     from clp_core_ray.sources.transcripts import transcript_files
 
     if files is None:
@@ -851,10 +577,8 @@ def run_fragments(sf_dir_or_sf, out_dir: str,
     frag_ids = [_fragment_id(g) for g in groups]
     todo = mf.pending_fragments(frag_ids, out_dir)
     by_id = dict(zip(frag_ids, groups))
-    dict_cols = ["conv_id", "role", "tool", "role_group", "tool_category",
-                 "logtype"]
     for frag in todo:
-        run_one_fragment(frag, by_id[frag], out_dir, dict_cols=dict_cols)
+        run_one_fragment(frag, by_id[frag], out_dir)
     return todo
 
 
@@ -871,8 +595,7 @@ def run_one_fragment(frag: str, paths: list[str], out_dir: str, *,
     import ray.data as rd
 
     if dict_cols is None:
-        dict_cols = ["conv_id", "role", "tool", "role_group",
-                     "tool_category", "logtype"]
+        dict_cols = SINK_DICT_COLS + ["logtype"]
     t0 = time.time()
     sink = os.path.join(out_dir, f"fragment={frag}")
     os.makedirs(sink, exist_ok=True)
@@ -889,23 +612,9 @@ def run_one_fragment(frag: str, paths: list[str], out_dir: str, *,
     )
     stats = _to_table(stats_ds)
     sweep_inprogress(sink)
-    agg: dict[str, int] = {}
-    lo = hi = None
-    for cls, c, l, h in zip(stats.column("logtype_class").to_pylist(),
-                            stats.column("cnt").to_pylist(),
-                            stats.column("ts_min").to_pylist(),
-                            stats.column("ts_max").to_pylist()):
-        agg[cls] = agg.get(cls, 0) + c
-        if l is not None:
-            lo = l if lo is None else min(lo, l)
-        if h is not None:
-            hi = h if hi is None else max(hi, h)
-    counts = pa.table({
-        "logtype_class": pa.array(sorted(agg), type=pa.string()),
-        "cnt": pa.array([agg[k] for k in sorted(agg)], type=pa.int64()),
-    })
-    ts_range = (lo, hi) if lo is not None else None
-    n_rows = int(sum(agg.values()))
+    counts, ts_range = fold_sink_stats(stats)
+    class_counts = _class_counts(counts)
+    n_rows = int(sum(class_counts.values()))
     wall = time.time() - t0
     mf.record_fragment(
         out_dir,
@@ -916,12 +625,7 @@ def run_one_fragment(frag: str, paths: list[str], out_dir: str, *,
             "rows": n_rows,
             "metrics": {"wall_sec": round(wall, 3),
                         "rows_per_sec": round(n_rows / max(wall, 1e-9), 1)},
-            "class_counts": dict(
-                zip(
-                    counts.column("logtype_class").to_pylist(),
-                    counts.column("cnt").to_pylist(),
-                )
-            ),
+            "class_counts": class_counts,
             **({"ts_min": ts_range[0], "ts_max": ts_range[1]}
                if ts_range else {}),
         },

@@ -32,6 +32,8 @@ import os
 
 import pyarrow as pa
 
+from clp_core_ray.state.atomic import inprogress_path
+
 MAGIC = b"CLPSFA1\n"
 SFA_SUFFIX = ".clpsfa"
 _ALIGN = 64
@@ -54,7 +56,7 @@ def pack_sfa(archive_dir: str, out_path: str | None = None) -> str:
         and not f.endswith(".inprogress")
     )
     directory: dict[str, list[int]] = {}
-    tmp = f"{out_path}.{os.getpid()}.inprogress"
+    tmp = inprogress_path(out_path)
     with open(tmp, "wb") as out:
         out.write(MAGIC)
         pos = len(MAGIC)

@@ -22,6 +22,8 @@ import hashlib
 import json
 import os
 
+from clp_core_ray.state.atomic import inprogress_path
+
 CATALOG_DIR = "_catalog"
 
 
@@ -74,7 +76,7 @@ def register_archive(base_dir: str, archive_dir: str,
         info.update(extra)
     d = init_catalog(base_dir)
     name = _entry_name(rel)
-    tmp = os.path.join(d, f"{name}.{os.getpid()}.inprogress")
+    tmp = inprogress_path(os.path.join(d, name))
     with open(tmp, "w") as f:
         json.dump(info, f)
     final = os.path.join(d, name)

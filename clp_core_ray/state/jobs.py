@@ -36,6 +36,8 @@ import json
 import os
 import time
 
+from clp_core_ray.state.atomic import inprogress_path
+
 JOBS_DIR = "_jobs"
 
 #: Lease on a running claim; an owner that hasn't finished within this is
@@ -75,7 +77,7 @@ def read_jobs(out_dir: str) -> dict[str, dict]:
 
 def _write(out_dir: str, frag: str, rec: dict) -> None:
     path = _path(out_dir, frag)
-    tmp = f"{path}.{os.getpid()}.inprogress"
+    tmp = inprogress_path(path)
     with open(tmp, "w") as f:
         json.dump(rec, f)
     os.replace(tmp, path)

@@ -22,6 +22,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from clp_core_ray.state.atomic import inprogress_path
+
 CACHE_DIR = "_results_cache"
 
 
@@ -77,7 +79,7 @@ def cached_search(base_dir: str, query: str, search_fn,
     if not isinstance(res, pa.Table):
         tabs = [pa.table(b) for b in res.iter_batches(batch_format="pyarrow")]
         res = pa.concat_tables(tabs) if tabs else pa.table({})
-    tmp = f"{path}.{os.getpid()}.inprogress"
+    tmp = inprogress_path(path)
     pq.write_table(res, tmp)
     os.replace(tmp, path)
     # dead-generation purge: any entry whose name carries a different
@@ -165,7 +167,7 @@ def sketch_archives(base_dir: str, *, column: str = "conv_id",
                               .flatten(), dtype=np.uint8).reshape(-1, m)
             np.maximum.reduce(np.vstack([folded[None, :], part]), axis=0,
                               out=folded)
-        tmp = f"{path}.{os.getpid()}.inprogress"
+        tmp = inprogress_path(path)
         pq.write_table(pa.table({"regs": pa.array([folded],
                                                   type=pa.list_(pa.uint8()))}),
                        tmp)

@@ -437,62 +437,68 @@ def test_fused_sink_survives_real_task_retry(ray_session, tmp_path):
     assert sum(pq.ParquetFile(f).metadata.num_rows for f in files) == n
 
 
-def test_encode_actor_mode_auto(ray_session, monkeypatch):
-    """Encode runs as stateless tasks by default at every scale (tasks let
-    the executor fuse read→encode→sink into one task; an actor pool de-fuses
-    the chain and ships every block through the object store — measured 2×
-    wall at sf1.6); env still force-overrides in both directions."""
-    from clp_core_ray.pipelines import compress as cp
-
-    monkeypatch.delenv("CLP_ENCODE_ACTORS", raising=False)
-    assert cp._use_encode_actors() is False
-    monkeypatch.setenv("CLP_ENCODE_ACTORS", "1")
-    assert cp._use_encode_actors() is True
-    monkeypatch.setenv("CLP_ENCODE_ACTORS", "0")
-    assert cp._use_encode_actors() is False
-
-
-def test_encode_actor_mode_delta_floor(ray_session, tmp_path, monkeypatch):
-    """Long job (blocks >> CPUs) over repetitive content: per-actor
-    seen-sets emit far fewer dictionary delta files than per-block task
-    instances — the property CLP_ENCODE_ACTORS=1 exists to buy (at the cost
-    of de-fusing the pipeline; delta volume only, never the archive)."""
+def test_compress_and_fragment_fold_stats_alike(ray_session, tmp_path):
+    """compress() and run_one_fragment() fold their sink tasks' stats rows
+    through one helper: on the same input both manifests record identical
+    class counts and ts range, and the counts add up to the input rows."""
     import ray.data as rd
 
-    from clp_core_ray.pipelines.compress import build_encoded
+    from clp_core_ray.pipelines.compress import compress, run_one_fragment
+    from clp_core_ray.state.manifest import read_manifests
 
-    n = 6000
+    n = 600
     base = 1_700_000_000_000_000
     tbl = pa.table({
-        "conv_id": pa.array([f"c{i % 5}" for i in range(n)]),
-        "turn_idx": pa.array(np.arange(n) % 97, type=pa.int32()),
-        "role": pa.array(["assistant"] * n),
-        "text": pa.array([f"INFO job step {i % 20} finished ok" for i in range(n)]),
+        "conv_id": pa.array([f"c{i % 7}" for i in range(n)]),
+        "turn_idx": pa.array(np.arange(n) % 31, type=pa.int32()),
+        "role": pa.array(["user", "assistant"] * (n // 2)),
+        "text": pa.array([f"INFO req {i} took {i % 9}.5 ms" if i % 3
+                          else f"job j{i} state=ok ratio {i % 5}.25"
+                          for i in range(n)]),
         "tool": pa.array([""] * n),
-        "ts": pa.array([base + i * 1000 for i in range(n)], type=pa.timestamp("us")),
+        "ts": pa.array([base + ((i * 7919) % n) * 1000 for i in range(n)],
+                       type=pa.timestamp("us")),
     })
-    monkeypatch.delenv("CLP_ENCODE_ACTORS", raising=False)
-    # small encode batches → map_batches cannot bundle the 48 blocks into one
-    # task, so the job really has many tasks (the long-job shape)
+    src = str(tmp_path / "in.parquet")
+    pq.write_table(tbl, src)
+
+    arch = str(tmp_path / "arch")
+    compress(None, arch, ds=rd.from_arrow(tbl).repartition(3),
+             input_label="fold")
+    frags = str(tmp_path / "frags")
+    assert run_one_fragment("f0", [src], frags) == n
+
+    (full,) = read_manifests(arch)
+    (frag,) = read_manifests(frags)
+    assert len(full["class_counts"]) > 1
+    assert full["class_counts"] == frag["class_counts"]
+    assert sum(full["class_counts"].values()) == n
+    assert full["ts_min"] == frag["ts_min"] == base
+    assert full["ts_max"] == frag["ts_max"] == base + (n - 1) * 1000
+
+
+def test_failed_compress_stops_delta_watcher(ray_session, tmp_path,
+                                             monkeypatch):
+    """The delta watcher's poller thread must not outlive a compress whose
+    sink write fails (a long-running ingest daemon would collect one per
+    failed fragment)."""
+    import ray.data as rd
+
     from clp_core_ray.pipelines import compress as cp
 
-    monkeypatch.setattr(cp, "ENCODE_BATCH_SIZE", 128)
+    started = []
 
-    def run(force_actors, sub):
-        if force_actors:
-            monkeypatch.setenv("CLP_ENCODE_ACTORS", "1")
-        else:
-            monkeypatch.delenv("CLP_ENCODE_ACTORS", raising=False)
-        ds = rd.from_arrow(tbl).repartition(48)
-        delta = str(tmp_path / sub)
-        out = build_encoded(ds, dict_delta_dir=delta, compact=True)
-        for _ in out.iter_batches(batch_format="pyarrow"):
-            pass
-        return len([f for f in os.listdir(delta) if f.endswith(".arrow")])
+    class Recording(cp._DeltaWatcher):
+        def start(self):
+            started.append(self)
+            return super().start()
 
-    actor_files = run(True, "deltas_actor")   # forced actor pool
-    task_files = run(False, "deltas_task")    # default stateless tasks
-    assert actor_files * 2 <= task_files, (actor_files, task_files)
+    monkeypatch.setattr(cp, "_DeltaWatcher", Recording)
+    bad = rd.from_items([{"x": 1}])  # no transcript columns: encode raises
+    with pytest.raises(Exception):
+        cp.compress(None, str(tmp_path / "arch"), ds=bad)
+    (watcher,) = started
+    assert not watcher._thread.is_alive()
 
 
 def test_merge_archives_roundtrip_and_search(ray_session, tmp_path):

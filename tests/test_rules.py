@@ -1,13 +1,17 @@
 """Schema-rule (grok-style) encoder tests."""
 
+import os
+
 import pyarrow as pa
 
 from clp_core_ray import encoding as E
 from clp_core_ray.functions.rules import DEFAULT_RULES, RuleEncodeStage, RuleSet
 
+SCHEMAS = os.path.join(os.path.dirname(__file__), "fixtures", "schemas.txt")
+
 
 def test_schema_file_parsing():
-    text = open("/root/reference/components/core/config/schemas.txt").read()
+    text = open(SCHEMAS).read()
     rs = RuleSet.from_schema_text(text)
     names = [n for n, _ in rs.rules]
     assert sorted(names) == sorted(["int", "float", "hex", "hasNumber", "equals"])
@@ -67,7 +71,7 @@ def test_rules_in_ray_pipeline(ray_session):
 
 def test_schema_file_delimiters_and_timestamps():
     """delimiters:/timestamp: lines are honored, not ignored (schemas.txt)."""
-    text = open("/root/reference/components/core/config/schemas.txt").read()
+    text = open(SCHEMAS).read()
     rs = RuleSet.from_schema_text(text)
     assert rs.delimiters is not None and "\\t" in rs.delimiters
     assert len(rs.timestamp_rules) == 2
@@ -98,7 +102,7 @@ def test_schema_file_delimiters_and_timestamps():
 def test_delimiter_bounded_tokens():
     """With delimiters declared, '123abc' is one hasNumber token (reference
     maximal-munch over delimiter-separated tokens), not int 123 + hex abc."""
-    text = open("/root/reference/components/core/config/schemas.txt").read()
+    text = open(SCHEMAS).read()
     rs = RuleSet.from_schema_text(text)
     out = RuleEncodeStage(rs, keep_text=True)(
         pa.table({"text": pa.array(["x 123abc y 99", "a=1,b=2"])})

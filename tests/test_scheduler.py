@@ -381,6 +381,9 @@ def test_textlog_ingest_and_search(ray_session, tmp_path):
     assert search_count(out, "*nothing here*")["cnt"][0].as_py() == 0
 
 
+# a crashed poller thread must fail the test, not only log a warning
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 def test_scheduler_fuzz_convergence(ray_session, tmp_path, monkeypatch):
     """Randomized stress: three pollers race over staggered waves while
     the fragment runner fails pseudo-randomly (~25%); repeated polling

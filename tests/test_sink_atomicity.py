@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def _transcript_table(n: int) -> pa.Table:
@@ -116,3 +117,51 @@ def test_content_name_no_endpoint_collision():
     assert content_name("part", a) != content_name("part", b)
     # deterministic across identical content (retry overwrites, not dups)
     assert content_name("part", a) == content_name("part", tbl("m1"))
+
+
+@pytest.mark.parametrize("writer", ["table", "replace_table", "bytes", "job"])
+def test_same_final_name_from_two_threads(tmp_path, monkeypatch, writer):
+    """Two threads of ONE process write the same final name (racing ingest
+    pollers, a fragment pool). A barrier in os.replace makes both finish
+    their tmp files before either replaces: with a tmp name shared per
+    process, the second replace finds its tmp already moved."""
+    import threading
+
+    from clp_core_ray.state import atomic, jobs
+
+    tbl = pa.table({"k": pa.array([1, 2, 3])})
+    write = {
+        "table": lambda: atomic.atomic_write_table(tbl, str(tmp_path)),
+        "replace_table": lambda: atomic.atomic_replace_table(
+            tbl, str(tmp_path / "t.parquet")),
+        "bytes": lambda: atomic.atomic_write_bytes(
+            b"payload", str(tmp_path), prefix="b", suffix=".bin"),
+        "job": lambda: jobs.mark_failed(str(tmp_path), "frag", [], "p",
+                                        1, "boom"),
+    }[writer]
+
+    barrier = threading.Barrier(2)
+    real_replace = os.replace
+
+    def replace_after_both_wrote(src, dst):
+        if str(src).endswith(".inprogress"):
+            barrier.wait(timeout=30)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_both_wrote)
+    errors = []
+
+    def run():
+        try:
+            write()
+        except Exception as e:  # noqa: BLE001 — surfaced by the assert
+            errors.append(e)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert errors == []
+    assert _walk(str(tmp_path), ".inprogress") == []

@@ -1,14 +1,16 @@
 """Text-mode ingestion: timestamp patterns, message assembly, file round trip.
 
-Reference model: MessageParser multiline fixture (test_log_files/log.txt) and
+Reference model: MessageParser multiline fixture (vendored as fixtures/log.txt) and
 the compress→decompress→diff golden test (test-clp_s-end_to_end.cpp:39-126).
 """
+
+import os
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-FIXTURE = "/root/reference/components/core/tests/test_log_files/log.txt"
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "log.txt")
 
 SYNTH = """2015-01-31T15:50:45.392 job j42 started on node-7
 2015-01-31T15:50:45,393 continuation free line
