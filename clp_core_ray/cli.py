@@ -152,7 +152,7 @@ def cmd_decompress(args) -> dict:
 
 def cmd_search(args) -> dict:
     from clp_core_ray.pipelines.search import (
-        _search_target, regex_to_wildcard, search_count,
+        _is_archive, _search_target, regex_to_wildcard, search_count,
         search_count_by_time,
     )
 
@@ -172,8 +172,6 @@ def cmd_search(args) -> dict:
         prune["tags"] = args.tag
     t0 = time.time()
     if len(args.query) > 1:  # batched multi-query: one scan, one decode
-        import os
-
         from clp_core_ray.pipelines.search import (
             search_archive_multi, search_archives_multi,
         )
@@ -181,9 +179,7 @@ def cmd_search(args) -> dict:
         if args.count or args.count_by_time:
             raise SystemExit("--count/--count-by-time apply to single-query "
                              "searches")
-        if (os.path.isdir(os.path.join(args.archive, "routed"))
-                or os.path.basename(
-                    os.path.normpath(args.archive)) == "routed"):
+        if _is_archive(args.archive):
             if prune:
                 raise SystemExit("prune flags apply to multi-archive targets")
             ds = search_archive_multi(args.archive, args.query,
@@ -211,13 +207,10 @@ def cmd_search(args) -> dict:
                 "sec": round(time.time() - t0, 3)}
     args.query = args.query[0]
     if getattr(args, "context", None):
-        import os as _os
-
         from clp_core_ray.pipelines.search import search_context
 
         tgt = args.archive
-        if not (_os.path.isdir(_os.path.join(tgt, "routed"))
-                or _os.path.basename(_os.path.normpath(tgt)) == "routed"):
+        if not _is_archive(tgt):
             raise SystemExit("--context applies to a single archive target")
         if prune:
             raise SystemExit("--context does not combine with prune flags")
@@ -288,7 +281,7 @@ def cmd_search(args) -> dict:
         return {"cmd": "search", "buckets": len(pdf),
                 "total": int(pdf[cnt_col].sum()),
                 "sec": round(time.time() - t0, 3)}
-    ds = _search_target(args.archive, args.query, args.ignore_case)
+    ds = _search_target(args.archive, args.query, args.ignore_case, **prune)
     if args.out:
         ds.write_parquet(args.out, compression="zstd")
         rows = ds.count()

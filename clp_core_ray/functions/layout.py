@@ -29,6 +29,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray.state.atomic import inprogress_path
+
 
 def _spread32(x: np.ndarray) -> np.ndarray:
     """Interleave zeros between the bits of 32-bit ints (u64 out)."""
@@ -111,7 +113,7 @@ def write_zordered(ds, out_dir: str, *, col_a: str, col_b: str,
         h = hashlib.sha1()
         h.update(np.asarray(b.column("_zkey"), dtype=np.int64).tobytes())
         name = f"part-{h.hexdigest()[:16]}.parquet"
-        tmp = os.path.join(out_dir, f"{name}.{os.getpid()}.inprogress")
+        tmp = inprogress_path(os.path.join(out_dir, name))
         pq.write_table(body, tmp)
         os.replace(tmp, os.path.join(out_dir, name))
         bi = b.column(col_b).cast(pa.int64())
@@ -128,10 +130,11 @@ def write_zordered(ds, out_dir: str, *, col_a: str, col_b: str,
                                batch_format="pyarrow")
              .iter_batches(batch_format="pyarrow")]
     man = pa.concat_tables([s for s in stats if s.num_rows]).to_pylist()
-    tmp = os.path.join(out_dir, f"_zmanifest.{os.getpid()}.inprogress")
+    final = os.path.join(out_dir, "_zmanifest.json")
+    tmp = inprogress_path(final)
     with open(tmp, "w") as f:
         json.dump({"col_a": col_a, "col_b": col_b, "files": man}, f)
-    os.replace(tmp, os.path.join(out_dir, "_zmanifest.json"))
+    os.replace(tmp, final)
     # dead-attempt sweep (the fused-sink discipline)
     for fn in os.listdir(out_dir):
         if fn.endswith(".inprogress"):

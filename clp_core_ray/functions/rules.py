@@ -39,6 +39,7 @@ bytes inside tokens are plain non-delimiter bytes (reference behavior).
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -50,6 +51,10 @@ from clp_core_ray.vec.tokenizer import (
     _string_buffers,
     assemble_encoded,
 )
+
+# the schema file shipped with the package: delimiters, two timestamp rules
+# and the int/float/hex/hasNumber/equals variable rules
+SCHEMA_FILE = os.path.join(os.path.dirname(__file__), "schemas.txt")
 
 DEFAULT_RULES: list[tuple[str, str]] = [
     # mirrors config/schemas.txt (timestamp rules live in timestamps.py).

@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clp_core_ray.functions.dedup import _emb_matrix, _normalize
+from clp_core_ray.state.atomic import inprogress_path
 
 
 def _collect_normalized(ds, id_col: str, emb_col: str):
@@ -307,7 +308,7 @@ def ivf_index_delete(index_dir: str, ids) -> None:
     os.makedirs(d, exist_ok=True)
     a = np.sort(np.asarray(list(ids), dtype=np.int64))
     name = f"dead-{hashlib.sha1(a.tobytes()).hexdigest()[:20]}.parquet"
-    tmp = os.path.join(d, f"{name}.{os.getpid()}.inprogress")
+    tmp = inprogress_path(os.path.join(d, name))
     pq.write_table(pa.table({"vec_id": pa.array(a)}), tmp)
     os.replace(tmp, os.path.join(d, name))
 
@@ -1468,14 +1469,16 @@ def ivf_index_compact(index_dir: str) -> dict:
         ncells += 1
         dst = os.path.join(new_root, cell)
         os.makedirs(dst, exist_ok=True)
-        tmp = os.path.join(dst, f"compact.{os.getpid()}.inprogress")
+        final = os.path.join(dst, "part-compacted.parquet")
+        tmp = inprogress_path(final)
         pq.write_table(t, tmp, compression="zstd")
-        os.replace(tmp, os.path.join(dst, "part-compacted.parquet"))
+        os.replace(tmp, final)
     # commit point: readers flip to the new generation atomically
-    cur_tmp = os.path.join(index_dir, f"CURRENT.{os.getpid()}.inprogress")
+    cur = os.path.join(index_dir, "CURRENT")
+    cur_tmp = inprogress_path(cur)
     with open(cur_tmp, "w") as f:
         f.write(new_name)
-    os.replace(cur_tmp, os.path.join(index_dir, "CURRENT"))
+    os.replace(cur_tmp, cur)
     # post-commit cleanup (correct view regardless of crash here)
     shutil.rmtree(old_root, ignore_errors=True)
     shutil.rmtree(os.path.join(index_dir, "tombstones"), ignore_errors=True)

@@ -14,6 +14,7 @@ from clp_core_ray.pipelines.aggregate import \
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.vec.tokenizer import _cumsum0, _fnv1a64_tokens, _string_buffers
 
 STOPWORDS = {
@@ -919,10 +920,11 @@ def append_inverted_index(index_dir: str, ds, *, text_col: str = "text",
         n_docs, total_toks = _corpus_stats(ds, text_col)
         meta["n_docs"] += n_docs
         meta["total_toks"] += total_toks
-        tmp = os.path.join(index_dir, f"meta.{os.getpid()}.inprogress")
+        final = os.path.join(index_dir, "meta.json")
+        tmp = inprogress_path(final)
         with open(tmp, "w") as f:
             json.dump(meta, f)
-        os.replace(tmp, os.path.join(index_dir, "meta.json"))
+        os.replace(tmp, final)
         return
     _write_postings(
         inverted_index(ds, text_col=text_col, id_col=id_col,
@@ -987,8 +989,8 @@ def compact_inverted_index(index_dir: str) -> int:
             # parts (one part per doc per term; per-part df rows are summed
             # at query time) — concatenate in term order
             out = t.take(pa.array(order))
-        tmp = os.path.join(bdir, f"compact.{os.getpid()}.inprogress")
         final = os.path.join(bdir, "part-compacted.parquet")
+        tmp = inprogress_path(final)
         _pq.write_table(out, tmp, compression="zstd")
         os.replace(tmp, final)
         for f in files:

@@ -508,7 +508,7 @@ def search_ir_stream(data: bytes, query: str, ignore_case: bool = False,
     import pyarrow.compute as pc
 
     from clp_core_ray.pipelines.search import (
-        candidate_logtype_ids,
+        _candidate_templates,
         wildcard_to_regex,
     )
     from clp_core_ray.vec.decoder import decode_batch
@@ -524,25 +524,15 @@ def search_ir_stream(data: bytes, query: str, ignore_case: bool = False,
         tbl = tbl.filter(pc.less_equal(tbl.column("ts"), ts_max))
     if len(tbl) == 0:
         return empty
+    wq = f"*{query.strip('*')}*" if query.strip("*") else "*"
     enc = pc.dictionary_encode(tbl.column("logtype").combine_chunks())
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    distinct = enc.dictionary
-    codes = enc.indices
-    cand = candidate_logtype_ids(
-        pa.array(range(len(distinct)), type=pa.int64()),
-        distinct.cast(pa.large_string()), query,
-    )
-    if len(cand) == 0:
+    cand = _candidate_templates(enc.dictionary, wq, ignore_case)
+    if not cand.any():
         return empty
-    keep = pc.is_in(codes.cast(pa.int64()), value_set=pa.array(cand))
-    tbl = tbl.filter(keep)
-    if len(tbl) == 0:
-        return empty
+    tbl = tbl.filter(pa.array(cand[np.asarray(enc.indices, dtype=np.int64)]))
     text = decode_batch(tbl.column("logtype"), tbl.column("encoded_vars"),
                         tbl.column("var_types"), dict_vars=tbl.column("dict_vars"))
-    rx = wildcard_to_regex(f"*{query.strip('*')}*" if query.strip("*") else "*",
-                           full_match=True)
+    rx = wildcard_to_regex(wq)
     if ignore_case:
         rx = "(?i)" + rx
     m = pc.match_substring_regex(text, rx)

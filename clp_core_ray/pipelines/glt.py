@@ -312,8 +312,9 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     import ray
     import ray.data as rd
 
-    from clp_core_ray.pipelines.grep import rows_matching_subquery_vars
     from clp_core_ray.pipelines.search import (
+        _empty_matches,
+        _subquery_mask,
         compile_for_archive,
         subquery_logtype_prune,
         wildcard_to_regex,
@@ -331,11 +332,7 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     lt_allowed = subquery_logtype_prune(archive_dir, cq, var_ids, var_classes)
 
     def _empty():
-        return rd.from_arrow(
-            pa.table({"conv_id": pa.array([], type=pa.string()),
-                      "turn_idx": pa.array([], type=pa.int32()),
-                      "text": pa.array([], type=pa.large_string())})
-        )
+        return rd.from_arrow(_empty_matches())
 
     if not cq.match_all and not cq.subqueries:
         return _empty()
@@ -409,17 +406,7 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     specs_ref = ray.put(spec_by_lid)
     vdict_ref = ray.put((var_ids, var_values)) if var_ids is not None else None
 
-    out_schema = pa.schema([
-        ("conv_id", pa.string()), ("turn_idx", pa.int32()),
-        ("text", pa.large_string()),
-    ])
-
-    def _empty_tbl():
-        return pa.table(
-            {"conv_id": pa.array([], type=pa.string()),
-             "turn_idx": pa.array([], type=pa.int32()),
-             "text": pa.array([], type=pa.large_string())}
-        )
+    out_schema = _empty_matches().schema
 
     def scan_dedicated(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -484,7 +471,7 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                 if hit.num_rows:
                     out.append(hit)
         if not out:
-            return _empty_tbl()
+            return _empty_matches()
         return pa.concat_tables(out).cast(pa.schema(out[0].schema))
 
     pieces = []
@@ -515,29 +502,14 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                       else np.zeros(0, dtype=np.int8))
         templates_arr = pa.array([template_of[c] for c in misc_cand],
                                  type=pa.large_string())
-        subqueries = cq.subqueries
-        match_all = cq.match_all
 
         def scan_misc(b: pa.Table) -> pa.Table:
             dids, dvals = ray.get(vdict_ref) if vdict_ref is not None else (None, None)
-            lt = b.column("logtype_id")
-            pos = pc.index_in(lt, cand_arr)
+            pos = pc.index_in(b.column("logtype_id"), cand_arr)
             keep = np.asarray(pc.is_valid(pos), dtype=bool)
-            if not match_all:
-                m = np.zeros(len(b), dtype=bool)
-                for sq in subqueries:
-                    s = np.asarray(
-                        pc.is_in(lt, value_set=pa.array(sq.logtype_ids)), dtype=bool
-                    )
-                    if sq.var_conds and s.any():
-                        s &= rows_matching_subquery_vars(
-                            b.column("encoded_vars"), sq.var_conds
-                        )
-                    m |= s
-                keep &= m
-            b = b.filter(pa.array(keep))
+            b = b.filter(pa.array(keep & _subquery_mask(b, cq)))
             if len(b) == 0:
-                return _empty_tbl()
+                return _empty_matches()
             pos = np.asarray(
                 pc.index_in(b.column("logtype_id"), cand_arr), dtype=np.int64
             )
@@ -574,6 +546,6 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     for p in pieces[1:]:
         out = out.union(p)
     return out.map_batches(
-        lambda t: t.cast(out_schema) if t.num_rows else _empty_tbl(),
+        lambda t: t.cast(out_schema) if t.num_rows else _empty_matches(),
         batch_format="pyarrow",
     )

@@ -3095,18 +3095,18 @@ def docs_curation_pipeline(sf_dir: str):
 )
 def clp_rules_roundtrip(sf_dir: str):
     """Schema-rule engine end to end: encode every transcript turn with the
-    REFERENCE schema file (components/core/config/schemas.txt — delimiters,
+    schema file shipped with the package (``functions/schemas.txt``, shaped
+    like the reference's components/core/config/schemas.txt — delimiters,
     timestamp rules, maximal munch) through the vectorized rule lexer, decode
     with the stock decoder, and count exact text matches. The oracle asserts
     the invariant n_ok == n_turns."""
     import pyarrow.compute as _pc
 
-    from clp_core_ray.functions.rules import RuleEncodeStage, RuleSet
+    from clp_core_ray.functions.rules import SCHEMA_FILE, RuleEncodeStage, RuleSet
     from clp_core_ray.stages.encode import DecodeStage
 
-    rs = RuleSet.from_schema_text(
-        open("/root/reference/components/core/config/schemas.txt").read()
-    )
+    with open(SCHEMA_FILE) as f:
+        rs = RuleSet.from_schema_text(f.read())
     ds = read_transcripts(sf_dir)
 
     # instantiated on the driver: the compiled DFA/regex tables pickle into

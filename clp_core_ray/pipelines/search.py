@@ -62,54 +62,43 @@ def wildcard_match(texts: pa.Array, pattern: str) -> pa.Array:
     return pc.match_substring_regex(texts, wildcard_to_regex(pattern))
 
 
-def candidate_logtype_ids(
-    logtype_ids: pa.Array, logtypes: pa.Array, query: str
-) -> np.ndarray:
-    """Driver-side compile: which logtypes could contain a match.
+def _candidate_templates(templates: pa.Array, wquery: str,
+                         ignore_case: bool = False) -> np.ndarray:
+    """Which inline templates could hold a match of the wildcard ``wquery``
+    → bool mask parallel to ``templates``.
 
-    Each placeholder byte in the template is treated as '*' (a variable can be
-    anything), then the implicit-*query*-wildcard is matched against it.
+    Each placeholder byte is read as ``*`` (a variable can be anything) and
+    the query's constant runs must appear in order; once a placeholder comes
+    before the next constant, the variable could absorb the rest and the
+    template is kept. Conservative: verify removes false positives, this
+    test never makes a false negative. ``ignore_case`` lowers both sides.
     """
-    templ = logtypes
+    consts = [c for c in re.split(r"[*?]+", wquery.lower() if ignore_case
+                                  else wquery) if c]
+    if not consts:
+        return np.ones(len(templates), dtype=bool)
     for ph in ("\x11", "\x12", "\x13"):
-        templ = pc.replace_substring(templ, ph, "*")
+        templates = pc.replace_substring(templates, ph, "*")
     # collapse escape chars: '\' + c → c (escaped literal)
-    templ_py = [re.sub(r"\\([\s\S])", r"\1", t) for t in templ.to_pylist()]
-    wquery = f"*{query.strip('*')}*" if query.strip("*") else "*"
-    rx = re.compile(wildcard_to_regex(wquery))
-    # a template-with-*-vars matches the query pattern iff an interleaving
-    # exists; conservative candidate test: match query against template where
-    # template '*'s absorb anything — implemented by regexifying the template
-    # and testing symbolically is overkill; CLP's own approach is wildcard
-    # match of query tokens against the logtype. We use: template matches if
-    # rx matches template text with '*' treated as matching anything — i.e.
-    # test query-regex against template with '*' expanded; to stay
-    # conservative (no false negatives), also keep any template containing a
-    # '*' adjacent overlap. Simplest sound rule: keep template if the
-    # *constant parts of the query* (split on wildcards) appear in order in
-    # the template-with-*-vars pattern allowing '*' gaps.
-    keep = []
-    ids = logtype_ids.to_pylist()
-    consts = [c for c in re.split(r"[*?]+", query) if c]
-    for i, t in enumerate(templ_py):
-        # in-order scan: each query constant must appear in the template text
-        # OR be absorbable by a '*' (variable) — absorbable is always possible
-        # if a '*' exists between the previous match position and the end.
+    tl = [re.sub(r"\\([\s\S])", r"\1", t) for t in templates.to_pylist()]
+    if ignore_case:
+        tl = [t.lower() for t in tl]
+    cand = np.zeros(len(tl), dtype=bool)
+    for i, t in enumerate(tl):
         pos = 0
         ok = True
         for c in consts:
             j = t.find(c, pos)
             k = t.find("*", pos)
-            if j >= 0:
+            if j >= 0 and (k < 0 or j < k):
                 pos = j + len(c)
             elif k >= 0:
-                pos = k  # a variable can absorb this constant (imprecise)
+                break  # a variable absorbs the rest — conservative keep
             else:
                 ok = False
                 break
-        if ok:
-            keep.append(ids[i])
-    return np.array(keep, dtype=np.int64)
+        cand[i] = ok
+    return cand
 
 
 def regex_to_wildcard(rx: str) -> str:
@@ -329,66 +318,16 @@ def compile_for_archive(archive_dir: str, query: str, ignore_case: bool = False)
     return cq, ldict, var_ids, var_values, var_classes
 
 
-def subquery_logtype_prune(archive_dir: str, cq, var_ids, var_classes):
-    """Per-subquery allowed-logtype sets from the class→logtype index refined
-    by the per-variable segment index (DictionaryWriter.hpp:179-202;
-    clg.cpp:249-298 segment intersection).
+def _subquery_classes(archive_dir: str, cq, var_ids, var_classes):
+    """Sink classes that can host each subquery's match: the class→logtype
+    index (J4) refined by the per-variable segment index — a class can host
+    a subquery match only if it contains the subquery's logtypes AND, for
+    every dictionary-var condition, at least one of that condition's dict
+    entries (DictionaryWriter.hpp:179-202; clg.cpp:249-298 segment
+    intersection).
 
-    Returns a list parallel to ``cq.subqueries``: each entry is the set of
-    logtype_ids that can possibly host a match for that subquery given which
-    sink classes contain BOTH the subquery's logtypes AND every
-    dictionary-var condition's entries — or ``None`` when no index exists to
-    prune on. A subquery whose intersection is empty gets ``set()`` (it
-    cannot match anywhere in this archive).
-    """
-    import json
-    import os
-
-    idx_path = os.path.join(archive_dir, "class_logtypes.json")
-    if cq.match_all or not os.path.exists(idx_path):
-        return [None] * len(cq.subqueries)
-    with open(idx_path) as f:
-        by_class = json.load(f)
-
-    def classes_of_cond(cond: np.ndarray):
-        if var_classes is None:
-            return None
-        pos = pc.index_in(pa.array(cond, type=pa.int64()), pa.array(var_ids))
-        allowed: set = set()
-        for p in pos.to_pylist():
-            if p is None:
-                return None
-            cls_list = var_classes[p].as_py()
-            if not cls_list or "" in cls_list:
-                return None
-            allowed.update(cls_list)
-        return allowed
-
-    out = []
-    for sq in cq.subqueries:
-        sq_lt = set(sq.logtype_ids.tolist())
-        sq_classes = {c for c, ids in by_class.items() if sq_lt.intersection(ids)}
-        for cond in sq.dict_conds:
-            if not sq_classes:
-                break
-            allowed = classes_of_cond(cond)
-            if allowed is not None:
-                sq_classes &= allowed
-        lt_allowed: set = set()
-        for c in sq_classes:
-            lt_allowed.update(by_class[c])
-        out.append(sq_lt & lt_allowed)
-    return out
-
-
-def _prune_keep_classes(archive_dir: str, cq, var_ids, var_classes):
-    """Partition pruning: class→logtype index (J4) refined per subquery by
-    the per-variable segment index — a partition can host a subquery match
-    only if it contains the subquery's logtypes AND, for every dict-var
-    condition, at least one of that condition's dict entries
-    (clg.cpp:249-298 segment intersection).
-
-    Returns the sorted list of keep classes, or None when pruning is
+    Returns ``(by_class, sets)``: the class→logtype index and one class set
+    per subquery, parallel to ``cq.subqueries``; None when pruning is
     unavailable (match_all query, or no index on disk)."""
     import json
     import os
@@ -415,7 +354,7 @@ def _prune_keep_classes(archive_dir: str, cq, var_ids, var_classes):
             allowed.update(cls_list)
         return allowed
 
-    keep_set: set = set()
+    sets = []
     for sq in cq.subqueries:
         sq_lt = set(sq.logtype_ids.tolist())
         sq_classes = {c for c, ids in by_class.items()
@@ -426,8 +365,36 @@ def _prune_keep_classes(archive_dir: str, cq, var_ids, var_classes):
             allowed = classes_of_cond(cond)
             if allowed is not None:
                 sq_classes &= allowed
-        keep_set |= sq_classes
-    return sorted(keep_set)
+        sets.append(sq_classes)
+    return by_class, sets
+
+
+def subquery_logtype_prune(archive_dir: str, cq, var_ids, var_classes):
+    """Per-subquery allowed-logtype sets (see :func:`_subquery_classes`).
+
+    Returns a list parallel to ``cq.subqueries``: each entry is the set of
+    logtype_ids that can possibly host a match for that subquery given which
+    sink classes contain BOTH the subquery's logtypes AND every
+    dictionary-var condition's entries — or ``None`` when no index exists to
+    prune on. A subquery whose intersection is empty gets ``set()`` (it
+    cannot match anywhere in this archive).
+    """
+    pruned = _subquery_classes(archive_dir, cq, var_ids, var_classes)
+    if pruned is None:
+        return [None] * len(cq.subqueries)
+    by_class, sets = pruned
+    return [set(sq.logtype_ids.tolist())
+            & {lt for c in classes for lt in by_class[c]}
+            for sq, classes in zip(cq.subqueries, sets)]
+
+
+def _prune_keep_classes(archive_dir: str, cq, var_ids, var_classes):
+    """Partition pruning: the sorted union of every subquery's keep classes
+    (see :func:`_subquery_classes`), or None when pruning is unavailable."""
+    pruned = _subquery_classes(archive_dir, cq, var_ids, var_classes)
+    if pruned is None:
+        return None
+    return sorted(set().union(*pruned[1]))
 
 
 def _class_paths(routed: str, keep):
@@ -445,6 +412,207 @@ def _class_paths(routed: str, keep):
     ]
 
 
+def _empty_matches(fields=(), query_idx: bool = False) -> pa.Table:
+    """The empty match table: ``(conv_id, turn_idx, text)`` plus the
+    passthrough ``fields``, led by ``query_idx`` for batched searches."""
+    head = [("query_idx", pa.int64())] if query_idx else []
+    return pa.schema(head + [("conv_id", pa.string()), ("turn_idx", pa.int32()),
+                             ("text", pa.large_string())]
+                     + list(fields)).empty_table()
+
+
+def _union(parts: list, empty: pa.Table):
+    """Lazy union of match Datasets; ``empty`` when there are none."""
+    if not parts:
+        import ray.data as rd
+
+        return rd.from_arrow(empty)
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+
+
+def _subquery_mask(batch: pa.Table, cq) -> np.ndarray:
+    """Rows of ``batch`` some subquery of ``cq`` can match: the row's
+    logtype is in the subquery's set and its variables satisfy the
+    subquery's in-order var conditions. All rows for a match-all query."""
+    from clp_core_ray.pipelines.grep import rows_matching_subquery_vars
+
+    n = len(batch)
+    if cq.match_all:
+        return np.ones(n, dtype=bool)
+    keep = np.zeros(n, dtype=bool)
+    lt = batch.column("logtype_id")
+    for sq in cq.subqueries:
+        m = np.asarray(pc.is_in(lt, value_set=pa.array(sq.logtype_ids)),
+                       dtype=bool)
+        if sq.var_conds and m.any():
+            m &= rows_matching_subquery_vars(batch.column("encoded_vars"),
+                                             sq.var_conds)
+        keep |= m
+        if keep.all():
+            break
+    return keep
+
+
+def _archive_root(target: str) -> str:
+    """An archive's dir, given it or its ``routed/`` sink dir."""
+    import os
+
+    t = os.path.normpath(target)
+    return os.path.dirname(t) if os.path.basename(t) == "routed" else target
+
+
+def _is_archive(target: str) -> bool:
+    """True when ``target`` is one archive (or its ``routed/`` dir) rather
+    than a base dir of archives or fragments."""
+    import os
+
+    return (os.path.basename(os.path.normpath(target)) == "routed"
+            or os.path.isdir(os.path.join(target, "routed")))
+
+
+class _ArchiveScan:
+    """The scan of one archive plan, per batch: every query's subquery mask
+    → one decode of the union of candidates → each query's wildcard verify
+    against the decoded text.
+
+    Dictionaries resolve lazily per task (zero-copy plasma get): an eager
+    get in the driver-side constructor would pickle the full dict tables
+    into every task's closure instead of shipping the ref."""
+
+    def __init__(self, queries, dicts_ref, extra, empty, query_idx):
+        self.queries = queries  # [(query_idx, cq, regex)]
+        self.dicts_ref, self.extra, self.empty = dicts_ref, extra, empty
+        self.query_idx = query_idx
+        self._loaded = False
+
+    def _load(self):
+        import ray
+
+        from clp_core_ray.vec.decoder import decode_batch
+
+        self.decode = decode_batch
+        if self.dicts_ref is not None:
+            ldict, vdict = ray.get(self.dicts_ref)
+            self.lt_ids = ldict.column("logtype_id").combine_chunks()
+            self.lt_values = ldict.column("logtype").combine_chunks()
+            self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
+            self.var_values = vdict.column("value").combine_chunks()
+        self._loaded = True
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if not self._loaded:
+            self._load()
+        masks = [_subquery_mask(batch, cq) for _qi, cq, _rx in self.queries]
+        union = np.logical_or.reduce(masks)
+        if not union.any():
+            return self.empty
+        if not union.all():
+            batch = batch.filter(pa.array(union))
+        if self.dicts_ref is None:
+            text = self.decode(
+                batch.column("logtype"), batch.column("encoded_vars"),
+                batch.column("var_types"), dict_vars=batch.column("dict_vars"))
+        else:
+            pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
+            text = self.decode(
+                pc.take(self.lt_values, pos), batch.column("encoded_vars"),
+                batch.column("var_types"), dict_ids=self.var_ids,
+                dict_values=self.var_values)
+        cols = {"conv_id": batch.column("conv_id").combine_chunks(),
+                "turn_idx": batch.column("turn_idx").combine_chunks(),
+                "text": text}
+        for c in self.extra:
+            cols[c] = batch.column(c).combine_chunks()
+        parts = []
+        for (qi, _cq, rx), mask in zip(self.queries, masks):
+            hit = pc.match_substring_regex(text, rx)
+            sub = mask[union]
+            if not sub.all():
+                hit = pc.and_(pa.array(sub), hit)
+            if self.query_idx:
+                qcol = pa.array(np.full(len(batch), qi, dtype=np.int64))
+                parts.append(pa.table({"query_idx": qcol, **cols}).filter(hit))
+            else:
+                parts.append(pa.table(cols).filter(hit))
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+
+def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
+                 columns=None, query_idx: bool = False):
+    """Plan and start the one archive scan for a batch of queries →
+    Dataset of matches (led by ``query_idx`` when asked for).
+
+    Compile (driver): each query goes through the Grep subquery compiler
+    against the archive's dictionaries (:func:`compile_for_archive`); a
+    dictionary miss drops the query before any sink file is read. Prune:
+    each query keeps the sink classes its subqueries can match
+    (:func:`_prune_keep_classes`), the scan reads the union of kept classes
+    once, and one unprunable query forces the full scan. Scan: see
+    :class:`_ArchiveScan`; the dictionaries are broadcast once, or the
+    sinks' inline ``logtype``/``dict_vars`` columns are decoded instead.
+    ``columns`` are sink columns passed through to the matches.
+    """
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    archive_dir = _archive_root(archive_dir)
+    routed = os.path.join(archive_dir, "routed")
+    # passthrough columns (e.g. ts for count-by-time over results); an
+    # archive with an empty routed/ dir yields an empty Dataset (r2 ADVICE:
+    # it used to raise FileNotFoundError on the footer read)
+    extra = [c for c in (columns or [])
+             if c not in ("conv_id", "turn_idx", "text")]
+    first = _first_parquet_file_or_none(routed)
+    sink_schema = pq.ParquetFile(first).schema_arrow if first else pa.schema([])
+    missing = [c for c in extra if c not in sink_schema.names]
+    if missing:
+        raise KeyError(f"columns not in archive sinks: {missing}")
+    empty = _empty_matches([sink_schema.field(c) for c in extra], query_idx)
+    if first is None:  # routed/ exists but holds no sink files yet
+        return rd.from_arrow(empty)
+
+    compiled = []  # (query_idx, cq, regex) per query that can match
+    keeps = []     # its sorted keep classes, or None (no prune)
+    for qi, q in enumerate(queries):
+        cq, _ldict, var_ids, _var_values, var_classes = compile_for_archive(
+            archive_dir, q, ignore_case)
+        if not cq.match_all and not cq.subqueries:
+            continue  # dictionary miss: this query can't match anything
+        keep = _prune_keep_classes(archive_dir, cq, var_ids, var_classes)
+        if keep is not None and not keep:
+            continue  # index-pruned to nothing
+        rx = wildcard_to_regex(cq.processed)
+        compiled.append((qi, cq, "(?i)" + rx if ignore_case else rx))
+        keeps.append(keep)
+    if not compiled:
+        return rd.from_arrow(empty)
+    keep_union = (None if any(k is None for k in keeps)
+                  else sorted(set().union(*keeps)))
+    paths = _class_paths(routed, keep_union)
+
+    inline = "dict_vars" in sink_schema.names
+    cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
+    cols += [c for c in extra if c not in cols]
+    if inline:
+        cols += ["logtype", "dict_vars"]
+        dicts_ref = None
+    else:
+        from clp_core_ray.pipelines.decompress import load_dicts
+
+        dicts_ref = ray.put(load_dicts(archive_dir))
+    ds = rd.read_parquet(paths, columns=cols, file_extensions=["parquet"])
+    scan = _ArchiveScan(compiled, dicts_ref, extra, empty, query_idx)
+    # task-based: the scan's state (broadcast dicts) is a cheap zero-copy
+    # plasma get per task, while an actor pool costs ~3s spin-up per query
+    # on a small host — wrong trade for interactive search. batch_size
+    # bundles the small per-class sink files into real batches so per-call
+    # fixed costs (dict lookup setup, regex launch) amortize.
+    return ds.map_batches(scan, batch_format="pyarrow", batch_size=32 * 1024)
+
+
 def search_archive(archive_dir: str, query: str, columns=None,
                    ignore_case: bool = False):
     """Search a compressed archive → Dataset[(conv_id, turn_idx, text)].
@@ -457,162 +625,11 @@ def search_archive(archive_dir: str, query: str, columns=None,
     matching any subquery are decoded and wildcard-verified (the verify
     keeps results exact even where subqueries are imprecise,
     Grep.cpp:900-959). ``ignore_case`` mirrors wildcard_match_unsafe's
-    lowercase-both mode (string_utils.hpp:88-94).
+    lowercase-both mode (string_utils.hpp:88-94). ``columns`` names sink
+    columns (e.g. ``ts``) carried into the matches. This is the one-query
+    case of :func:`search_archive_multi`.
     """
-    import json
-    import os
-
-    import ray.data as rd
-
-    from clp_core_ray.pipelines.grep import rows_matching_subquery_vars
-    from clp_core_ray.vec.decoder import decode_batch
-
-    if os.path.basename(os.path.normpath(archive_dir)) == "routed":
-        archive_dir = os.path.dirname(os.path.normpath(archive_dir))
-    routed = os.path.join(archive_dir, "routed")
-    import pyarrow.parquet as pq
-
-    # passthrough columns (e.g. ts for count-by-time over results): carried
-    # from the sink rows into the match table. The sink footer is read ONLY
-    # when extra columns are requested or a scan will actually run — a
-    # dictionary-miss query returns empty without touching sink files, and
-    # an archive with an empty routed/ dir yields an empty Dataset (r2
-    # ADVICE: it used to raise FileNotFoundError on the footer read).
-    extra = [c for c in (columns or [])
-             if c not in ("conv_id", "turn_idx", "text")]
-    first = _first_parquet_file_or_none(routed)
-    sink_schema = None
-    if extra:
-        sink_schema = (pq.ParquetFile(first).schema_arrow if first
-                       else pa.schema([]))
-        missing = [c for c in extra if c not in sink_schema.names]
-        if missing:
-            raise KeyError(f"columns not in archive sinks: {missing}")
-
-    def _empty():
-        t = {"conv_id": pa.array([], type=pa.string()),
-             "turn_idx": pa.array([], type=pa.int32()),
-             "text": pa.array([], type=pa.large_string())}
-        for c in extra:
-            t[c] = pa.array([], type=sink_schema.field(c).type)
-        return rd.from_arrow(pa.table(t))
-
-    if first is None:  # routed/ exists but holds no sink files yet
-        return _empty()
-
-    cq, ldict, var_ids, var_values, var_classes = compile_for_archive(
-        archive_dir, query, ignore_case
-    )
-
-    if not cq.match_all and not cq.subqueries:
-        return _empty()
-    if sink_schema is None:
-        sink_schema = pq.ParquetFile(first).schema_arrow
-    cand = cq.all_logtype_ids()
-
-    # partition pruning: class→logtype index (J4) refined per subquery by the
-    # per-variable segment index — a partition can host a subquery match only
-    # if it contains the subquery's logtypes AND, for every dictionary-var
-    # condition, at least one of that condition's dict entries
-    # (clg.cpp:249-298 segment intersection)
-    keep = _prune_keep_classes(archive_dir, cq, var_ids, var_classes)
-    if keep is not None and not keep:
-        return _empty()
-    paths = _class_paths(routed, keep)
-
-    inline = "dict_vars" in sink_schema.names
-    cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
-    cols += [c for c in extra if c not in cols]
-    if inline:
-        cols += ["logtype", "dict_vars"]
-    ds = rd.read_parquet(paths, columns=cols, file_extensions=["parquet"])
-    rx = wildcard_to_regex(cq.processed)
-    if ignore_case:
-        rx = "(?i)" + rx
-    subqueries = cq.subqueries
-    match_all = cq.match_all
-
-    import ray
-
-    if inline:
-        dicts_ref = None
-    else:
-        from clp_core_ray.pipelines.decompress import load_dicts
-
-        dicts_ref = ray.put(load_dicts(archive_dir))
-
-    class Scan:
-        """Phase-3 scan: subquery prune → decode candidates → wildcard check.
-
-        Dictionaries resolve lazily per task (zero-copy plasma get): an
-        eager get in the driver-side constructor would pickle the full dict
-        tables into every task's closure instead of shipping the ref."""
-
-        def __init__(self):
-            self._loaded = False
-
-        def _load(self):
-            if dicts_ref is not None:
-                ldict, vdict = ray.get(dicts_ref)
-                self.lt_ids = ldict.column("logtype_id").combine_chunks()
-                self.lt_values = ldict.column("logtype").combine_chunks()
-                self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
-                self.var_values = vdict.column("value").combine_chunks()
-            self._loaded = True
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if not self._loaded:
-                self._load()
-            if not match_all:
-                keep = np.zeros(len(batch), dtype=bool)
-                lt = batch.column("logtype_id")
-                for sq in subqueries:
-                    m = np.asarray(
-                        pc.is_in(lt, value_set=pa.array(sq.logtype_ids)), dtype=bool
-                    )
-                    if sq.var_conds and m.any():
-                        m &= rows_matching_subquery_vars(
-                            batch.column("encoded_vars"), sq.var_conds
-                        )
-                    keep |= m
-                    if keep.all():
-                        break
-                batch = batch.filter(pa.array(keep))
-            if len(batch) == 0:
-                t = {"conv_id": pa.array([], type=pa.string()),
-                     "turn_idx": pa.array([], type=pa.int32()),
-                     "text": pa.array([], type=pa.large_string())}
-                for c in extra:
-                    t[c] = pa.array([], type=sink_schema.field(c).type)
-                return pa.table(t)
-            if dicts_ref is None:
-                text = decode_batch(
-                    batch.column("logtype"), batch.column("encoded_vars"),
-                    batch.column("var_types"), dict_vars=batch.column("dict_vars"),
-                )
-            else:
-                pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
-                text = decode_batch(
-                    pc.take(self.lt_values, pos),
-                    batch.column("encoded_vars"),
-                    batch.column("var_types"),
-                    dict_ids=self.var_ids,
-                    dict_values=self.var_values,
-                )
-            m = pc.match_substring_regex(text, rx)
-            t = {"conv_id": batch.column("conv_id").combine_chunks(),
-                 "turn_idx": batch.column("turn_idx").combine_chunks(),
-                 "text": text}
-            for c in extra:
-                t[c] = batch.column(c).combine_chunks()
-            return pa.table(t).filter(m)
-
-    # task-based: Scan's state (broadcast dicts) is a cheap zero-copy
-    # plasma get per task, while an actor pool costs ~3s spin-up per query
-    # in this sandbox — wrong trade for interactive search. batch_size
-    # bundles the small per-class sink files into real batches so per-call
-    # fixed costs (dict lookup setup, regex launch) amortize.
-    return ds.map_batches(Scan(), batch_format="pyarrow", batch_size=32 * 1024)
+    return _search_plan(archive_dir, [query], ignore_case, columns=columns)
 
 
 def search_archive_multi(archive_dir: str, queries: list[str],
@@ -630,148 +647,7 @@ def search_archive_multi(archive_dir: str, queries: list[str],
     Dataset[(query_idx int64, conv_id, turn_idx, text)]; query_idx is the
     position in ``queries``.
     """
-    import os
-
-    import ray
-    import ray.data as rd
-
-    from clp_core_ray.pipelines.grep import rows_matching_subquery_vars
-    from clp_core_ray.vec.decoder import decode_batch
-
-    if os.path.basename(os.path.normpath(archive_dir)) == "routed":
-        archive_dir = os.path.dirname(os.path.normpath(archive_dir))
-    routed = os.path.join(archive_dir, "routed")
-    import pyarrow.parquet as pq
-
-    def _empty():
-        return rd.from_arrow(pa.table({
-            "query_idx": pa.array([], type=pa.int64()),
-            "conv_id": pa.array([], type=pa.string()),
-            "turn_idx": pa.array([], type=pa.int32()),
-            "text": pa.array([], type=pa.large_string())}))
-
-    first = _first_parquet_file_or_none(routed)
-    if first is None:
-        return _empty()
-
-    compiled = []  # (query_idx, cq, regex)
-    keeps = []     # per live query: sorted class list or None (no prune)
-    for qi, q in enumerate(queries):
-        cq, _ldict, var_ids, _var_values, var_classes = compile_for_archive(
-            archive_dir, q, ignore_case)
-        if not cq.match_all and not cq.subqueries:
-            continue  # dictionary miss: this query can't match anything
-        rx = wildcard_to_regex(cq.processed)
-        if ignore_case:
-            rx = "(?i)" + rx
-        keep = _prune_keep_classes(archive_dir, cq, var_ids, var_classes)
-        if keep is not None and not keep:
-            continue  # index-pruned to nothing
-        compiled.append((qi, cq, rx))
-        keeps.append(keep)
-    if not compiled:
-        return _empty()
-
-    # union of pruned partitions; one unprunable query forces the full scan
-    keep_union = (None if any(k is None for k in keeps)
-                  else sorted(set().union(*keeps)))
-    paths = _class_paths(routed, keep_union)
-
-    sink_schema = pq.ParquetFile(first).schema_arrow
-    inline = "dict_vars" in sink_schema.names
-    cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
-    if inline:
-        cols += ["logtype", "dict_vars"]
-    ds = rd.read_parquet(paths, columns=cols, file_extensions=["parquet"])
-
-    if inline:
-        dicts_ref = None
-    else:
-        from clp_core_ray.pipelines.decompress import load_dicts
-
-        dicts_ref = ray.put(load_dicts(archive_dir))
-
-    class MultiScan:
-        """All queries' candidate masks per batch; one decode of the union.
-
-        Lazy per-task dictionary resolution — same reasoning as Scan."""
-
-        def __init__(self):
-            self._loaded = False
-
-        def _load(self):
-            if dicts_ref is not None:
-                ldict, vdict = ray.get(dicts_ref)
-                self.lt_ids = ldict.column("logtype_id").combine_chunks()
-                self.lt_values = ldict.column("logtype").combine_chunks()
-                self.var_ids = np.asarray(vdict.column("var_id"),
-                                          dtype=np.int64)
-                self.var_values = vdict.column("value").combine_chunks()
-            self._loaded = True
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if not self._loaded:
-                self._load()
-            n = len(batch)
-            lt = batch.column("logtype_id")
-            masks = []
-            for _qi, cq, _rx in compiled:
-                if cq.match_all:
-                    masks.append(np.ones(n, dtype=bool))
-                    continue
-                keep = np.zeros(n, dtype=bool)
-                for sq in cq.subqueries:
-                    m = np.asarray(
-                        pc.is_in(lt, value_set=pa.array(sq.logtype_ids)),
-                        dtype=bool)
-                    if sq.var_conds and m.any():
-                        m &= rows_matching_subquery_vars(
-                            batch.column("encoded_vars"), sq.var_conds)
-                    keep |= m
-                    if keep.all():
-                        break
-                masks.append(keep)
-            union = np.logical_or.reduce(masks) if masks else np.zeros(
-                n, dtype=bool)
-            if not union.any():
-                return pa.table({
-                    "query_idx": pa.array([], type=pa.int64()),
-                    "conv_id": pa.array([], type=pa.string()),
-                    "turn_idx": pa.array([], type=pa.int32()),
-                    "text": pa.array([], type=pa.large_string())})
-            ub = batch.filter(pa.array(union))
-            if dicts_ref is None:
-                text = decode_batch(
-                    ub.column("logtype"), ub.column("encoded_vars"),
-                    ub.column("var_types"), dict_vars=ub.column("dict_vars"))
-            else:
-                pos = pc.index_in(ub.column("logtype_id"), self.lt_ids)
-                text = decode_batch(
-                    pc.take(self.lt_values, pos), ub.column("encoded_vars"),
-                    ub.column("var_types"), dict_ids=self.var_ids,
-                    dict_values=self.var_values)
-            conv = ub.column("conv_id").combine_chunks()
-            tidx = ub.column("turn_idx").combine_chunks()
-            parts = []
-            for (qi, _cq, rx), mask in zip(compiled, masks):
-                sub = pa.array(mask[union])
-                verified = pc.and_(sub, pc.match_substring_regex(text, rx))
-                parts.append(pa.table({
-                    "query_idx": pa.array(
-                        np.full(len(ub), qi, dtype=np.int64)),
-                    "conv_id": conv, "turn_idx": tidx,
-                    "text": text}).filter(verified))
-            return pa.concat_tables(parts)
-
-    return ds.map_batches(MultiScan(), batch_format="pyarrow",
-                          batch_size=32 * 1024)
-
-
-def _first_parquet_file(routed: str):
-    p = _first_parquet_file_or_none(routed)
-    if p is None:
-        raise FileNotFoundError(routed)
-    return p
+    return _search_plan(archive_dir, queries, ignore_case, query_idx=True)
 
 
 def _first_parquet_file_or_none(routed: str):
@@ -796,6 +672,25 @@ def _first_parquet_file_or_none(routed: str):
 # ---------------------------------------------------------------------------
 
 
+def _archive_selected(a: dict, path_glob: str | None = None,
+                      ts_min: int | None = None, ts_max: int | None = None,
+                      tags: list | None = None) -> bool:
+    """Does archive ``a`` (its ``manifest.fold_manifests`` attributes) pass
+    the path/time/tag predicates? Conservative: an unknown time range or input label keeps the archive;
+    tag filtering requires an actual tag match."""
+    import fnmatch
+
+    if tags and not (set(tags) & a["tags"]):
+        return False
+    if path_glob and a["input"] and not fnmatch.fnmatch(a["input"], path_glob):
+        return False
+    if ts_min is not None and a["ts_max"] is not None and a["ts_max"] < ts_min:
+        return False
+    if ts_max is not None and a["ts_min"] is not None and a["ts_min"] > ts_max:
+        return False
+    return True
+
+
 def list_archives(base_dir: str) -> list[dict]:
     """[{dir, ts_min, ts_max, input, tags}] for every archive under
     ``base_dir``.
@@ -818,24 +713,9 @@ def list_archives(base_dir: str) -> list[dict]:
 
     if cat.has_catalog(base_dir):
         return cat.read_catalog(base_dir)
-    out = []
-    for name in sorted(os.listdir(base_dir)):
-        d = os.path.join(base_dir, name)
-        if not os.path.isdir(os.path.join(d, "routed")):
-            continue
-        info = {"dir": d, "ts_min": None, "ts_max": None, "input": None,
-                "tags": set()}
-        for m in mf.read_manifests(d):
-            info["tags"].update(m.get("tags") or [])
-            if m.get("ts_min") is not None:
-                info["ts_min"] = (m["ts_min"] if info["ts_min"] is None
-                                  else min(info["ts_min"], m["ts_min"]))
-            if m.get("ts_max") is not None:
-                info["ts_max"] = (m["ts_max"] if info["ts_max"] is None
-                                  else max(info["ts_max"], m["ts_max"]))
-            info["input"] = info["input"] or m.get("input")
-        out.append(info)
-    return out
+    dirs = [os.path.join(base_dir, name) for name in sorted(os.listdir(base_dir))]
+    return [{"dir": d, **mf.fold_manifests(d)} for d in dirs
+            if os.path.isdir(os.path.join(d, "routed"))]
 
 
 def select_archives(base_dir: str, path_glob: str | None = None,
@@ -849,19 +729,8 @@ def select_archives(base_dir: str, path_glob: str | None = None,
     ``ts_min``/``ts_max`` are epoch microseconds (the manifest unit).
     ``tags``: keep archives carrying ANY of the given tags (the package
     scheduler's tag-filtered archive selection)."""
-    import fnmatch
-
-    keep = []
-    for a in list_archives(base_dir):
-        if tags and not (set(tags) & a["tags"]):
-            continue
-        if path_glob and a["input"] and not fnmatch.fnmatch(a["input"], path_glob):
-            continue
-        if ts_min is not None and a["ts_max"] is not None and a["ts_max"] < ts_min:
-            continue
-        if ts_max is not None and a["ts_min"] is not None and a["ts_min"] > ts_max:
-            continue
-        keep.append(a)
+    keep = [a for a in list_archives(base_dir)
+            if _archive_selected(a, path_glob, ts_min, ts_max, tags)]
     keep.sort(key=lambda a: (a["ts_max"] is not None, a["ts_max"] or 0),
               reverse=True)
     return [a["dir"] for a in keep]
@@ -877,18 +746,9 @@ def search_archives(base_dir: str, query: str, ignore_case: bool = False,
     compilation, as clg does per archive) and contributes a lazy Dataset;
     the union streams — no per-archive materialization."""
     dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    if not dirs:
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table({"conv_id": pa.array([], type=pa.string()),
-                      "turn_idx": pa.array([], type=pa.int32()),
-                      "text": pa.array([], type=pa.large_string())})
-        )
-    parts = [search_archive(d, query, columns=columns, ignore_case=ignore_case)
-             for d in dirs]
-    out = parts[0]
-    return out.union(*parts[1:]) if len(parts) > 1 else out
+    return _union([search_archive(d, query, columns=columns,
+                                  ignore_case=ignore_case) for d in dirs],
+                  _empty_matches())
 
 
 def search_archives_multi(base_dir: str, queries: list[str],
@@ -903,50 +763,8 @@ def search_archives_multi(base_dir: str, queries: list[str],
     lazily. Manifest time/path/tag pruning applies before any archive is
     read."""
     dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    if not dirs:
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table({"query_idx": pa.array([], type=pa.int64()),
-                      "conv_id": pa.array([], type=pa.string()),
-                      "turn_idx": pa.array([], type=pa.int32()),
-                      "text": pa.array([], type=pa.large_string())})
-        )
-    parts = [search_archive_multi(d, queries, ignore_case=ignore_case)
-             for d in dirs]
-    out = parts[0]
-    return out.union(*parts[1:]) if len(parts) > 1 else out
-
-
-def _archive_passes(archive_dir: str, path_glob: str | None = None,
-                    ts_min: int | None = None, ts_max: int | None = None,
-                    tags: list | None = None) -> bool:
-    """Manifest-based path/time/tag pruning for ONE archive (same
-    conservative semantics as :func:`select_archives`: unknown range →
-    keep; tag filtering requires an actual tag match)."""
-    import fnmatch
-
-    from clp_core_ray.state import manifest as mf
-
-    lo = hi = None
-    inp = None
-    have_tags: set = set()
-    for m in mf.read_manifests(archive_dir):
-        if m.get("ts_min") is not None:
-            lo = m["ts_min"] if lo is None else min(lo, m["ts_min"])
-        if m.get("ts_max") is not None:
-            hi = m["ts_max"] if hi is None else max(hi, m["ts_max"])
-        inp = inp or m.get("input")
-        have_tags.update(m.get("tags") or [])
-    if tags and not (set(tags) & have_tags):
-        return False
-    if path_glob and inp and not fnmatch.fnmatch(inp, path_glob):
-        return False
-    if ts_min is not None and hi is not None and hi < ts_min:
-        return False
-    if ts_max is not None and lo is not None and lo > ts_max:
-        return False
-    return True
+    return _union([search_archive_multi(d, queries, ignore_case=ignore_case)
+                   for d in dirs], _empty_matches(query_idx=True))
 
 
 def search_fragments(out_dir: str, query: str, ignore_case: bool = False,
@@ -978,85 +796,48 @@ def search_fragments(out_dir: str, query: str, ignore_case: bool = False,
     extra = [c for c in (columns or [])
              if c not in ("conv_id", "turn_idx", "text")]
 
-    def _empty():
-        t = {"conv_id": pa.array([], type=pa.string()),
-             "turn_idx": pa.array([], type=pa.int32()),
-             "text": pa.array([], type=pa.large_string())}
-        for c in extra:
-            t[c] = pa.array([])
-        return rd.from_arrow(pa.table(t))
-
     # format dispatch: 'clp' fragments (textlog ingest) are full dictionary
     # archives — route them through the two-phase compiled search; inline
     # fragments (transcript ingest) take the decode-scan below
-    archive_parts = [
+    parts = [
         search_archive(f["sink"], query, columns=columns,
                        ignore_case=ignore_case)
         for f in frags if f.get("sink") and f.get("format") == "clp"]
     sinks = [f["sink"] for f in frags
              if f.get("sink") and f.get("format") != "clp"]
-    if not sinks:
-        if archive_parts:
-            return (archive_parts[0].union(*archive_parts[1:])
-                    if len(archive_parts) > 1 else archive_parts[0])
-        return _empty()
-    need = ["conv_id", "turn_idx", "logtype", "logtype_id", "encoded_vars",
-            "var_types", "dict_vars"] + extra
-    ds = rd.read_parquet(sinks, columns=need, file_extensions=["parquet"])
-    decode = DecodeStage(out_col="text")
-    wq = query if ("*" in query or "?" in query) else f"*{query}*"
-    # lowercase-both mode (string_utils.hpp:88-94): lower the QUERY before
-    # regex build — lowering the built regex would corrupt [\s\S] classes
-    rx = wildcard_to_regex(wq.lower() if ignore_case else wq)
-    # two-phase discipline even without dictionaries: the candidate test
-    # runs per UNIQUE inline template (placeholders absorb, conservative —
-    # verify fixes false positives, never false negatives), so non-matching
-    # templates' rows skip decode entirely
-    consts = [c for c in re.split(r"[*?]+", wq.lower() if ignore_case
-                                  else wq) if c]
+    if sinks:
+        need = ["conv_id", "turn_idx", "logtype", "logtype_id",
+                "encoded_vars", "var_types", "dict_vars"] + extra
+        ds = rd.read_parquet(sinks, columns=need, file_extensions=["parquet"])
+        decode = DecodeStage(out_col="text")
+        wq = query if ("*" in query or "?" in query) else f"*{query}*"
+        # lowercase-both mode (string_utils.hpp:88-94): lower the QUERY
+        # before regex build — lowering the built regex would corrupt
+        # [\s\S] classes
+        rx = wildcard_to_regex(wq.lower() if ignore_case else wq)
 
-    def _candidate_templates(uniq: pa.Array) -> np.ndarray:
-        templ = uniq
-        for ph in ("\x11", "\x12", "\x13"):
-            templ = pc.replace_substring(templ, ph, "*")
-        tl = [re.sub(r"\\([\s\S])", r"\1", t) for t in templ.to_pylist()]
-        if ignore_case:
-            tl = [t.lower() for t in tl]
-        cand = np.zeros(len(tl), dtype=bool)
-        for i, t in enumerate(tl):
-            pos = 0
-            ok = True
-            for c in consts:
-                j = t.find(c, pos)
-                k = t.find("*", pos)
-                if j >= 0 and (k < 0 or j < k):
-                    pos = j + len(c)
-                elif k >= 0:
-                    break  # a variable absorbs the rest — conservative keep
-                else:
-                    ok = False
-                    break
-            cand[i] = ok
-        return cand
+        def scan(b: pa.Table) -> pa.Table:
+            # two-phase discipline even without dictionaries: the candidate
+            # test runs per UNIQUE inline template, so non-matching
+            # templates' rows skip decode entirely
+            if b.num_rows:
+                enc = b.column("logtype").combine_chunks().dictionary_encode()
+                cand = _candidate_templates(enc.dictionary, wq, ignore_case)
+                if not cand.all():
+                    b = b.filter(pa.array(
+                        cand[np.asarray(enc.indices, dtype=np.int64)]))
+            b = decode(b)
+            text = b.column("text").combine_chunks()
+            if ignore_case:
+                hit = pc.match_substring_regex(pc.utf8_lower(text), rx)
+            else:
+                hit = pc.match_substring_regex(text, rx)
+            b = b.filter(hit)
+            return b.select(["conv_id", "turn_idx", "text"] + extra)
 
-    def scan(b: pa.Table) -> pa.Table:
-        if consts and b.num_rows:
-            enc = b.column("logtype").combine_chunks().dictionary_encode()
-            cand = _candidate_templates(enc.dictionary)
-            if not cand.all():
-                b = b.filter(pa.array(
-                    cand[np.asarray(enc.indices, dtype=np.int64)]))
-        b = decode(b)
-        text = b.column("text").combine_chunks()
-        if ignore_case:
-            hit = pc.match_substring_regex(pc.utf8_lower(text), rx)
-        else:
-            hit = pc.match_substring_regex(text, rx)
-        b = b.filter(hit)
-        return b.select(["conv_id", "turn_idx", "text"] + extra)
-
-    out = ds.map_batches(scan, batch_format="pyarrow")
-    return out.union(*archive_parts) if archive_parts else out
+        parts.insert(0, ds.map_batches(scan, batch_format="pyarrow"))
+    return _union(parts, _empty_matches([pa.field(c, pa.null())
+                                         for c in extra]))
 
 
 def _is_fragment_base(target: str) -> bool:
@@ -1072,23 +853,16 @@ def _search_target(target: str, query: str, ignore_case: bool, columns=None,
     """Dispatch: a dir containing routed/ is one archive; a dir of
     ``fragment=`` sinks + manifests is an ingest-scheduler fragment base;
     otherwise treat it as a base dir of archives. Prune kwargs
-    (ts_min/ts_max/path_glob) apply to a single archive too via its
-    manifest time range (r2 ADVICE: they were silently dropped)."""
-    import os
+    (ts_min/ts_max/path_glob/tags) apply to a single archive too via its
+    manifest (r2 ADVICE: they were silently dropped)."""
+    from clp_core_ray.state import manifest as mf
 
-    import ray.data as rd
+    if _is_archive(target):
+        if prune and not _archive_selected(
+                mf.fold_manifests(_archive_root(target)), **prune):
+            import ray.data as rd
 
-    if os.path.isdir(os.path.join(target, "routed")) or \
-            os.path.basename(os.path.normpath(target)) == "routed":
-        arch = target
-        if os.path.basename(os.path.normpath(target)) == "routed":
-            arch = os.path.dirname(os.path.normpath(target))
-        if prune and not _archive_passes(arch, **prune):
-            return rd.from_arrow(
-                pa.table({"conv_id": pa.array([], type=pa.string()),
-                          "turn_idx": pa.array([], type=pa.int32()),
-                          "text": pa.array([], type=pa.large_string())})
-            )
+            return rd.from_arrow(_empty_matches())
         return search_archive(target, query, columns=columns,
                               ignore_case=ignore_case)
     if _is_fragment_base(target):
@@ -1113,9 +887,9 @@ def search_federated(targets: list[str], query: str,
     compaction re-run finishes retirement."""
     if not targets:
         raise ValueError("search_federated needs at least one target")
-    parts = [_search_target(t, query, ignore_case, columns=columns, **prune)
-             for t in targets]
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return _union([_search_target(t, query, ignore_case, columns=columns,
+                                  **prune) for t in targets],
+                  _empty_matches())
 
 
 def search_count(target: str, query: str, ignore_case: bool = False,

@@ -58,20 +58,8 @@ def register_archive(base_dir: str, archive_dir: str,
 
     rel = os.path.relpath(os.path.abspath(archive_dir),
                           os.path.abspath(base_dir))
-    info: dict = {"archive": rel, "ts_min": None, "ts_max": None,
-                  "input": None, "tags": [], "rows": 0}
-    tags: set = set()
-    for m in mf.read_manifests(archive_dir):
-        tags.update(m.get("tags") or [])
-        if m.get("ts_min") is not None:
-            info["ts_min"] = (m["ts_min"] if info["ts_min"] is None
-                              else min(info["ts_min"], m["ts_min"]))
-        if m.get("ts_max") is not None:
-            info["ts_max"] = (m["ts_max"] if info["ts_max"] is None
-                              else max(info["ts_max"], m["ts_max"]))
-        info["input"] = info["input"] or m.get("input")
-        info["rows"] += int(sum((m.get("class_counts") or {}).values()))
-    info["tags"] = sorted(tags)
+    info = {"archive": rel, **mf.fold_manifests(archive_dir)}
+    info["tags"] = sorted(info["tags"])
     if extra:
         info.update(extra)
     d = init_catalog(base_dir)

@@ -56,6 +56,25 @@ def read_manifests(out_dir: str) -> list[dict]:
     return out
 
 
+def fold_manifests(out_dir: str) -> dict:
+    """An archive's selection attributes, folded over its manifests:
+    {ts_min, ts_max, input, tags (set), rows}. A time bound no manifest
+    records stays None (unknown)."""
+    info = {"ts_min": None, "ts_max": None, "input": None, "tags": set(),
+            "rows": 0}
+    for m in read_manifests(out_dir):
+        info["tags"].update(m.get("tags") or [])
+        if m.get("ts_min") is not None:
+            info["ts_min"] = (m["ts_min"] if info["ts_min"] is None
+                              else min(info["ts_min"], m["ts_min"]))
+        if m.get("ts_max") is not None:
+            info["ts_max"] = (m["ts_max"] if info["ts_max"] is None
+                              else max(info["ts_max"], m["ts_max"]))
+        info["input"] = info["input"] or m.get("input")
+        info["rows"] += int(sum((m.get("class_counts") or {}).values()))
+    return info
+
+
 def pending_fragments(all_ids: list[str], out_dir: str) -> list[str]:
     done = completed_fragments(out_dir)
     return [f for f in all_ids if f not in done]

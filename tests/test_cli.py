@@ -225,6 +225,28 @@ def test_cli_multi_query_search(ray_session, tiny_sf_dir, tmp_path, capsys):
     assert all(ln.startswith(("[0] ", "[1] ")) for ln in lines[-8:])
 
 
+def test_cli_search_prune_flags_single_archive(ray_session, tiny_sf_dir,
+                                               tmp_path, capsys):
+    """--ts-min prunes a one-archive search that prints matches or writes
+    them with --out, not only one that counts them."""
+    from clp_core_ray.state.manifest import read_manifests
+
+    arch = str(tmp_path / "arch")
+    _run(capsys, ["compress", "--input", tiny_sf_dir, "--out", arch])
+    past = str(max(m["ts_max"] for m in read_manifests(arch)) + 1)
+    search = ["search", "--archive", arch, "--query", "*ERROR*"]
+
+    res, _ = _run(capsys, search + ["--limit", "5"])
+    assert res["rows_shown"] == 5
+    res, lines = _run(capsys, search + ["--ts-min", past, "--limit", "5"])
+    assert res["rows_shown"] == 0 and lines == []
+    res, _ = _run(capsys, search + ["--ts-min", past, "--count"])
+    assert res["count"] == 0
+    res, _ = _run(capsys, search + ["--ts-min", past,
+                                    "--out", str(tmp_path / "hits")])
+    assert res["rows"] == 0
+
+
 def test_cli_incremental(ray_session, tiny_sf_dir, tmp_path, capsys):
     base = str(tmp_path / "layers")
     res, _ = _run(capsys, ["incr-compress", "--input", tiny_sf_dir,

@@ -208,6 +208,29 @@ def test_search_ir_streams(ray_session, tmp_path):
     assert ir.search_ir(paths, "*zz-never-there*").count() == 0
 
 
+@pytest.mark.parametrize("query,ignore_case,want", [
+    # the template's literal "Error" only matches case-insensitively
+    ("error", True, ["Error happened here"]),
+    ("ERROR*HERE", True, ["Error happened here"]),
+    ("error", False, []),
+    # "foo" first occurs after the placeholder that absorbs "foo1baz"
+    ("foo*baz", False, ["foo1baz bar foo"]),
+    ("task*done", False, ["task 42 done"]),
+    ("*", False, ["Error happened here", "foo1baz bar foo", "task 42 done"]),
+])
+def test_search_ir_stream_candidate_templates(query, ignore_case, want):
+    """The template candidate test keeps every template that could hold a
+    match: case-insensitive queries, and query constants that a variable
+    placeholder before them could absorb."""
+    from clp_core_ray import ir
+
+    data = ir.serialize_ir_stream(
+        [1000, 2000, 3000],
+        ["Error happened here", "foo1baz bar foo", "task 42 done"])
+    got = ir.search_ir_stream(data, query, ignore_case=ignore_case)
+    assert sorted(got.column("text").to_pylist()) == want
+
+
 def test_compress_from_ir(ray_session, tmp_path):
     """clp c over IR inputs: two IR stream files → archive; conv_id = file
     stem, turn_idx = in-stream index, and decompression reproduces every

@@ -609,29 +609,79 @@ def test_search_context(ray_session, tmp_path):
     assert sum(len(b) for b in none.iter_batches(batch_format="pyarrow")) == 0
 
 
+@pytest.mark.parametrize("compact", [True, False],
+                         ids=["compact", "inline"])
 def test_multi_query_search_equals_singles(ray_session, tiny_transcripts,
-                                           tmp_path):
+                                           tmp_path, compact):
     """search_archive_multi(queries) row-for-row equals running each query
-    through search_archive, including a dictionary-miss query (contributes
-    nothing) and a match-all wildcard (defeats pruning for the union scan)."""
+    through search_archive, and both equal a brute-force wildcard match over
+    the fully decompressed archive — including a dictionary-miss query
+    (contributes nothing), a match-all wildcard (defeats pruning for the
+    union scan) and case-insensitive queries. ``compact=False`` sinks carry
+    inline logtype/dict_vars columns instead of using the dictionaries."""
     from clp_core_ray.pipelines.compress import compress
-    from clp_core_ray.pipelines.search import search_archive, search_archive_multi
+    from clp_core_ray.pipelines.decompress import decompress
+    from clp_core_ray.pipelines.search import (
+        search_archive,
+        search_archive_multi,
+        wildcard_match,
+    )
 
     out = str(tmp_path / "arch_multi")
-    compress(SF, out)
-    queries = ["ERROR*timeout", "zz_no_such_token_zz", "*latency*", "42"]
-    multi = (search_archive_multi(out, queries).to_pandas()
-             .sort_values(["query_idx", "conv_id", "turn_idx"])
-             .reset_index(drop=True))
-    for qi, q in enumerate(queries):
-        single = search_archive(out, q).to_pandas()
-        part = multi[multi["query_idx"] == qi].reset_index(drop=True)
-        assert len(part) == len(single), (q, len(part), len(single))
-        if len(single):  # empty frames can lose their schema in to_pandas
-            single = (single.sort_values(["conv_id", "turn_idx"])
-                      .reset_index(drop=True))
-            assert (part["text"].values == single["text"].values).all(), q
-    assert (multi[multi["query_idx"] == 1]).empty  # dictionary miss
+    compress(SF, out, compact=compact)
+    full = pa.concat_tables(
+        pa.table(b) for b in decompress(out, columns=("conv_id", "turn_idx", "ts"))
+        .iter_batches(batch_format="pyarrow"))
+    text = full.column("text").combine_chunks()
+
+    def keys(t):
+        if t is None:
+            return []
+        return sorted(zip(t.column("conv_id").to_pylist(),
+                          t.column("turn_idx").to_pylist(),
+                          t.column("text").to_pylist()))
+
+    def brute(q, ignore_case):
+        if ignore_case:
+            hit = wildcard_match(pc.utf8_lower(text), f"*{q.lower()}*")
+        else:
+            hit = wildcard_match(text, f"*{q}*")
+        return keys(full.filter(hit))
+
+    def rows(ds, names):
+        assert ds.schema().names == names
+        got = [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
+        return pa.concat_tables(got) if got else None
+
+    for ignore_case, queries in (
+            (False, ["ERROR*timeout", "zz_no_such_token_zz", "*latency*",
+                     "42"]),
+            (True, ["error*TIMEOUT", "LATENCY"])):
+        multi = rows(search_archive_multi(out, queries,
+                                          ignore_case=ignore_case),
+                     ["query_idx", "conv_id", "turn_idx", "text"])
+        qidx = multi.column("query_idx")
+        for qi, q in enumerate(queries):
+            want = brute(q, ignore_case)
+            single = rows(search_archive(out, q, ignore_case=ignore_case),
+                          ["conv_id", "turn_idx", "text"])
+            assert keys(single) == want, q
+            assert keys(multi.filter(pc.equal(qidx, qi))) == want, q
+    assert len(brute("zz_no_such_token_zz", False)) == 0
+    assert len(brute("error*TIMEOUT", True)) > len(brute("error*TIMEOUT",
+                                                         False))
+
+    # passthrough column: each hit carries its own row's ts
+    with_ts = rows(search_archive(out, "ERROR*timeout", columns=["ts"]),
+                   ["conv_id", "turn_idx", "text", "ts"])
+    ts_of = dict(zip(zip(full.column("conv_id").to_pylist(),
+                         full.column("turn_idx").to_pylist()),
+                     full.column("ts").to_pylist()))
+    assert len(with_ts) == len(brute("ERROR*timeout", False)) > 0
+    assert all(ts_of[(c, i)] == t for c, i, t in zip(
+        with_ts.column("conv_id").to_pylist(),
+        with_ts.column("turn_idx").to_pylist(),
+        with_ts.column("ts").to_pylist()))
 
     # all-miss batch prunes to a schema-stable empty Dataset without a scan
     empty = search_archive_multi(out, ["zz_no_such_token_zz"]).to_pandas()

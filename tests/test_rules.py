@@ -1,13 +1,14 @@
 """Schema-rule (grok-style) encoder tests."""
 
-import os
-
 import pyarrow as pa
 
 from clp_core_ray import encoding as E
-from clp_core_ray.functions.rules import DEFAULT_RULES, RuleEncodeStage, RuleSet
-
-SCHEMAS = os.path.join(os.path.dirname(__file__), "fixtures", "schemas.txt")
+from clp_core_ray.functions.rules import (
+    DEFAULT_RULES,
+    SCHEMA_FILE as SCHEMAS,
+    RuleEncodeStage,
+    RuleSet,
+)
 
 
 def test_schema_file_parsing():
