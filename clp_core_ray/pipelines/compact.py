@@ -35,7 +35,8 @@ import pyarrow.parquet as pq
 from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.state.dictionaries import (
     N_FINALIZE_BUCKETS,
-    _dedup_unified,
+    UNIFIED_SCHEMA,
+    _bucket_split,
     _finalize_dicts_parallel,
 )
 
@@ -90,29 +91,13 @@ def _archive_unified_rows(archive_dir: str) -> pa.Table:
             "logtype_class": pa.array([cls_name] * n, type=pa.string()),
         }))
 
-    if not parts:
-        return pa.table({
-            "kind": pa.array([], pa.int8()), "id": pa.array([], pa.int64()),
-            "value": pa.array([], pa.large_string()),
-            "n_vars": pa.array([], pa.int32()),
-            "logtype_class": pa.array([], pa.string()),
-        })
-    return pa.concat_tables(parts)
+    return pa.concat_tables(parts) if parts else UNIFIED_SCHEMA.empty_table()
 
 
 def _dict_buckets(archive_dir: str):
-    """One archive's unified dict rows, deduped and split into the N id-hash
-    finalize buckets (ids never span buckets, so per-bucket merge tasks are
-    globally correct) — the same contract as the compress path's prededup."""
-    t = _dedup_unified(_archive_unified_rows(archive_dir)).combine_chunks()
-    ids = np.asarray(t.column("id"), dtype=np.int64)
-    b = (ids & (N_FINALIZE_BUCKETS - 1)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    bounds = np.searchsorted(b[order], np.arange(N_FINALIZE_BUCKETS + 1))
-    return tuple(
-        t.take(order[bounds[i]:bounds[i + 1]])
-        for i in range(N_FINALIZE_BUCKETS)
-    )
+    """One archive's dictionaries as the finalize's phase-1 output: unified
+    rows, deduped and split into the N id-hash buckets."""
+    return _bucket_split(_archive_unified_rows(archive_dir))
 
 
 def _link_routed(archive_dir: str, out_routed: str, prefix: str) -> dict:

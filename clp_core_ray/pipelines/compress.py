@@ -14,17 +14,18 @@ pipeline:
       + per-class counts folded from task stats   # A1 (partial+final)
       + per-fragment lineage manifests            # checkpoint/resume
 
-Scale notes: the only shuffle is the dictionary distinct; the encode path is
-per-batch with no exchange, and each task returns a few pre-aggregated stats
-rows instead of its encoded data. Sinks are partitioned parquet (one dir per
-class), never a single file. Fragmented execution (run_fragments) bounds the
-blast radius of a failure to one fragment and makes reruns skip completed
-work.
+Scale notes: the only exchange is the dictionary finalize's id-hash bucket
+merge over the encode tasks' dict deltas; the encode path is per-batch, and
+each task returns a few pre-aggregated stats rows instead of its encoded
+data. Sinks are partitioned parquet (one dir per class), never a single file.
+Fragmented execution (run_fragments) bounds the blast radius of a failure to
+one fragment and makes reruns skip completed work.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 import pyarrow as pa
 
@@ -105,7 +106,7 @@ class _DeltaWatcher:
         except FileNotFoundError:
             return []
         return [n for n in names
-                if n.endswith((".parquet", ".arrow")) and n not in self.seen]
+                if n.endswith(".arrow") and n not in self.seen]
 
     def _submit(self, names: list[str]) -> None:
         import ray
@@ -390,6 +391,11 @@ def compress(
     t_write = time.time()
     counts_tbl, ts_range = fold_sink_stats(stats)
     write_archive_dicts(out_dir, delta_dir, prededup_refs=watcher.finish())
+    # the deltas are write scratch: drop them before the archive is measured
+    # and committed. A crash before the manifest leaves an uncommitted
+    # archive; its rerun re-encodes every row and re-flushes every delta.
+    if os.path.isdir(delta_dir):
+        shutil.rmtree(delta_dir)
     t_dicts = time.time()
     mf.record_fragment(
         out_dir,

@@ -105,6 +105,23 @@ def _vardict_uncompressed_bytes(archive_dir: str) -> int:
     return total
 
 
+def first_parquet(routed: str) -> str | None:
+    """The first sink file under ``routed`` (it carries the archive's sink
+    schema), or None when the archive holds no sink file."""
+    for root, _, files in os.walk(routed):
+        for f in sorted(files):
+            if f.endswith(".parquet"):
+                return os.path.join(root, f)
+    return None
+
+
+#: Column types of the transcript row model, for the 0-row result of an
+#: archive without sink files (there is no footer to read them from).
+_ROW_TYPES = {"conv_id": pa.string(), "turn_idx": pa.int32(),
+              "role": pa.string(), "tool": pa.string(),
+              "ts": pa.timestamp("us"), "text": pa.large_string()}
+
+
 def decompress(archive_dir: str, columns=("conv_id", "turn_idx"), ordered: bool = False,
                prefilter=None):
     """Dataset[(…columns, text)] reconstructed from the archive.
@@ -116,8 +133,13 @@ def decompress(archive_dir: str, columns=("conv_id", "turn_idx"), ordered: bool 
     import ray.data as rd
 
     routed = os.path.join(archive_dir, "routed")
+    first_file = first_parquet(routed)
+    if first_file is None:  # an empty input wrote no sink file
+        return rd.from_arrow(pa.schema(
+            [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
+        ).empty_table())
     need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
-    first = pq.ParquetFile(_first_parquet(routed)).schema_arrow.names
+    first = pq.ParquetFile(first_file).schema_arrow.names
     if "dict_vars" in first:  # non-compact archive: decode inline
         need.append("dict_vars")
         need.append("logtype")  # DecodeStage resolves templates from the row
@@ -345,14 +367,6 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     ds = decompress(archive_dir, columns=("ts",))
     return write_ir(ds, out_dir, four_byte=four_byte, ts_col="ts",
                     target_bytes=target_bytes)
-
-
-def _first_parquet(routed: str) -> str:
-    for root, _, files in os.walk(routed):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                return os.path.join(root, f)
-    raise FileNotFoundError(f"no parquet files under {routed}")
 
 
 def extract_text_logs(archive_dir: str, out_dir: str) -> list[str]:

@@ -8346,6 +8346,24 @@ def clp_latency_quantiles_by_status(sf_dir: str):
         key_col="status", val_col="latency_ms", qs=(0.5, 0.95, 0.99))
 
 
+def _burst_mask(errs: np.ndarray) -> np.ndarray:
+    """Per-minute error counts above mean + 3σ (sample σ):
+    (e·n − Σ)²(n−1) > 9n(nΣe² − Σ²) with e·n > Σ, evaluated exactly in
+    Python ints — in int64 the squares wrap near 1e5 minutes × 1e4 errors
+    a minute. Only the e·n > Σ minutes are tested; for integer e that is
+    e > ⌊Σ/n⌋."""
+    keep = np.zeros(len(errs), dtype=bool)
+    if not len(errs):
+        return keep
+    vals = errs.tolist()
+    n, sm = len(vals), sum(vals)
+    rhs = 9 * n * (n * sum(e * e for e in vals) - sm * sm)
+    for i in np.flatnonzero(errs > sm // n).tolist():
+        d = vals[i] * n - sm
+        keep[i] = d * d * (n - 1) > rhs
+    return keep
+
+
 @register(
     "clp_error_bursts",
     "WITH m AS (SELECT date_trunc('minute', ts) AS mn,"
@@ -8362,10 +8380,10 @@ def clp_latency_quantiles_by_status(sf_dir: str):
 def clp_error_bursts(sf_dir: str):
     """Error-rate burst minutes (> mean + 3σ of the per-minute error
     count) — the on-call anomaly panel. The 3σ membership test is
-    EVALUATED IN EXACT INTEGER ARITHMETIC ((e·n − Σ)²(n−1) > 9n(nΣx²−Σ²),
-    all BIGINT) on both sides, so no sqrt/float ulp can flip a boundary
-    minute between engines. One partial-aggregated minute-count shuffle;
-    the stats fold is three scalars."""
+    EVALUATED IN EXACT INTEGER ARITHMETIC ((e·n − Σ)²(n−1) > 9n(nΣx²−Σ²):
+    BIGINT in the oracle, Python ints in ``_burst_mask``), so no sqrt/float
+    ulp can flip a boundary minute between engines. One partial-aggregated
+    minute-count shuffle; the stats fold is three scalars."""
     import ray.data as rd
 
     ds = rd.read_parquet(transcripts_path(sf_dir),
@@ -8385,13 +8403,8 @@ def clp_error_bursts(sf_dir: str):
     minutes = _tbl(ds.map_batches(pmin, batch_format="pyarrow")
                    .groupby("mn").aggregate(Sum("errs",
                                                 alias_name="errs")))
-    errs = np.asarray(minutes.column("errs"), dtype=np.int64)
-    n = np.int64(len(errs))
-    sm = np.int64(errs.sum())
-    ss = np.int64((errs * errs).sum())
-    d = errs * n - sm
-    keep = (d > 0) & (d * d * (n - 1) > 9 * n * (n * ss - sm * sm))
-    out = minutes.filter(pa.array(keep))
+    out = minutes.filter(pa.array(_burst_mask(
+        np.asarray(minutes.column("errs"), dtype=np.int64))))
     return pa.table({
         "mn": out.column("mn").combine_chunks().cast(pa.timestamp("us")),
         "errs": out.column("errs").combine_chunks().cast(pa.int64())})

@@ -558,6 +558,8 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     import ray
     import ray.data as rd
 
+    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
+
     archive_dir = _archive_root(archive_dir)
     routed = os.path.join(archive_dir, "routed")
     # passthrough columns (e.g. ts for count-by-time over results); an
@@ -565,7 +567,7 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     # it used to raise FileNotFoundError on the footer read)
     extra = [c for c in (columns or [])
              if c not in ("conv_id", "turn_idx", "text")]
-    first = _first_parquet_file_or_none(routed)
+    first = first_parquet(routed)
     sink_schema = pq.ParquetFile(first).schema_arrow if first else pa.schema([])
     missing = [c for c in extra if c not in sink_schema.names]
     if missing:
@@ -600,8 +602,6 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
         cols += ["logtype", "dict_vars"]
         dicts_ref = None
     else:
-        from clp_core_ray.pipelines.decompress import load_dicts
-
         dicts_ref = ray.put(load_dicts(archive_dir))
     ds = rd.read_parquet(paths, columns=cols, file_extensions=["parquet"])
     scan = _ArchiveScan(compiled, dicts_ref, extra, empty, query_idx)
@@ -648,16 +648,6 @@ def search_archive_multi(archive_dir: str, queries: list[str],
     position in ``queries``.
     """
     return _search_plan(archive_dir, queries, ignore_case, query_idx=True)
-
-
-def _first_parquet_file_or_none(routed: str):
-    import os
-
-    for root, _, files in os.walk(routed):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                return os.path.join(root, f)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,11 @@ class EncodeStage:
 
     This is the "per-partition dictionary maintained in a stateful stage"
     (T1/T2): each actor keeps the set of dictionary entries it has already
-    emitted and appends only *new* entries as small delta parquet files under
-    ``dict_delta_dir`` — CLP's per-archive incremental dictionary flush
+    emitted and appends only *new* entries as small Arrow IPC delta files
+    under ``dict_delta_dir`` — CLP's per-archive incremental dictionary flush
     (writer/Archive.cpp:474-478) re-expressed as content-addressed deltas.
-    Finalization dedups the deltas (bucketed distinct); duplicate deltas from
-    task retries are harmless.
+    Finalization dedups the deltas (``write_archive_dicts``, a bucketed
+    merge); duplicate deltas from task retries are harmless.
     """
 
     def __init__(self, text_col: str = "text", keep_text: bool = False,

@@ -2,10 +2,11 @@
 
 CLP interns strings into per-archive dictionaries with sequential ids
 (VariableDictionaryWriter.cpp:7-37, LogTypeDictionaryWriter.cpp). Here ids are
-content hashes computed inline during encode (no coordination), and the
-dictionary *table* is derived from the encoded dataset as a distinct-value
-aggregate — a dedup groupby over values that are already pre-deduplicated
-per batch, so the shuffle carries only unique (id, value) pairs per block.
+content hashes computed inline during encode (no coordination). An
+archive's dictionary tables are built from the encode stage's dict deltas
+(entries new to each task) by one bucketed merge, ``write_archive_dicts``;
+``logtype_dict``/``var_dict`` derive the same tables from an encoded Dataset
+as a bucketed distinct-value aggregate over per-batch-deduped partials.
 """
 
 from __future__ import annotations
@@ -14,13 +15,6 @@ import numpy as np
 import pyarrow as pa
 
 from clp_core_ray.vec.tokenizer import _fnv1a64_tokens, _string_buffers
-
-
-def _batch_unique(values: pa.Array, ids: np.ndarray) -> pa.Table:
-    tbl = pa.table({"var_id": pa.array(ids), "value": values})
-    return tbl.group_by(["var_id"], use_threads=False).aggregate([("value", "first")]).rename_columns(
-        ["var_id", "value"]
-    )
 
 
 N_DEDUP_BUCKETS = 64
@@ -49,7 +43,7 @@ def _check_id_collisions(group: pa.Table, order: np.ndarray, dup_mask: np.ndarra
 
 
 def distinct_by_key(partials_ds, key: str, n_buckets: int = N_DEDUP_BUCKETS,
-                    extra_key_cols: tuple = (), check_value_col: str | None = None):
+                    check_value_col: str | None = None):
     """Global distinct-by-key over per-batch-deduped partials.
 
     Explicit hash-partitioned dedup (SURVEY.md §2.7): bucket = hash & (B-1),
@@ -57,8 +51,6 @@ def distinct_by_key(partials_ds, key: str, n_buckets: int = N_DEDUP_BUCKETS,
     inside each bucket. One python call per bucket, not per key — a
     per-key map_groups would make 600k python calls.
 
-    ``extra_key_cols`` widen the dedup key, e.g. ("kind", "logtype_class")
-    for the unified dict pass (exact, via lexsort — no hash combining).
     ``check_value_col`` enables hash-collision detection: duplicate keys must
     agree on that column (fails loudly instead of decoding wrong text).
     """
@@ -70,31 +62,13 @@ def distinct_by_key(partials_ds, key: str, n_buckets: int = N_DEDUP_BUCKETS,
 
     def dedup(group: pa.Table) -> pa.Table:
         ids = np.asarray(group.column(key).combine_chunks(), dtype=np.int64)
-        if not extra_key_cols:
-            order = np.argsort(ids, kind="stable")
-            change = np.ones(len(ids), dtype=bool)
-            if len(ids) > 1:
-                change[1:] = ids[order][1:] != ids[order][:-1]
-            if check_value_col is not None and len(ids) > 1:
-                _check_id_collisions(group, order, ~change[1:], check_value_col)
-            return group.take(np.sort(order[change])).drop_columns(["_bucket"])
-        keys = [ids]
-        for c in extra_key_cols:
-            col = group.column(c).combine_chunks()
-            enc = pc.dictionary_encode(col)
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            codes = enc.indices
-            keys.append(np.asarray(pc.fill_null(codes, -1), dtype=np.int64))
-        order = np.lexsort(keys[::-1])
-        stacked = np.stack([k[order] for k in keys])
+        order = np.argsort(ids, kind="stable")
         change = np.ones(len(ids), dtype=bool)
         if len(ids) > 1:
-            change[1:] = (stacked[:, 1:] != stacked[:, :-1]).any(axis=0)
+            change[1:] = ids[order][1:] != ids[order][:-1]
         if check_value_col is not None and len(ids) > 1:
             _check_id_collisions(group, order, ~change[1:], check_value_col)
-        first_idx = order[change]
-        return group.take(np.sort(first_idx)).drop_columns(["_bucket"])
+        return group.take(np.sort(order[change])).drop_columns(["_bucket"])
 
     return (
         partials_ds.map_batches(add_bucket, batch_format="pyarrow")
@@ -146,209 +120,57 @@ def var_dict(encoded_ds):
     return distinct_by_key(partials, "var_id", check_value_col="value")
 
 
+#: Dict-delta rows (``EncodeStage._flush_dict_deltas``), the finalize's
+#: input: one row per (entry, class); kind 0 = logtype, kind 1 = variable.
+UNIFIED_SCHEMA = pa.schema([("kind", pa.int8()), ("id", pa.int64()),
+                            ("value", pa.large_string()),
+                            ("n_vars", pa.int32()),
+                            ("logtype_class", pa.string())])
+
+N_FINALIZE_BUCKETS = 16
+
+
 def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
                         prededup_refs: list | None = None) -> dict:
-    """Persist logtype.dict.parquet / var.dict.parquet + class→logtype map.
+    """Persist logtype.dict.parquet / var.dict/ + class→logtype map.
 
     CLP persists both dictionaries inside the archive
     (streaming_archive/Constants.hpp:7-16: logtype.dict, var.dict, segindex);
     the class→logtype_ids map is our segment index analogue — search prunes
     sink partitions with it (J4).
 
-    Single pipeline over the sinks: one column-pruned read emits *unified*
-    per-batch dict partials (kind 0 = logtype rows incl. class, kind 1 = var
-    rows), bucket-hash deduped once, then split. One pass, one small shuffle —
-    the shuffle carries only per-batch-unique entries.
+    One finalize, a bucketed two-phase merge: ``_prededup_files`` tasks read
+    and dedup the dict-delta files, each returning its rows split into the
+    N id-hash buckets (phase 1), then ``_finalize_dicts_parallel`` merges
+    each bucket (phase 2). ``prededup_refs`` are phase-1 tasks already
+    started (the compress delta watcher submits them during the sink
+    write); without them, phase 1 runs here over the files in ``delta_dir``.
     """
-    import json
-    import os
+    if prededup_refs is None:
+        prededup_refs = _submit_prededup(delta_dir)
+    return _finalize_dicts_parallel(out_dir, prededup_refs=prededup_refs)
 
-    import pyarrow.compute as pc
-    import ray.data as rd
 
-    routed = os.path.join(out_dir, "routed")
-    if prededup_refs is not None:
-        # the compress delta watcher already submitted pre-dedup tasks for
-        # every delta file during the sink write — go straight to the
-        # parallel bucket merge
-        return _finalize_dicts_parallel(out_dir, prededup_refs=prededup_refs)
-    delta_files, delta_fs, total = [], None, 0
-    if delta_dir:
-        from pyarrow import fs as pafs
+def _submit_prededup(delta_dir: str | None) -> list:
+    """Phase-1 tasks over every dict-delta file in ``delta_dir``, in at most
+    16 file groups."""
+    import ray
+    from pyarrow import fs as pafs
 
-        from clp_core_ray.stages.encode import _resolve_fs
+    from clp_core_ray.stages.encode import _resolve_fs
 
-        delta_fs, dpath = _resolve_fs(delta_dir)
-        try:
-            infos = delta_fs.get_file_info(pafs.FileSelector(dpath))
-        except FileNotFoundError:
-            infos = []
-        delta_files = sorted(
-            i.path for i in infos
-            if i.type == pafs.FileType.File
-            and i.path.endswith((".parquet", ".arrow"))
-        )
-        total = sum(i.size for i in infos if i.path in set(delta_files))
-    if delta_files:
-        # encode-stage actors already flushed per-partition dict deltas in the
-        # unified schema — dedup them directly (no sink re-read at all)
-        files = delta_files
-        # three regimes by delta volume: tiny → all-driver; medium → Ray tasks
-        # pre-dedup file groups in parallel, driver merges the (small)
-        # partials; huge → full distributed bucketed distinct
-        if total < 16 * 1024 * 1024:
-            return _finalize_dicts_driver(out_dir, files, fs=delta_fs)
-        if total < 1024 * 1024 * 1024:
-            return _finalize_dicts_parallel(out_dir, files, fs=delta_fs)
-        _fs_cap = delta_fs
-
-        def _load_paths(b: pa.Table) -> pa.Table:
-            return pa.concat_tables(
-                _read_delta(p, _fs_cap) for p in b.column("path").to_pylist()
-            )
-
-        partials = rd.from_items(
-            [{"path": p} for p in files]
-        ).map_batches(_load_paths, batch_format="pyarrow", batch_size=4)
-    else:
-        partials = None
-    ds = (
-        rd.read_parquet(
-            routed,
-            columns=["logtype_id", "logtype", "n_vars", "logtype_class", "dict_vars"],
-        )
-        if partials is None
-        else None
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lt = (
-            pa.table(
-                {
-                    "logtype_id": batch.column("logtype_id"),
-                    "logtype_class": batch.column("logtype_class"),
-                    "logtype": batch.column("logtype"),
-                    "n_vars": batch.column("n_vars"),
-                }
-            )
-            .group_by(["logtype_id", "logtype_class"], use_threads=False)
-            .aggregate([("logtype", "first"), ("n_vars", "first")])
-            .rename_columns(["logtype_id", "logtype_class", "logtype", "n_vars"])
-        )
-        # vars keyed (value, class) so the finalize can build the per-variable
-        # segment index — same pairing trick as the encode-stage delta flush
-        dv = batch.column("dict_vars").combine_chunks()
-        flat = dv.flatten()
-        if len(flat):
-            cls_enc = pc.dictionary_encode(batch.column("logtype_class").combine_chunks())
-            if isinstance(cls_enc, pa.ChunkedArray):
-                cls_enc = cls_enc.combine_chunks()
-            row_codes = np.asarray(cls_enc.indices, dtype=np.int64)
-            cls_names = cls_enc.dictionary
-            lengths = np.diff(np.asarray(dv.offsets, dtype=np.int64))
-            rep = np.repeat(row_codes, lengths)
-            fenc = pc.dictionary_encode(flat)
-            if isinstance(fenc, pa.ChunkedArray):
-                fenc = fenc.combine_chunks()
-            vcodes = np.asarray(fenc.indices, dtype=np.int64)
-            uniq = fenc.dictionary
-            offsets, data = _string_buffers(uniq)
-            ids = _fnv1a64_tokens(data, offsets[:-1], np.diff(offsets)).view(np.int64)
-            upairs = np.unique(vcodes * len(cls_names) + rep)
-            uv = upairs // len(cls_names)
-            uc = upairs % len(cls_names)
-            v_ids = ids[uv]
-            v_vals = uniq.take(pa.array(uv))
-            v_cls = cls_names.take(pa.array(uc))
-            n_v = len(upairs)
-        else:
-            v_ids = np.empty(0, dtype=np.int64)
-            v_vals = pa.array([], type=pa.string())
-            v_cls = pa.array([], type=pa.string())
-            n_v = 0
-        n_lt = len(lt)
-        return pa.table(
-            {
-                "kind": pa.array(
-                    np.concatenate([np.zeros(n_lt, np.int8), np.ones(n_v, np.int8)])
-                ),
-                "id": pa.concat_arrays(
-                    [lt.column("logtype_id").combine_chunks(), pa.array(v_ids)]
-                ),
-                "value": pa.concat_arrays(
-                    [
-                        lt.column("logtype").combine_chunks().cast(pa.large_string()),
-                        v_vals.cast(pa.large_string()),
-                    ]
-                ),
-                "n_vars": pa.concat_arrays(
-                    [
-                        lt.column("n_vars").combine_chunks().cast(pa.int32()),
-                        pa.nulls(n_v, pa.int32()),
-                    ]
-                ),
-                "logtype_class": pa.concat_arrays(
-                    [
-                        lt.column("logtype_class").combine_chunks().cast(pa.string()),
-                        v_cls.cast(pa.string()),
-                    ]
-                ),
-            }
-        )
-
-    if partials is None:
-        partials = ds.map_batches(partial, batch_format="pyarrow")
-    # dedup key is (kind, id, class): logtypes appearing in several classes
-    # keep one row per class (feeds the segment index)
-    distinct = distinct_by_key(
-        partials, "id", extra_key_cols=("kind", "logtype_class"),
-        check_value_col="value",
-    ).materialize()
-
-    def only(kind_val):
-        def fn(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b.column("kind"), kind_val))
-
-        return fn
-
-    lt_tbl = pa.concat_tables(
-        pa.table(b)
-        for b in distinct.map_batches(only(0), batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        )
-    )
-    lt = lt_tbl.to_pandas()
-    by_class = (
-        lt.groupby("logtype_class")["id"].agg(lambda s: sorted(set(s))).to_dict()
-    )
-    ldict = lt.drop_duplicates("id")[["id", "value", "n_vars"]].rename(
-        columns={"id": "logtype_id", "value": "logtype"}
-    )
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(ldict, preserve_index=False),
-                   os.path.join(out_dir, "logtype.dict.parquet"))
-    with open(os.path.join(out_dir, "class_logtypes.json"), "w") as f:
-        json.dump({k: list(map(int, v)) for k, v in by_class.items()}, f)
-
-    # aggregate per-id class lists inside id-hash bucket groups (an id never
-    # spans buckets), one small shuffle over unique var rows only
-    def var_bucket(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.equal(b.column("kind"), 1))
-        bk = pc.cast(pc.bit_wise_and(b.column("id"), N_DEDUP_BUCKETS - 1), pa.int32())
-        return b.append_column("_bucket", bk)
-
-    (
-        distinct.map_batches(var_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(
-            lambda g: _var_rows_to_dict_table(g.drop_columns(["_bucket"])),
-            batch_format="pyarrow",
-        )
-        .write_parquet(os.path.join(out_dir, "var.dict"), compression="zstd",
-                       use_dictionary=False)
-    )
-    return {"n_logtypes": len(ldict), "classes": sorted(by_class)}
+    if not delta_dir:
+        return []
+    fs, path = _resolve_fs(delta_dir)
+    try:
+        infos = fs.get_file_info(pafs.FileSelector(path))
+    except FileNotFoundError:
+        infos = []
+    files = sorted(i.path for i in infos
+                   if i.type == pafs.FileType.File and i.path.endswith(".arrow"))
+    task = ray.remote(num_returns=N_FINALIZE_BUCKETS)(_prededup_files)
+    return [task.remote(g.tolist(), fs)
+            for g in np.array_split(np.array(files), 16) if len(g)]
 
 
 def _dedup_unified(t: pa.Table) -> pa.Table:
@@ -427,74 +249,23 @@ def _var_rows_to_dict_table(vt: pa.Table) -> pa.Table:
     )
 
 
-def _finalize_from_table(out_dir: str, t: pa.Table) -> dict:
-    """Write logtype.dict.parquet / class_logtypes.json / var.dict from a
-    deduped unified table."""
-    import json
-    import os
-
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    lt = t.filter(pc.equal(t.column("kind"), 0)).to_pandas()
-    lt = lt.drop_duplicates(["id", "logtype_class"])
-    by_class = lt.groupby("logtype_class")["id"].agg(lambda s: sorted(set(s))).to_dict()
-    ldict = lt.drop_duplicates("id")[["id", "value", "n_vars"]].rename(
-        columns={"id": "logtype_id", "value": "logtype"}
-    )
-    pq.write_table(pa.Table.from_pandas(ldict, preserve_index=False),
-                   os.path.join(out_dir, "logtype.dict.parquet"))
-    with open(os.path.join(out_dir, "class_logtypes.json"), "w") as f:
-        json.dump({k: list(map(int, v)) for k, v in by_class.items()}, f)
-
-    var_tbl = _var_rows_to_dict_table(t.filter(pc.equal(t.column("kind"), 1)))
-    vdir = os.path.join(out_dir, "var.dict")
-    os.makedirs(vdir, exist_ok=True)
-    pq.write_table(var_tbl, os.path.join(vdir, "part-0.parquet"),
-                   compression="zstd", use_dictionary=False)
-    return {"n_logtypes": len(ldict), "classes": sorted(by_class)}
-
-
 def _read_delta(path: str, fs=None) -> pa.Table:
-    """Read one dict-delta file — Arrow IPC (current format) or parquet
-    (pre-IPC archives / shared-storage deltas)."""
-    import pyarrow.parquet as pq
+    """Read one dict-delta file (Arrow IPC)."""
+    import pyarrow.ipc as ipc
 
-    if path.endswith(".arrow"):
-        import pyarrow.ipc as ipc
+    if fs is None:
+        from pyarrow import fs as pafs
 
-        if fs is None:
-            from pyarrow import fs as pafs
-
-            fs = pafs.LocalFileSystem()
-        with fs.open_input_file(path) as f:
-            return ipc.open_file(f).read_all()
-    return pq.read_table(path, filesystem=fs)
+        fs = pafs.LocalFileSystem()
+    with fs.open_input_file(path) as f:
+        return ipc.open_file(f).read_all()
 
 
-def _finalize_dicts_driver(out_dir: str, delta_files: list[str], fs=None) -> dict:
-    """Driver-side dict finalize for small delta sets (vectorized dedup)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    import pyarrow.parquet as pq
-
-    with ThreadPoolExecutor(16) as ex:
-        tables = list(ex.map(lambda f: _read_delta(f, fs), delta_files))
-    return _finalize_from_table(out_dir, _dedup_unified(pa.concat_tables(tables)))
-
-
-N_FINALIZE_BUCKETS = 16
-
-
-def _prededup_files(paths: list, fs=None):
-    """Read delta files, dedup, and split into the N id-hash finalize buckets
-    (one Ray-task return per bucket, so each merge task fetches only its own
-    slice; also used by the compress delta watcher to overlap finalize with
-    the sink write)."""
-    import pyarrow.parquet as pq
-
-    tables = [_read_delta(p, fs) for p in paths]
-    t = _dedup_unified(pa.concat_tables(tables)).combine_chunks()
+def _bucket_split(t: pa.Table) -> tuple:
+    """Dedup unified rows and split them into the N id-hash finalize buckets
+    (an id never spans buckets, so each bucket merges on its own). One Ray
+    task return per bucket lets each merge task fetch only its own slice."""
+    t = _dedup_unified(t).combine_chunks()
     ids = np.asarray(t.column("id"), dtype=np.int64)
     b = (ids & (N_FINALIZE_BUCKETS - 1)).astype(np.int64)
     order = np.argsort(b, kind="stable")
@@ -507,13 +278,20 @@ def _prededup_files(paths: list, fs=None):
     )
 
 
+def _prededup_files(paths: list, fs=None):
+    """Phase 1: read delta files, dedup, split into the finalize buckets
+    (also submitted by the compress delta watcher, to overlap finalize with
+    the sink write)."""
+    return _bucket_split(pa.concat_tables([_read_delta(p, fs) for p in paths]))
+
+
 def _merge_write_bucket(b: int, var_part_path: str, *parts) -> pa.Table:
     """Merge one id-hash bucket's pre-deduped slices: write its var-dict
     parquet part, return its (small) logtype rows for the driver."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
-    t = _dedup_unified(pa.concat_tables(parts))
+    t = _dedup_unified(pa.concat_tables(parts) if parts
+                       else UNIFIED_SCHEMA.empty_table())
     # ids are hash-bucketed, so an id never spans buckets — per-bucket class
     # aggregation is globally correct
     var_tbl = _var_rows_to_dict_table(t.filter(pc.equal(t.column("kind"), 1)))
@@ -527,47 +305,38 @@ def _merge_write_bucket(b: int, var_part_path: str, *parts) -> pa.Table:
     return t.filter(pc.equal(t.column("kind"), 0))
 
 
-def _finalize_dicts_parallel(out_dir: str, delta_files: list[str] = (), fs=None,
-                             n_tasks: int = 16, prededup_refs: list | None = None
-                             ) -> dict:
-    """Medium delta sets, fully parallel two-phase finalize: Ray tasks
-    read+dedup file groups (phase 1, possibly pre-started during the sink
-    write), then one task per id-hash bucket merges and writes its var.dict
-    part directly (phase 2). The driver only assembles the small logtype
-    dictionary + class index."""
-    import json
+def _finalize_dicts_parallel(out_dir: str, prededup_refs: list) -> dict:
+    """Phase 2: one task per id-hash bucket merges the phase-1 slices of
+    ``prededup_refs`` (each entry: the N bucket refs of one phase-1 task)
+    and writes its var.dict part; the driver writes the small logtype
+    dictionary + class index. With no refs (empty input) every part is
+    empty but still carries the var-dict schema."""
     import os
 
-    import pyarrow.parquet as pq
     import ray
 
-    prededup_task = ray.remote(num_returns=N_FINALIZE_BUCKETS)(_prededup_files)
     merge_task = ray.remote(_merge_write_bucket)
-
-    refs = list(prededup_refs or [])  # each entry: tuple/list of N bucket refs
-    if delta_files:
-        groups = [g.tolist() for g in np.array_split(np.array(delta_files), n_tasks)
-                  if len(g)]
-        refs += [prededup_task.remote(g, fs) for g in groups]
-    if not refs:
-        return _finalize_from_table(
-            out_dir,
-            pa.table({"kind": pa.array([], pa.int8()), "id": pa.array([], pa.int64()),
-                      "value": pa.array([], pa.large_string()),
-                      "n_vars": pa.array([], pa.int32()),
-                      "logtype_class": pa.array([], pa.string())}),
-        )
     vdir = os.path.join(out_dir, "var.dict")
     os.makedirs(vdir, exist_ok=True)
     lt_refs = [
         merge_task.remote(
             b, os.path.join(vdir, f"part-{b}.parquet"),
-            *[group_refs[b] for group_refs in refs],
+            *[group_refs[b] for group_refs in prededup_refs],
         )
         for b in range(N_FINALIZE_BUCKETS)
     ]
-    lt = pa.concat_tables(ray.get(lt_refs)).to_pandas()
-    lt = lt.drop_duplicates(["id", "logtype_class"])
+    return _write_logtype_dict(out_dir, pa.concat_tables(ray.get(lt_refs)))
+
+
+def _write_logtype_dict(out_dir: str, lt: pa.Table) -> dict:
+    """logtype.dict.parquet + class_logtypes.json from kind-0 unified rows
+    (one row per (logtype, class))."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    lt = lt.to_pandas().drop_duplicates(["id", "logtype_class"])
     by_class = lt.groupby("logtype_class")["id"].agg(lambda s: sorted(set(s))).to_dict()
     ldict = lt.drop_duplicates("id")[["id", "value", "n_vars"]].rename(
         columns={"id": "logtype_id", "value": "logtype"}

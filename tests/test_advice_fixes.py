@@ -266,3 +266,29 @@ def test_sql_round_matches_duckdb_round():
         mism = [(v, g, w) for v, g, w in zip(vals, got, want)
                 if abs(g - w) > 1e-12]
         assert not mism, (d, mism[:5])
+
+
+def test_error_bursts_exact_beyond_int64():
+    """clp_error_bursts' 3σ membership test stays exact where its int64
+    form wraps (ADVICE r5: ~1e5 minutes × 1e4 errors a minute); checked
+    against mean + 3·(sample σ) in exact fractions."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from clp_core_ray.pipelines.queries import _burst_mask
+
+    rng = np.random.default_rng(5)
+    errs = rng.integers(9_000_000, 11_000_000, size=2000).astype(np.int64)
+    errs[[7, 500, 1999]] = [40_000_000, 60_000_000, 11_200_000]
+    n, sm = len(errs), int(errs.sum())
+    d_max = int(errs.max()) * n - sm
+    assert d_max * d_max * (n - 1) > 2 ** 63  # the int64 form wraps here
+
+    vals = errs.tolist()
+    mean = Fraction(sm, n)
+    var = sum((e - mean) ** 2 for e in vals) / (n - 1)
+    want = [e > mean and (e - mean) ** 2 > 9 * var for e in vals]
+    assert 2 <= sum(want) < n
+    assert _burst_mask(errs).tolist() == want
+    assert _burst_mask(np.array([], dtype=np.int64)).tolist() == []

@@ -43,6 +43,12 @@ def frag_base(ray_session, tmp_path):
     return str(indir), out, str(tmp_path / "cold")
 
 
+def _delta_dirs(root: str) -> list:
+    """dict.deltas/ dirs (compress write scratch) left under ``root``."""
+    return [d for d, _dirs, _files in os.walk(root)
+            if os.path.basename(d) == "dict.deltas"]
+
+
 def _cnt(target, q):
     from clp_core_ray.pipelines.search import search_count
 
@@ -61,6 +67,7 @@ def test_compact_then_search_moves_tiers(frag_base):
     res = compact_fragments(frags, cold)
     assert sorted(res["fragments"]) == [f"shard-{i:04d}" for i in range(3)]
     assert res["rows"] == 30
+    assert _delta_dirs(cold) == []
 
     # rows moved tiers: fragment search empty, archive search complete,
     # per-row content intact (dictionary archive decodes identically)
@@ -281,9 +288,11 @@ def test_compact_textlog_fragments(ray_session, tmp_path):
     cold = str(tmp_path / "cold")
     ingest.poll(str(indir), frags, fmt="textlog")
     assert search_count(frags, "*merged handler*")["cnt"][0].as_py() == 40
+    assert _delta_dirs(frags) == []  # each fragment is a compress_text_logs
 
     res = compact_fragments(frags, cold)
     assert res["format"] == "clp" and res["rows"] == 40
+    assert _delta_dirs(cold) == []
     assert search_count(res["archive"],
                         "*merged handler*")["cnt"][0].as_py() == 40
     assert search_count(res["archive"],

@@ -1,0 +1,130 @@
+"""The archive dictionary finalize (state/dictionaries.write_archive_dicts):
+its entry shapes agree, it handles an empty input, and compress drops its
+dict-delta scratch without losing a rerun after a crash."""
+
+import json
+import os
+import shutil
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+
+@pytest.fixture(scope="module")
+def turns():
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    return synth_transcripts(600)
+
+
+def _dict_state(archive: str):
+    """An archive's dictionaries as comparable values: sorted logtype rows,
+    the class index, and sorted var rows with sorted class lists."""
+    lt = pq.read_table(os.path.join(archive, "logtype.dict.parquet"))
+    lt_rows = sorted(zip(lt.column("logtype_id").to_pylist(),
+                         lt.column("logtype").to_pylist(),
+                         lt.column("n_vars").to_pylist()))
+    with open(os.path.join(archive, "class_logtypes.json")) as f:
+        by_class = {k: sorted(v) for k, v in json.load(f).items()}
+    vdir = os.path.join(archive, "var.dict")
+    var = pa.concat_tables(pq.read_table(os.path.join(vdir, f))
+                           for f in sorted(os.listdir(vdir))
+                           if f.endswith(".parquet"))
+    var_rows = sorted(zip(var.column("var_id").to_pylist(),
+                          var.column("value").to_pylist(),
+                          (sorted(c) for c in var.column("classes").to_pylist())))
+    return lt_rows, by_class, var_rows
+
+
+def test_finalize_entry_shapes_agree(ray_session, tmp_path, turns):
+    """compress() (watcher refs), the sink stage + write_archive_dicts
+    without refs, and merge_archives of the first archive all write the
+    same dictionaries."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compact import merge_archives
+    from clp_core_ray.pipelines.compress import (SINK_DICT_COLS,
+                                                 FusedSinkStage, compress)
+    from clp_core_ray.state.dictionaries import write_archive_dicts
+
+    a = str(tmp_path / "a")
+    compress(None, a, ds=rd.from_arrow(turns), input_label="a")
+
+    b = str(tmp_path / "b")
+    delta = os.path.join(b, "dict.deltas")
+    os.makedirs(os.path.join(b, "routed"))
+    sink = FusedSinkStage(routed_dir=os.path.join(b, "routed"),
+                          dict_delta_dir=delta, compact=True,
+                          dict_cols=SINK_DICT_COLS)
+    for block in turns.to_batches(max_chunksize=200):
+        sink(pa.Table.from_batches([block]))
+    write_archive_dicts(b, delta)
+
+    c = str(tmp_path / "c")
+    merge_archives([a], c)
+
+    want = _dict_state(a)
+    assert want[0] and want[1] and want[2]
+    assert _dict_state(b) == want
+    assert _dict_state(c) == want
+
+
+def test_empty_input_archive(ray_session, tmp_path, turns):
+    """An empty input makes an archive that decompresses and searches to
+    0 rows; its finalize saw no deltas and still wrote every dictionary
+    file."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.decompress import decompress, load_dicts
+    from clp_core_ray.pipelines.search import search_archive
+
+    out = str(tmp_path / "empty")
+    compress(None, out, ds=rd.from_arrow(turns.slice(0, 0)))
+    dec = decompress(out)
+    assert dec.count() == 0
+    assert dec.schema().names == ["conv_id", "turn_idx", "text"]
+    assert search_archive(out, "*").count() == 0
+
+    assert pq.read_table(os.path.join(out, "logtype.dict.parquet")).num_rows == 0
+    with open(os.path.join(out, "class_logtypes.json")) as f:
+        assert json.load(f) == {}
+    ldict, vdict = load_dicts(out)
+    assert vdict.num_rows == 0 and vdict.column_names == ["var_id", "value"]
+    assert not os.path.exists(os.path.join(out, "dict.deltas"))
+
+
+def test_compress_rerun_after_crash_before_commit(ray_session, tmp_path,
+                                                  monkeypatch, turns):
+    """A crash while compress drops its dict deltas leaves no manifest; a
+    rerun into the same dir commits once and decodes to the input rows."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.decompress import decompress
+    from clp_core_ray.state.manifest import read_manifests
+
+    out = str(tmp_path / "arch")
+    real_rmtree = shutil.rmtree
+
+    def crash(path, *args, **kwargs):
+        if os.path.basename(path) == "dict.deltas":
+            raise OSError("injected crash")
+        return real_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", crash)
+    with pytest.raises(OSError, match="injected crash"):
+        compress(None, out, ds=rd.from_arrow(turns))
+    monkeypatch.undo()
+    assert read_manifests(out) == []
+    assert os.listdir(os.path.join(out, "dict.deltas"))
+
+    compress(None, out, ds=rd.from_arrow(turns))
+    assert len(read_manifests(out)) == 1
+    assert not os.path.exists(os.path.join(out, "dict.deltas"))
+    key = ["conv_id", "turn_idx"]
+    got = decompress(out).to_pandas().sort_values(key)
+    want = turns.to_pandas().sort_values(key)
+    assert got[key + ["text"]].values.tolist() == \
+        want[key + ["text"]].values.tolist()

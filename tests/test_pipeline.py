@@ -528,6 +528,9 @@ def test_merge_archives_roundtrip_and_search(ray_session, tmp_path):
     out = str(tmp_path / "merged")
     info = merge_archives([f"{base}/a0", f"{base}/a1"], out)
     assert info["merged_from"] == 2 and info["linked_files"] > 0
+    # compress and merge leave no dict-delta write scratch behind
+    for arch in (f"{base}/a0", f"{base}/a1", out):
+        assert not os.path.exists(os.path.join(arch, "dict.deltas"))
 
     # linked, not copied: same inode as a source file (metadata-only merge)
     src_inodes = set()
