@@ -1632,6 +1632,19 @@ def kl_by_group(ds, *, group_col: str, text_col: str = "text",
         "kl": pa.array(_sql_round(np.asarray(out_kl), ndigits))}))
 
 
+_PHASH_BASE = 1099511628211  # FNV prime as the polynomial base
+
+
+def _phash(b: bytes) -> int:
+    """Polynomial hash of ``b`` mod 2**64: the value the rolling-window
+    hash of :func:`multi_pattern_contains` computes with uint64 array
+    wraparound, here in Python ints so no overflow warning is raised."""
+    h = 0
+    for x in b:
+        h = (h * _PHASH_BASE + x) & (2**64 - 1)
+    return h
+
+
 def multi_pattern_contains(ds, patterns: list[str], *,
                            text_col: str = "text",
                            id_col: str = "doc_id"):
@@ -1654,16 +1667,10 @@ def multi_pattern_contains(ds, patterns: list[str], *,
     by_len: dict[int, list[bytes]] = {}
     for p in enc:
         by_len.setdefault(len(p), []).append(p)
-    B = np.uint64(1099511628211)  # FNV prime as the polynomial base
-
-    def phash(b: bytes) -> np.uint64:
-        h = np.uint64(0)
-        for x in b:
-            h = h * B + np.uint64(x)
-        return h
+    B = np.uint64(_PHASH_BASE)
 
     plan = {
-        L: (np.sort(np.array([phash(p) for p in ps], dtype=np.uint64)),
+        L: (np.sort(np.array([_phash(p) for p in ps], dtype=np.uint64)),
             ps)
         for L, ps in by_len.items()
     }

@@ -21,9 +21,15 @@ import pyarrow.parquet as pq
 from clp_core_ray.vec.decoder import decode_batch
 
 
-def load_dicts(archive_dir: str):
-    """(logtype table, var table) from a compressed archive."""
+def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
+    """(logtype table, var table) from a compressed archive.
+
+    The var table holds ``var_columns`` (every column when None; search
+    also reads the ``classes`` segment index), or is None when
+    ``var_columns`` is empty."""
     ldict = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"))
+    if var_columns is not None and not var_columns:
+        return ldict, None
     var_dir = os.path.join(archive_dir, "var.dict")
     vfiles = [
         os.path.join(var_dir, f) for f in sorted(os.listdir(var_dir))
@@ -33,7 +39,8 @@ def load_dicts(archive_dir: str):
     # not worth broadcasting to decoders. Sorted by var_id so decode_batch
     # resolves ids with a binary search instead of a per-batch hash build.
     vdict = pa.concat_tables(
-        pq.read_table(f, columns=["var_id", "value"]) for f in vfiles
+        pq.read_table(f, columns=None if var_columns is None
+                      else list(var_columns)) for f in vfiles
     )
     vdict = vdict.sort_by("var_id")
     return ldict, vdict

@@ -8619,7 +8619,7 @@ def tpch_q17_small_qty_revenue(sf_dir: str):
         pos[pos >= len(ks)] = 0
         hit = ks[pos] == pk
         q = np.asarray(b.column("l_quantity"), dtype=np.float64)
-        keep = hit & (q < 0.2 * (s[pos] / n[pos]))
+        keep = hit & (q * 5.0 * n[pos] < s[pos])
         rev = np.asarray(b.column("l_extendedprice"),
                          dtype=np.float64)[keep]
         return pa.table({"rev": pa.array([float(rev.sum())])})

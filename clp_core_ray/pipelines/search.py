@@ -20,6 +20,9 @@ Data:
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -252,8 +255,128 @@ def _probe_var_dict(vfiles: list, query: str, ignore_case: bool):
     return pa.concat_tables(hits)
 
 
+#: Kept sink bytes at or under which a search plan is scanned in the
+#: calling process (pyarrow read + :class:`_ArchiveScan` over 32K-row
+#: slices) instead of by a Ray Data job. The Ray Data path costs about
+#: ``fixed + var / N`` on N CPUs and the local path ``var``, so the local
+#: path cannot lose on any CPU count while ``var <= fixed``. Measured on a
+#: 1-CPU VM with the worst query kind (``ERROR*timeout``: every class
+#: kept, a full decode and verify) over synthetic transcripts (seed 1,
+#: 4K-80K turns = 0.15-2.0 MB of sinks, medians of 6): the Ray Data path
+#: takes 0.09-0.10 s more than the local one at equal bytes up to 1 MB
+#: (its fixed cost), and the local scan grows by 0.094-0.101 s per MB
+#: (its variable cost). The two meet at 0.9-1.0 MB.
+_LOCAL_SCAN_BYTES = 1 << 20
+
+_SCAN_BATCH = 32 * 1024  # rows per _ArchiveScan call, either side
+
+
+class _ArchiveState(NamedTuple):
+    """What search reads of one archive besides its sinks: the logtype
+    dict, the var dict sorted by var_id with its ``classes`` segment index
+    (all None above the var-dict cap, see ``probe_files``), the class →
+    logtype index (None when absent) and the sink schema (None when the
+    archive holds no sink file)."""
+    ldict: pa.Table
+    lt_ids: pa.Array
+    lt_values: pa.Array
+    var_ids: np.ndarray | None
+    var_values: pa.Array | None
+    var_classes: pa.Array | None
+    probe_files: list | None  # var-dict files probed per query
+    by_class: dict | None
+    sink_schema: pa.Schema | None
+    nbytes: int
+
+
+_STATES: OrderedDict = OrderedDict()  # key → _ArchiveState, LRU order
+_STATES_LOCK = threading.Lock()
+
+
+def _state_key(archive_dir: str) -> tuple:
+    """A committed archive is immutable, so its path, the identity of its
+    logtype dict file and its manifest names key its state; an archive
+    rebuilt at the same path gets a new key."""
+    import os
+
+    st = os.stat(os.path.join(archive_dir, "logtype.dict.parquet"))
+    mdir = os.path.join(archive_dir, "_manifests")
+    names = tuple(sorted(os.listdir(mdir))) if os.path.isdir(mdir) else ()
+    return (os.path.abspath(archive_dir), st.st_ino, st.st_mtime_ns, names)
+
+
+def _load_state(archive_dir: str, cap: int) -> _ArchiveState:
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
+
+    vdir = os.path.join(archive_dir, "var.dict")
+    vfiles = [os.path.join(vdir, f) for f in sorted(os.listdir(vdir))
+              if f.endswith(".parquet")]
+    probe = sum(os.path.getsize(f) for f in vfiles) > cap
+    ldict, vdict = load_dicts(archive_dir, var_columns=() if probe else None)
+    var = (None, None, None)
+    if vdict is not None:
+        vdict = vdict.combine_chunks()
+        var = (np.asarray(vdict.column("var_id"), dtype=np.int64),
+               vdict.column("value").combine_chunks(),
+               vdict.column("classes").combine_chunks()
+               if "classes" in vdict.column_names else None)
+    idx_path = os.path.join(archive_dir, "class_logtypes.json")
+    by_class = None
+    if os.path.exists(idx_path):
+        with open(idx_path) as f:
+            by_class = json.load(f)
+    first = first_parquet(os.path.join(archive_dir, "routed"))
+    return _ArchiveState(
+        ldict, ldict.column("logtype_id").combine_chunks(),
+        ldict.column("logtype").combine_chunks(), *var,
+        vfiles if probe else None, by_class,
+        pq.ParquetFile(first).schema_arrow if first else None,
+        ldict.nbytes + (vdict.nbytes if vdict is not None else 0))
+
+
+def _archive_state(archive_dir: str) -> _ArchiveState:
+    """The archive's search state, read once per process.
+
+    The cache is LRU and thread-safe, and holds Arrow tables only, so an
+    entry outlives a Ray restart. ``CLP_VAR_DICT_DRIVER_BYTES`` bounds it
+    twice: a var dict larger on disk is probed per query instead of held
+    (:func:`_probe_var_dict`), and the entries' summed size stays under it
+    (an entry over it is not kept)."""
+    import os
+
+    archive_dir = _archive_root(archive_dir)
+    cap = int(os.environ.get("CLP_VAR_DICT_DRIVER_BYTES", 64 << 20))
+    key = _state_key(archive_dir)
+
+    def evict(budget: int) -> None:
+        total = sum(v.nbytes for v in _STATES.values())
+        while _STATES and total > budget:
+            total -= _STATES.popitem(last=False)[1].nbytes
+
+    with _STATES_LOCK:
+        evict(cap)
+        state = _STATES.get(key)
+        if state is not None:
+            _STATES.move_to_end(key)
+            return state
+    state = _load_state(archive_dir, cap)
+    if state.nbytes <= cap:
+        with _STATES_LOCK:
+            for k in [k for k in _STATES if k[0] == key[0]]:
+                del _STATES[k]  # a rebuilt archive's old state
+            _STATES[key] = state
+            evict(cap)
+    return state
+
+
 def compile_for_archive(archive_dir: str, query: str, ignore_case: bool = False):
-    """Load an archive's dictionaries and compile ``query`` against them.
+    """Compile ``query`` against an archive's dictionaries (read through
+    the per-process archive-state cache, :func:`_archive_state`).
 
     Shared by row-oriented search (:func:`search_archive`) and the GLT
     column-oriented search (:func:`clp_core_ray.pipelines.glt.glt_search`).
@@ -261,61 +384,28 @@ def compile_for_archive(archive_dir: str, query: str, ignore_case: bool = False)
     is the logtype dictionary table and ``var_classes`` the per-variable
     segment index column (DictionaryWriter.hpp:179-202), if persisted.
     """
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from clp_core_ray.pipelines.grep import compile_query
-    from clp_core_ray.state.dictionaries import logtype_dict
 
-    routed = os.path.join(archive_dir, "routed")
-    dict_path = os.path.join(archive_dir, "logtype.dict.parquet")
-    if os.path.exists(dict_path):
-        ldict = pq.read_table(dict_path)
-    else:  # archive without persisted dicts: derive (distributed distinct)
-        dict_ds = rd.read_parquet(routed, columns=["logtype_id", "logtype", "n_vars"],
-                                   file_extensions=["parquet"])
-        ldict = pa.concat_tables(
-            pa.table(b)
-            for b in logtype_dict(dict_ds).iter_batches(batch_format="pyarrow")
-        )
-
-    # variable dictionary (small side) for precise/wildcard dict-token lookup;
-    # its `classes` column is the per-variable segment index (dict entry →
-    # containing sink partitions, DictionaryWriter.hpp:179-202)
-    var_ids = var_values = var_classes = None
-    var_dict_path = os.path.join(archive_dir, "var.dict")
-    if os.path.isdir(var_dict_path):
-        vfiles = [
-            os.path.join(var_dict_path, f)
-            for f in sorted(os.listdir(var_dict_path)) if f.endswith(".parquet")
-        ]
-        if vfiles:
-            # size-aware: small dicts load directly; a dict too big for the
-            # driver is probed distributedly — only entries the query's
-            # tokens could select come back (bounded by matches, not dict
-            # size), and compile_query sees identical lookups either way
-            cap = int(os.environ.get("CLP_VAR_DICT_DRIVER_BYTES", 64 << 20))
-            if sum(os.path.getsize(f) for f in vfiles) <= cap:
-                vtbl = pa.concat_tables(pq.read_table(f) for f in vfiles)
-            else:
-                vtbl = _probe_var_dict(vfiles, query, ignore_case)
-            if vtbl is not None:
-                # sorted by var_id → decode_batch takes its binary-search
-                # path instead of a per-batch hash build over the whole dict
-                vtbl = vtbl.sort_by("var_id")
-                var_ids = np.asarray(vtbl.column("var_id"), dtype=np.int64)
-                var_values = vtbl.column("value").combine_chunks()
-                if "classes" in vtbl.column_names:
-                    var_classes = vtbl.column("classes").combine_chunks()
+    st = _archive_state(archive_dir)
+    var_ids, var_values, var_classes = st.var_ids, st.var_values, st.var_classes
+    if st.probe_files:
+        # a dict too big for the driver is probed distributedly — only
+        # entries the query's tokens could select come back (bounded by
+        # matches, not dict size), and compile_query sees identical lookups
+        vtbl = _probe_var_dict(st.probe_files, query, ignore_case)
+        if vtbl is not None:
+            # sorted by var_id → decode_batch takes its binary-search path
+            vtbl = vtbl.sort_by("var_id")
+            var_ids = np.asarray(vtbl.column("var_id"), dtype=np.int64)
+            var_values = vtbl.column("value").combine_chunks()
+            if "classes" in vtbl.column_names:
+                var_classes = vtbl.column("classes").combine_chunks()
 
     cq = compile_query(
-        query,
-        ldict.column("logtype_id"), ldict.column("logtype").combine_chunks(),
+        query, st.lt_ids, st.lt_values,
         var_ids=var_ids, var_values=var_values, ignore_case=ignore_case,
     )
-    return cq, ldict, var_ids, var_values, var_classes
+    return cq, st.ldict, var_ids, var_values, var_classes
 
 
 def _subquery_classes(archive_dir: str, cq, var_ids, var_classes):
@@ -329,14 +419,11 @@ def _subquery_classes(archive_dir: str, cq, var_ids, var_classes):
     Returns ``(by_class, sets)``: the class→logtype index and one class set
     per subquery, parallel to ``cq.subqueries``; None when pruning is
     unavailable (match_all query, or no index on disk)."""
-    import json
-    import os
-
-    idx_path = os.path.join(archive_dir, "class_logtypes.json")
-    if cq.match_all or not os.path.exists(idx_path):
+    if cq.match_all:
         return None
-    with open(idx_path) as f:
-        by_class = json.load(f)
+    by_class = _archive_state(archive_dir).by_class
+    if by_class is None:
+        return None
 
     def classes_of_cond(cond: np.ndarray) -> set | None:
         """Union of partition classes over the cond's dict ids; None =
@@ -398,12 +485,14 @@ def _prune_keep_classes(archive_dir: str, cq, var_ids, var_classes):
 
 
 def _class_paths(routed: str, keep):
-    """Sink paths for the keep classes; the whole routed dir when keep is
-    None (pruning unavailable)."""
+    """Sink files of the keep classes; every sink file when keep is None
+    (pruning unavailable)."""
     import os
 
     if keep is None:
-        return routed
+        return sorted(os.path.join(root, f)
+                      for root, _, files in os.walk(routed)
+                      for f in files if f.endswith(".parquet"))
     return [
         os.path.join(routed, f"logtype_class={c}", f)
         for c in keep
@@ -475,13 +564,15 @@ class _ArchiveScan:
     → one decode of the union of candidates → each query's wildcard verify
     against the decoded text.
 
-    Dictionaries resolve lazily per task (zero-copy plasma get): an eager
-    get in the driver-side constructor would pickle the full dict tables
-    into every task's closure instead of shipping the ref."""
+    ``dicts`` are the decode dictionaries ``(lt_ids, lt_values, var_ids,
+    var_values)``, or a Ray ref to them, or None for inline sinks. A ref
+    resolves lazily per task (zero-copy plasma get): an eager get in the
+    driver-side constructor would pickle the full dict tables into every
+    task's closure instead of shipping the ref."""
 
-    def __init__(self, queries, dicts_ref, extra, empty, query_idx):
+    def __init__(self, queries, dicts, extra, empty, query_idx):
         self.queries = queries  # [(query_idx, cq, regex)]
-        self.dicts_ref, self.extra, self.empty = dicts_ref, extra, empty
+        self.dicts, self.extra, self.empty = dicts, extra, empty
         self.query_idx = query_idx
         self._loaded = False
 
@@ -491,12 +582,10 @@ class _ArchiveScan:
         from clp_core_ray.vec.decoder import decode_batch
 
         self.decode = decode_batch
-        if self.dicts_ref is not None:
-            ldict, vdict = ray.get(self.dicts_ref)
-            self.lt_ids = ldict.column("logtype_id").combine_chunks()
-            self.lt_values = ldict.column("logtype").combine_chunks()
-            self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
-            self.var_values = vdict.column("value").combine_chunks()
+        d = self.dicts
+        if d is not None:
+            (self.lt_ids, self.lt_values, self.var_ids,
+             self.var_values) = ray.get(d) if isinstance(d, ray.ObjectRef) else d
         self._loaded = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -508,7 +597,7 @@ class _ArchiveScan:
             return self.empty
         if not union.all():
             batch = batch.filter(pa.array(union))
-        if self.dicts_ref is None:
+        if self.dicts is None:
             text = self.decode(
                 batch.column("logtype"), batch.column("encoded_vars"),
                 batch.column("var_types"), dict_vars=batch.column("dict_vars"))
@@ -537,44 +626,53 @@ class _ArchiveScan:
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
 
+class _Plan(NamedTuple):
+    """One archive's search plan: the kept sink files and their summed
+    size, the sink columns to read, and the scan to run over them (no
+    files: nothing can match). ``empty`` is the typed 0-row result."""
+    files: list
+    nbytes: int
+    cols: list
+    scan: _ArchiveScan | None
+    empty: pa.Table
+
+
 def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
-                 columns=None, query_idx: bool = False):
-    """Plan and start the one archive scan for a batch of queries →
-    Dataset of matches (led by ``query_idx`` when asked for).
+                 columns=None, query_idx: bool = False) -> _Plan:
+    """Plan the one archive scan for a batch of queries (matches are led
+    by ``query_idx`` when asked for).
 
     Compile (driver): each query goes through the Grep subquery compiler
-    against the archive's dictionaries (:func:`compile_for_archive`); a
-    dictionary miss drops the query before any sink file is read. Prune:
+    against the archive's cached dictionaries (:func:`compile_for_archive`);
+    a dictionary miss drops the query before any sink file is read. Prune:
     each query keeps the sink classes its subqueries can match
     (:func:`_prune_keep_classes`), the scan reads the union of kept classes
     once, and one unprunable query forces the full scan. Scan: see
-    :class:`_ArchiveScan`; the dictionaries are broadcast once, or the
-    sinks' inline ``logtype``/``dict_vars`` columns are decoded instead.
-    ``columns`` are sink columns passed through to the matches.
+    :class:`_ArchiveScan`; it decodes through the dictionaries, or through
+    the sinks' inline ``logtype``/``dict_vars`` columns. ``columns`` are
+    sink columns passed through to the matches. :func:`_run_plans` runs
+    the plans.
     """
     import os
 
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
+    from clp_core_ray.pipelines.decompress import (_ROW_TYPES, first_parquet,
+                                                   load_dicts)
 
     archive_dir = _archive_root(archive_dir)
-    routed = os.path.join(archive_dir, "routed")
-    # passthrough columns (e.g. ts for count-by-time over results); an
-    # archive with an empty routed/ dir yields an empty Dataset (r2 ADVICE:
-    # it used to raise FileNotFoundError on the footer read)
+    # passthrough columns (e.g. ts for count-by-time over results)
     extra = [c for c in (columns or [])
              if c not in ("conv_id", "turn_idx", "text")]
-    first = first_parquet(routed)
-    sink_schema = pq.ParquetFile(first).schema_arrow if first else pa.schema([])
-    missing = [c for c in extra if c not in sink_schema.names]
+    if first_parquet(os.path.join(archive_dir, "routed")) is None:
+        # no sink file (empty input, or routed/ not yet written): typed
+        # like decompress's result for the same archive
+        return _Plan([], 0, [], None, _empty_matches(
+            [pa.field(c, _ROW_TYPES.get(c, pa.null())) for c in extra],
+            query_idx))
+    st = _archive_state(archive_dir)
+    missing = [c for c in extra if c not in st.sink_schema.names]
     if missing:
         raise KeyError(f"columns not in archive sinks: {missing}")
-    empty = _empty_matches([sink_schema.field(c) for c in extra], query_idx)
-    if first is None:  # routed/ exists but holds no sink files yet
-        return rd.from_arrow(empty)
+    empty = _empty_matches([st.sink_schema.field(c) for c in extra], query_idx)
 
     compiled = []  # (query_idx, cq, regex) per query that can match
     keeps = []     # its sorted keep classes, or None (no prune)
@@ -590,27 +688,72 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
         compiled.append((qi, cq, "(?i)" + rx if ignore_case else rx))
         keeps.append(keep)
     if not compiled:
-        return rd.from_arrow(empty)
+        return _Plan([], 0, [], None, empty)
     keep_union = (None if any(k is None for k in keeps)
                   else sorted(set().union(*keeps)))
-    paths = _class_paths(routed, keep_union)
+    files = _class_paths(os.path.join(archive_dir, "routed"), keep_union)
 
-    inline = "dict_vars" in sink_schema.names
     cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
     cols += [c for c in extra if c not in cols]
-    if inline:
+    if "dict_vars" in st.sink_schema.names:
         cols += ["logtype", "dict_vars"]
-        dicts_ref = None
-    else:
-        dicts_ref = ray.put(load_dicts(archive_dir))
-    ds = rd.read_parquet(paths, columns=cols, file_extensions=["parquet"])
-    scan = _ArchiveScan(compiled, dicts_ref, extra, empty, query_idx)
+        dicts = None
+    elif st.var_ids is not None:
+        dicts = (st.lt_ids, st.lt_values, st.var_ids, st.var_values)
+    else:  # var dict over the cap: read for this scan only, uncached
+        ldict, vdict = load_dicts(archive_dir)
+        dicts = (ldict.column("logtype_id").combine_chunks(),
+                 ldict.column("logtype").combine_chunks(),
+                 np.asarray(vdict.column("var_id"), dtype=np.int64),
+                 vdict.column("value").combine_chunks())
+    return _Plan(files, sum(os.path.getsize(f) for f in files), cols,
+                 _ArchiveScan(compiled, dicts, extra, empty, query_idx), empty)
+
+
+def _scan_local(plan: _Plan) -> list:
+    """The plan's scan in the calling process → its non-empty match
+    tables."""
+    import pyarrow.parquet as pq
+
+    t = pa.concat_tables(pq.read_table(f, columns=plan.cols, partitioning=None)
+                         for f in plan.files).combine_chunks()
+    out = (plan.scan(t.slice(o, _SCAN_BATCH))
+           for o in range(0, t.num_rows, _SCAN_BATCH))
+    return [b for b in out if b.num_rows]
+
+
+def _scan_ray(plan: _Plan):
+    """The plan's scan as a Ray Data job → lazy match Dataset."""
+    import ray
+    import ray.data as rd
+
+    scan = plan.scan
+    if scan.dicts is not None:  # broadcast once, not pickled per task
+        scan = _ArchiveScan(scan.queries, ray.put(scan.dicts), scan.extra,
+                            scan.empty, scan.query_idx)
+    ds = rd.read_parquet(plan.files, columns=plan.cols,
+                         file_extensions=["parquet"])
     # task-based: the scan's state (broadcast dicts) is a cheap zero-copy
     # plasma get per task, while an actor pool costs ~3s spin-up per query
     # on a small host — wrong trade for interactive search. batch_size
     # bundles the small per-class sink files into real batches so per-call
     # fixed costs (dict lookup setup, regex launch) amortize.
-    return ds.map_batches(scan, batch_format="pyarrow", batch_size=32 * 1024)
+    return ds.map_batches(scan, batch_format="pyarrow", batch_size=_SCAN_BATCH)
+
+
+def _run_plans(plans: list, empty: pa.Table):
+    """Run search plans → one match Dataset, in plan order. The choice of
+    side is made once, on the plans' summed kept bytes: at most
+    :data:`_LOCAL_SCAN_BYTES` scans in this process, more fans out to
+    Ray Data (so many small archives still scan in parallel)."""
+    import ray.data as rd
+
+    plans = [p for p in plans if p.files]
+    if sum(p.nbytes for p in plans) > _LOCAL_SCAN_BYTES:
+        return _union([_scan_ray(p) for p in plans], empty)
+    parts = [t for p in plans for t in _scan_local(p)]
+    return rd.from_arrow(pa.concat_tables(parts, promote_options="permissive")
+                         if parts else empty)
 
 
 def search_archive(archive_dir: str, query: str, columns=None,
@@ -629,7 +772,8 @@ def search_archive(archive_dir: str, query: str, columns=None,
     columns (e.g. ``ts``) carried into the matches. This is the one-query
     case of :func:`search_archive_multi`.
     """
-    return _search_plan(archive_dir, [query], ignore_case, columns=columns)
+    plan = _search_plan(archive_dir, [query], ignore_case, columns=columns)
+    return _run_plans([plan], plan.empty)
 
 
 def search_archive_multi(archive_dir: str, queries: list[str],
@@ -647,7 +791,8 @@ def search_archive_multi(archive_dir: str, queries: list[str],
     Dataset[(query_idx int64, conv_id, turn_idx, text)]; query_idx is the
     position in ``queries``.
     """
-    return _search_plan(archive_dir, queries, ignore_case, query_idx=True)
+    plan = _search_plan(archive_dir, queries, ignore_case, query_idx=True)
+    return _run_plans([plan], plan.empty)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +878,13 @@ def search_archives(base_dir: str, query: str, ignore_case: bool = False,
     """Search every selected archive under ``base_dir`` → one match Dataset.
 
     Each archive compiles against its OWN dictionaries (per-archive subquery
-    compilation, as clg does per archive) and contributes a lazy Dataset;
-    the union streams — no per-archive materialization."""
+    compilation, as clg does per archive) into a plan; every plan is made
+    before any is run, and their summed kept bytes pick the scan side once
+    (:func:`_run_plans`), so a catalog of many small archives still fans
+    out to Ray Data."""
     dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    return _union([search_archive(d, query, columns=columns,
-                                  ignore_case=ignore_case) for d in dirs],
-                  _empty_matches())
+    return _run_plans([_search_plan(d, [query], ignore_case, columns=columns)
+                       for d in dirs], _empty_matches())
 
 
 def search_archives_multi(base_dir: str, queries: list[str],
@@ -748,13 +894,13 @@ def search_archives_multi(base_dir: str, queries: list[str],
                           ts_max: int | None = None,
                           tags: list | None = None):
     """Batched multi-query search across every selected archive: each archive
-    compiles the whole query batch against its OWN dictionaries and runs one
-    scan (see :func:`search_archive_multi`); the per-archive Datasets union
-    lazily. Manifest time/path/tag pruning applies before any archive is
-    read."""
+    compiles the whole query batch against its OWN dictionaries into one
+    scan plan (see :func:`search_archive_multi`), and the plans run as in
+    :func:`search_archives`. Manifest time/path/tag pruning applies before
+    any archive is read."""
     dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    return _union([search_archive_multi(d, queries, ignore_case=ignore_case)
-                   for d in dirs], _empty_matches(query_idx=True))
+    return _run_plans([_search_plan(d, queries, ignore_case, query_idx=True)
+                       for d in dirs], _empty_matches(query_idx=True))
 
 
 def search_fragments(out_dir: str, query: str, ignore_case: bool = False,

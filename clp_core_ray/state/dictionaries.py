@@ -220,26 +220,24 @@ def _var_rows_to_dict_table(vt: pa.Table) -> pa.Table:
     (clg.cpp:249-298)."""
     import pyarrow.compute as pc
 
-    vt = vt.combine_chunks()
-    ids = np.asarray(vt.column("id"), dtype=np.int64)
     empty = pa.table(
         {"var_id": pa.array([], pa.int64()), "value": pa.array([], pa.string()),
          "classes": pa.array([], pa.list_(pa.string()))}
     )
-    if len(ids) == 0:
+    if vt.num_rows == 0:
         return empty
-    order = np.argsort(ids, kind="stable")
-    sids = ids[order]
-    change = np.ones(len(ids), dtype=bool)
-    if len(ids) > 1:
-        change[1:] = sids[1:] != sids[:-1]
+    # sorted by (id, class): the bytes written do not depend on the order
+    # the delta rows arrived in
+    cls = pc.fill_null(vt.column("logtype_class").cast(pa.string()), "")
+    order = np.asarray(pc.sort_indices(
+        pa.table({"id": vt.column("id"), "cls": cls}),
+        sort_keys=[("id", "ascending"), ("cls", "ascending")]))
+    sids = np.asarray(vt.column("id"), dtype=np.int64)[order]
+    change = np.ones(len(sids), dtype=bool)
+    change[1:] = sids[1:] != sids[:-1]
     starts = np.flatnonzero(change)
-    offsets = np.append(starts, len(ids)).astype(np.int32)
-    cls_sorted = pc.fill_null(
-        vt.column("logtype_class").take(pa.array(order)).cast(pa.string()), ""
-    )
-    if isinstance(cls_sorted, pa.ChunkedArray):
-        cls_sorted = cls_sorted.combine_chunks()
+    offsets = np.append(starts, len(sids)).astype(np.int32)
+    cls_sorted = cls.take(pa.array(order)).combine_chunks()
     classes = pa.ListArray.from_arrays(pa.array(offsets), cls_sorted)
     first = pa.array(order[starts])
     return pa.table(
@@ -330,21 +328,33 @@ def _finalize_dicts_parallel(out_dir: str, prededup_refs: list) -> dict:
 
 def _write_logtype_dict(out_dir: str, lt: pa.Table) -> dict:
     """logtype.dict.parquet + class_logtypes.json from kind-0 unified rows
-    (one row per (logtype, class))."""
+    (one row per (logtype, class)), sorted by (id, class) so the bytes
+    written do not depend on the order the rows arrived in."""
     import json
     import os
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    lt = lt.to_pandas().drop_duplicates(["id", "logtype_class"])
-    by_class = lt.groupby("logtype_class")["id"].agg(lambda s: sorted(set(s))).to_dict()
-    ldict = lt.drop_duplicates("id")[["id", "value", "n_vars"]].rename(
-        columns={"id": "logtype_id", "value": "logtype"}
-    )
-    pq.write_table(pa.Table.from_pandas(ldict, preserve_index=False),
-                   os.path.join(out_dir, "logtype.dict.parquet"))
+    lt = lt.take(pc.sort_indices(lt, sort_keys=[("id", "ascending"),
+                                                ("logtype_class", "ascending")]))
+    ids = np.asarray(lt.column("id"), dtype=np.int64)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ldict = pa.table({
+        "logtype_id": lt.column("id"),
+        "logtype": lt.column("value").cast(pa.string()),
+        "n_vars": lt.column("n_vars"),
+    }).filter(pa.array(first))
+    by_class: dict = {}
+    for i, c in zip(ids.tolist(), lt.column("logtype_class").to_pylist()):
+        if c is not None:
+            ids_of = by_class.setdefault(c, [])
+            if not ids_of or ids_of[-1] != i:
+                ids_of.append(i)
+    pq.write_table(ldict, os.path.join(out_dir, "logtype.dict.parquet"))
     with open(os.path.join(out_dir, "class_logtypes.json"), "w") as f:
-        json.dump({k: list(map(int, v)) for k, v in by_class.items()}, f)
+        json.dump({c: by_class[c] for c in sorted(by_class)}, f)
     return {"n_logtypes": len(ldict), "classes": sorted(by_class)}
 
 

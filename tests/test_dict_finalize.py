@@ -95,6 +95,57 @@ def test_empty_input_archive(ray_session, tmp_path, turns):
     assert not os.path.exists(os.path.join(out, "dict.deltas"))
 
 
+def test_empty_input_archive_search_columns(ray_session, tmp_path, turns):
+    """search_archive with a passthrough column on an empty-input archive
+    returns 0 rows typed like decompress's output for the same columns."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.decompress import decompress
+    from clp_core_ray.pipelines.search import (search_archive,
+                                               search_archive_multi)
+
+    out = str(tmp_path / "empty")
+    compress(None, out, ds=rd.from_arrow(turns.slice(0, 0)))
+    dec = decompress(out, columns=("conv_id", "turn_idx", "ts"))
+    got = search_archive(out, "*", columns=["ts"])
+    assert got.count() == 0
+    schema = got.schema()
+    assert schema.names == ["conv_id", "turn_idx", "text", "ts"]
+    assert schema.types == [dec.schema().base_schema.field(c).type
+                            for c in schema.names]
+    assert schema.base_schema.field("ts").type == turns.schema.field("ts").type
+    assert search_archive_multi(out, ["*", "x"]).count() == 0
+
+
+def test_compress_is_reproducible(ray_session, tmp_path):
+    """Compressing one input twice writes byte-identical dictionaries: the
+    logtype dict, the class index and every var.dict part."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    turns = synth_transcripts(3000, seed=8)
+    outs = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        compress(None, out, ds=rd.from_arrow(turns).repartition(12))
+        outs.append(out)
+
+    def dict_files(out):
+        vdir = os.path.join(out, "var.dict")
+        return (["logtype.dict.parquet", "class_logtypes.json"]
+                + [os.path.join("var.dict", f) for f in sorted(os.listdir(vdir))])
+
+    names = dict_files(outs[0])
+    assert names == dict_files(outs[1]) and len(names) > 2
+    for name in names:
+        with open(os.path.join(outs[0], name), "rb") as fa, \
+                open(os.path.join(outs[1], name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
 def test_compress_rerun_after_crash_before_commit(ray_session, tmp_path,
                                                   monkeypatch, turns):
     """A crash while compress drops its dict deltas leaves no manifest; a

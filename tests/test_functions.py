@@ -2221,6 +2221,63 @@ def test_jaro_winkler_matrix_vs_duckdb():
         assert abs(g - w) < 1e-9, (a, b, g, w)
 
 
+BLOCKLIST_TERMS = ["fast table", "scan slow", "agg join", "merge batch",
+                   "big vector", "customer query", "slow filter",
+                   "data column", "key agg row", "window table"]
+
+
+def test_blocklist_hash_without_overflow_warning():
+    """The blocklist pattern hash wraps mod 2**64 without a RuntimeWarning
+    and equals both the uint64 scalar recurrence it replaced and the
+    rolling-window hash the scan computes over a text buffer."""
+    import warnings
+
+    import numpy as np
+
+    from clp_core_ray.functions.text import _PHASH_BASE, _phash
+
+    B = np.uint64(_PHASH_BASE)
+    terms = BLOCKLIST_TERMS + ["naïve", "x" * 64]
+    for term in terms:
+        b = term.encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _phash(b)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            old = np.uint64(0)
+            for x in b:
+                old = old * B + np.uint64(x)
+        data = np.frombuffer(b"ab" + b + b"cd", dtype=np.uint8)
+        m = len(data) - len(b) + 1
+        H = np.zeros(m, dtype=np.uint64)
+        for i in range(len(b)):
+            H = H * B + data[i:m + i].astype(np.uint64)
+        assert got == int(old) == int(H[2]), term
+    # the terms do wrap: their unreduced polynomial exceeds 2**64
+    assert sum(x * _PHASH_BASE ** k for k, x in
+               enumerate(reversed(b"agg join"))) > 2**64
+
+
+def test_blocklist_scan_raises_no_runtime_warning(ray_session):
+    """The blocklist scan plans its pattern hashes on the driver with no
+    RuntimeWarning, and still finds the documents holding a term."""
+    import warnings
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from clp_core_ray.functions.text import multi_pattern_contains
+
+    t = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
+                  "text": ["a customer query here", "nothing", "big vector"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ds = multi_pattern_contains(rd.from_arrow(t), BLOCKLIST_TERMS)
+    got = [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
+    assert sorted(pa.concat_tables(got).column("doc_id").to_pylist()) == [1, 3]
+
+
 def test_multi_pattern_contains_edges(ray_session):
     """Rabin-Karp multi-pattern scan: cross-row windows rejected (a
     pattern assembled from one doc's tail + the next doc's head must NOT

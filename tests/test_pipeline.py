@@ -612,16 +612,22 @@ def test_search_context(ray_session, tmp_path):
     assert sum(len(b) for b in none.iter_batches(batch_format="pyarrow")) == 0
 
 
-@pytest.mark.parametrize("compact", [True, False],
-                         ids=["compact", "inline"])
+@pytest.mark.parametrize("compact,ray_scan", [
+    (True, False), (False, False), (True, True), (False, True)],
+    ids=["compact", "inline", "compact-ray", "inline-ray"])
 def test_multi_query_search_equals_singles(ray_session, tiny_transcripts,
-                                           tmp_path, compact):
+                                           tmp_path, monkeypatch, compact,
+                                           ray_scan):
     """search_archive_multi(queries) row-for-row equals running each query
     through search_archive, and both equal a brute-force wildcard match over
     the fully decompressed archive — including a dictionary-miss query
     (contributes nothing), a match-all wildcard (defeats pruning for the
     union scan) and case-insensitive queries. ``compact=False`` sinks carry
-    inline logtype/dict_vars columns instead of using the dictionaries."""
+    inline logtype/dict_vars columns instead of using the dictionaries.
+    The archive is small, so its plans scan in the calling process;
+    ``ray_scan`` sets the local-scan limit to 0 to force the Ray Data
+    side."""
+    from clp_core_ray.pipelines import search as search_mod
     from clp_core_ray.pipelines.compress import compress
     from clp_core_ray.pipelines.decompress import decompress
     from clp_core_ray.pipelines.search import (
@@ -630,6 +636,13 @@ def test_multi_query_search_equals_singles(ray_session, tiny_transcripts,
         wildcard_match,
     )
 
+    ray_plans = []
+    real_scan_ray = search_mod._scan_ray
+    monkeypatch.setattr(search_mod, "_scan_ray",
+                        lambda plan: ray_plans.append(plan)
+                        or real_scan_ray(plan))
+    if ray_scan:
+        monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", 0)
     out = str(tmp_path / "arch_multi")
     compress(SF, out, compact=compact)
     full = pa.concat_tables(
@@ -689,6 +702,7 @@ def test_multi_query_search_equals_singles(ray_session, tiny_transcripts,
     # all-miss batch prunes to a schema-stable empty Dataset without a scan
     empty = search_archive_multi(out, ["zz_no_such_token_zz"]).to_pandas()
     assert len(empty) == 0
+    assert bool(ray_plans) == ray_scan
 
 
 def test_multi_query_multi_archive(ray_session, tmp_path):
@@ -712,6 +726,111 @@ def test_multi_query_multi_archive(ray_session, tmp_path):
         for k, v in per.items():
             want[k] += v
     assert got == want and all(v > 0 for v in want.values())
+
+
+def _match_keys(ds) -> list:
+    rows = [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
+    if not rows:
+        return []
+    t = pa.concat_tables(rows)
+    cols = [c for c in ("query_idx", "conv_id", "turn_idx", "text")
+            if c in t.column_names]
+    return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
+
+
+def test_search_archives_over_local_limit_fans_out(ray_session, tmp_path,
+                                                   monkeypatch):
+    """search_archives/_multi decide the scan side once, on the summed kept
+    bytes of every archive's plan: three archives that each fit the
+    local-scan limit but together exceed it scan on Ray Data, one job per
+    archive, and return the rows of the per-archive (local) searches."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines import search as search_mod
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    base = tmp_path / "base"
+    dirs = []
+    for seed in (1, 2, 3):
+        d = str(base / f"a{seed}")
+        compress(None, d, ds=rd.from_arrow(synth_transcripts(400, seed=seed)),
+                 input_label=f"a{seed}")
+        dirs.append(d)
+    query, queries = "ERROR*timeout", ["ERROR*timeout", "*latency*"]
+    sizes = [search_mod._search_plan(d, [query], False).nbytes for d in dirs]
+    assert min(sizes) > 0
+    monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", max(sizes))
+    assert sum(sizes) > search_mod._LOCAL_SCAN_BYTES
+
+    ray_plans = []
+    real_scan_ray = search_mod._scan_ray
+    monkeypatch.setattr(search_mod, "_scan_ray",
+                        lambda plan: ray_plans.append(plan)
+                        or real_scan_ray(plan))
+    want = sorted(k for d in dirs
+                  for k in _match_keys(search_mod.search_archive(d, query)))
+    want_multi = sorted(
+        k for d in dirs
+        for k in _match_keys(search_mod.search_archive_multi(d, queries)))
+    assert not ray_plans  # each archive alone scans locally
+    assert want and want_multi
+
+    assert _match_keys(search_mod.search_archives(str(base), query)) == want
+    assert len(ray_plans) == 3
+    assert _match_keys(search_mod.search_archives_multi(
+        str(base), queries)) == want_multi
+    assert len(ray_plans) == 6
+
+
+def test_search_sees_archive_rebuilt_at_same_path(ray_session, tmp_path):
+    """The archive-state cache keys on the archive's files, not its path:
+    an archive deleted and rebuilt from another input at the same path is
+    searched through its new dictionaries."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.search import search_archive, wildcard_match
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    out = str(tmp_path / "arch")
+    query = "ERROR*timeout"
+    for seed in (1, 2):
+        turns = synth_transcripts(400, seed=seed)
+        if os.path.exists(out):
+            shutil.rmtree(out)
+        compress(None, out, ds=rd.from_arrow(turns))
+        hit = turns.filter(wildcard_match(turns.column("text"), f"*{query}*"))
+        want = sorted(zip(hit.column("conv_id").to_pylist(),
+                          hit.column("turn_idx").to_pylist(),
+                          hit.column("text").to_pylist()))
+        assert want
+        assert _match_keys(search_archive(out, query)) == want, seed
+
+
+def test_search_after_ray_restart(ray_session, tmp_path, monkeypatch):
+    """A cached archive state holds Arrow tables, not object refs, so a
+    search after ray.shutdown() and ray.init() in one process still works,
+    on both scan sides."""
+    import ray
+    import ray.data as rd
+
+    from clp_core_ray.pipelines import search as search_mod
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    out = str(tmp_path / "arch")
+    compress(None, out, ds=rd.from_arrow(synth_transcripts(400, seed=5)))
+    before = _match_keys(search_mod.search_archive(out, "ERROR*timeout"))
+    assert before
+    ray.shutdown()
+    ray.init(address="local", num_cpus=4, include_dashboard=False,
+             ignore_reinit_error=True)
+    assert _match_keys(search_mod.search_archive(out, "ERROR*timeout")) \
+        == before
+    monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", 0)
+    assert _match_keys(search_mod.search_archive(out, "ERROR*timeout")) \
+        == before
 
 
 def test_fragment_size_grouping(ray_session, tmp_path):
