@@ -13,8 +13,10 @@ this module adds one, and the repo's content-hash dictionary ids
   files are hard-linked (object-store rename at scale), never re-encoded
   and never shuffled;
 - only the dictionaries and the segment indexes (class lists,
-  class_logtypes.json) actually merge, via the same 16-way id-hash bucket
-  tasks the compress finalize path uses (state/dictionaries.py);
+  class_logtypes.json) actually merge, through the compress finalize
+  (state/dictionaries.py): in process into one var.dict part while the
+  sources' dictionaries total at most ``LOCAL_FINALIZE_BYTES``, else via
+  the 16-way id-hash bucket tasks;
 - the lineage manifest records the merged time range and summed class
   counts so multi-archive pruning keeps working over the result.
 
@@ -32,12 +34,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray.state import dictionaries
 from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.state.dictionaries import (
     N_FINALIZE_BUCKETS,
     UNIFIED_SCHEMA,
     _bucket_split,
     _finalize_dicts_parallel,
+    _finalize_local,
 )
 
 __all__ = ["compact_fragments", "merge_archives"]
@@ -100,6 +104,15 @@ def _dict_buckets(archive_dir: str):
     return _bucket_split(_archive_unified_rows(archive_dir))
 
 
+def _dict_bytes(archive_dir: str) -> int:
+    """On-disk bytes of one archive's dictionaries: var.dict/ parts plus
+    logtype.dict.parquet."""
+    vdir = os.path.join(archive_dir, "var.dict")
+    return (sum(os.path.getsize(os.path.join(vdir, f))
+                for f in os.listdir(vdir))
+            + os.path.getsize(os.path.join(archive_dir, "logtype.dict.parquet")))
+
+
 def _link_routed(archive_dir: str, out_routed: str, prefix: str) -> dict:
     """Hard-link (fallback: copy) one archive's routed sink files into the
     merged layout, preserving hive partition dirs. Filenames get a
@@ -136,11 +149,17 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
     """Merge self-contained archives into one at ``out_dir``.
 
     Data files are linked as-is (content-hash ids need no remap); the
-    dictionaries + segment indexes union through the parallel 16-bucket
-    finalize (hash-collision check included); the manifest records the
-    merged time range and summed class counts. GLT layouts are NOT merged —
-    they are derived state, rebuilt on demand from the merged rows.
-    Returns the manifest info dict."""
+    dictionaries + segment indexes union through the compress finalize
+    (hash-collision check included): in this process into one var.dict
+    part when the sources' dictionaries total at most
+    ``LOCAL_FINALIZE_BYTES``, else through the 16-bucket Ray merge, with
+    the links made by Ray tasks alongside. The manifest records the merged
+    time range, summed class counts and the finalize's side, input bytes
+    and seconds. GLT layouts are NOT merged — they are derived state,
+    rebuilt on demand from the merged rows. Returns the manifest info
+    dict."""
+    import time
+
     import ray
 
     from clp_core_ray.state import manifest as mf
@@ -153,17 +172,27 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
             raise ValueError(f"not an archive (no routed/ sink): {d}")
 
     os.makedirs(out_dir, exist_ok=True)
-    buckets_task = ray.remote(num_returns=N_FINALIZE_BUCKETS)(_dict_buckets)
-    link_task = ray.remote(_link_routed)
-
     out_routed = os.path.join(out_dir, "routed")
-    dict_refs = [buckets_task.remote(d) for d in archive_dirs]
-    link_refs = [
-        link_task.remote(d, out_routed, f"a{i:03d}")
-        for i, d in enumerate(archive_dirs)
-    ]
-
-    _finalize_dicts_parallel(out_dir, prededup_refs=dict_refs)
+    prefixes = [f"a{i:03d}" for i in range(len(archive_dirs))]
+    dict_bytes = sum(_dict_bytes(d) for d in archive_dirs)
+    t0 = time.time()
+    if dict_bytes <= dictionaries.LOCAL_FINALIZE_BYTES:
+        side = "local"
+        _finalize_local(out_dir,
+                        [_archive_unified_rows(d) for d in archive_dirs])
+        finalize_sec = time.time() - t0
+        linked = [_link_routed(d, out_routed, p)
+                  for d, p in zip(archive_dirs, prefixes)]
+    else:
+        side = "ray"
+        buckets_task = ray.remote(num_returns=N_FINALIZE_BUCKETS)(_dict_buckets)
+        link_task = ray.remote(_link_routed)
+        dict_refs = [buckets_task.remote(d) for d in archive_dirs]
+        link_refs = [link_task.remote(d, out_routed, p)
+                     for d, p in zip(archive_dirs, prefixes)]
+        _finalize_dicts_parallel(out_dir, prededup_refs=dict_refs)
+        finalize_sec = time.time() - t0
+        linked = ray.get(link_refs)
 
     # manifest: union of the sources' lineage
     ts_min = ts_max = None
@@ -178,7 +207,6 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
             for k, v in (m.get("class_counts") or {}).items():
                 class_counts[k] = class_counts.get(k, 0) + int(v)
             total_bytes += int(m.get("archive_bytes") or 0)
-    linked = ray.get(link_refs)
     info = {
         "input": ";".join(archive_dirs),
         "sink": out_routed,
@@ -188,6 +216,9 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
         "archive_bytes": total_bytes,
         "ts_min": ts_min,
         "ts_max": ts_max,
+        "metrics": {"finalize_side": side,
+                    "dict_input_bytes": dict_bytes,
+                    "finalize_sec": round(finalize_sec, 3)},
     }
     mf.record_fragment(out_dir, "merge", info)
     return info
@@ -242,6 +273,46 @@ def _finish_retirement(frag_base: str, journal: dict,
 COMPACTION_LEASE_S = 600.0
 
 
+class _JournalHeartbeat:
+    """Keeps a compaction's lease fresh while it builds its archive: a
+    thread touches the journal's mtime every ``lease_s / 4`` seconds, so a
+    build that runs longer than the lease is not mistaken for a crash
+    leftover. Stops when its ``with`` block exits or once the journal is
+    gone."""
+
+    def __init__(self, jpath: str, lease_s: float):
+        import threading
+
+        self.jpath = jpath
+        self.period_s = max(lease_s / 4, 0.1)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def __enter__(self) -> "_JournalHeartbeat":
+        self._thread.start()
+        return self
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.period_s):
+            try:
+                os.utime(self.jpath)
+            except FileNotFoundError:
+                return
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
+def _owns_journal(jpath: str, owner: str) -> bool:
+    """The journal at ``jpath`` still exists and names ``owner``."""
+    try:
+        with open(jpath) as f:
+            return json.load(f).get("owner") == owner
+    except FileNotFoundError:
+        return False
+
+
 def compact_fragments(frag_base: str, archive_dir: str,
                       lease_s: float = COMPACTION_LEASE_S,
                       **compress_kwargs) -> dict:
@@ -264,6 +335,11 @@ def compact_fragments(frag_base: str, archive_dir: str,
        scheduler never re-ingests; readers skip it) and remove its sink;
        mark the journal done.
 
+    While phase 2 runs, a heartbeat thread keeps the journal's mtime (its
+    lease) fresh; before phase 3 the compactor re-reads the journal and
+    stands down (``lost``) if it is gone or names another owner, since a
+    second compactor then took the run over.
+
     Resume semantics: an undone journal whose archive COMMITTED → finish
     phase 3 only (recompacting would duplicate rows into a second
     archive); archive not committed → drop the partial archive and
@@ -272,13 +348,11 @@ def compact_fragments(frag_base: str, archive_dir: str,
     (never double-reads: fragment search skips retired entries one by one
     as they land).
 
-    Returns {archive, fragments, rows, resumed}."""
+    Returns {archive, fragments, rows, resumed}, plus ``active`` or
+    ``lost`` (the journal id) when it stood down."""
     import shutil
+    import uuid
 
-    import ray.data as rd
-
-    from clp_core_ray.pipelines.compress import compress
-    from clp_core_ray.stages.encode import DecodeStage
     from clp_core_ray.state import manifest as mf
 
     jdir = os.path.join(frag_base, COMPACTIONS_DIR)
@@ -322,7 +396,7 @@ def compact_fragments(frag_base: str, archive_dir: str,
     out_arch = os.path.join(archive_dir, f"compacted-{cid}")
     jpath = os.path.join(jdir, f"{cid}.json")
     journal = {"id": cid, "fragments": frag_ids, "archive": out_arch,
-               "done": False}
+               "done": False, "owner": uuid.uuid4().hex}
     try:
         # O_EXCL claim (the jobs-table discipline): exactly one compactor
         # wins a given fragment set; the loser stands down
@@ -337,6 +411,26 @@ def compact_fragments(frag_base: str, archive_dir: str,
     if len(fmts) > 1:
         raise ValueError(f"mixed fragment formats in one base: {fmts}")
     fmt = fmts.pop()
+    with _JournalHeartbeat(jpath, lease_s):
+        rows = _build_compacted(fmt, frags, frag_ids, cid, out_arch,
+                                compress_kwargs)
+    if not _owns_journal(jpath, journal["owner"]):
+        return {"archive": None, "fragments": [], "rows": 0,
+                "resumed": bool(resumed), "lost": cid}
+    _finish_retirement(frag_base, journal, jpath)
+    return {"archive": out_arch, "fragments": frag_ids, "rows": rows,
+            "resumed": bool(resumed), "format": fmt}
+
+
+def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
+                     out_arch: str, compress_kwargs: dict) -> int:
+    """Phase 2 of ``compact_fragments``: build the compact archive of
+    ``frags`` at ``out_arch``; returns its row count."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.stages.encode import DecodeStage
+
     if fmt == "inline":
         # transcript fragments: streaming inline decode -> flagship compress
         sinks = [m["sink"] for m in frags]
@@ -390,6 +484,4 @@ def compact_fragments(frag_base: str, archive_dir: str,
         rows = int(sum(info.get("class_counts", {}).values()))
     else:
         raise ValueError(f"unknown fragment format: {fmt}")
-    _finish_retirement(frag_base, journal, jpath)
-    return {"archive": out_arch, "fragments": frag_ids, "rows": rows,
-            "resumed": bool(resumed), "format": fmt}
+    return rows

@@ -15,11 +15,13 @@ pipeline:
       + per-fragment lineage manifests            # checkpoint/resume
 
 Scale notes: the only exchange is the dictionary finalize's id-hash bucket
-merge over the encode tasks' dict deltas; the encode path is per-batch, and
-each task returns a few pre-aggregated stats rows instead of its encoded
-data. Sinks are partitioned parquet (one dir per class), never a single file.
-Fragmented execution (run_fragments) bounds the blast radius of a failure to
-one fragment and makes reruns skip completed work.
+merge over the encode tasks' dict deltas (deltas of at most
+``LOCAL_FINALIZE_BYTES`` merge in the calling process instead); the encode
+path is per-batch, and each task returns a few pre-aggregated stats rows
+instead of its encoded data. Sinks are partitioned parquet (one dir per
+class), never a single file. Fragmented execution (run_fragments) bounds the
+blast radius of a failure to one fragment and makes reruns skip completed
+work.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ class _DeltaWatcher:
     """Overlap dictionary finalize with the sink write: a driver thread polls
     the delta dir and submits pre-dedup Ray tasks for new files as encode
     tasks flush them (atomic rename makes partially-written files
-    invisible). By the time the sink write returns, most of the finalize's
-    read+dedup work is done or in flight — the serial tail is just the
-    per-bucket merge. This converts the finalize from a constant ~2 s of
-    driver time into work that scales with the cluster."""
+    invisible), once at least ``min_batch`` are pending. By the time a large
+    sink write returns, most of the finalize's read+dedup work is done or in
+    flight — the serial tail is just the per-bucket merge. A small write
+    flushes too few files for a batch; the watcher then submits nothing and
+    ``write_archive_dicts`` picks the finalize side from the delta bytes
+    (small inputs merge in process)."""
 
     def __init__(self, delta_dir: str, poll_s: float = 0.25, min_batch: int = 24):
         import threading
@@ -390,7 +394,11 @@ def compress(
     sweep_inprogress(routed_dir)
     t_write = time.time()
     counts_tbl, ts_range = fold_sink_stats(stats)
-    write_archive_dicts(out_dir, delta_dir, prededup_refs=watcher.finish())
+    # a watcher that submitted no phase-1 task leaves the finalize side to
+    # the delta volume; finish() would submit the pending files to Ray
+    dicts = write_archive_dicts(
+        out_dir, delta_dir,
+        prededup_refs=watcher.finish() if watcher.refs else None)
     # the deltas are write scratch: drop them before the archive is measured
     # and committed. A crash before the manifest leaves an uncommitted
     # archive; its rerun re-encodes every row and re-flushes every delta.
@@ -414,6 +422,8 @@ def compress(
             "metrics": {
                 "write_sec": round(t_write - t0, 3),
                 "finalize_sec": round(t_dicts - t_write, 3),
+                "finalize_side": dicts["side"],
+                "dict_input_bytes": dicts["input_bytes"],
                 "rows_per_sec": round(
                     sum(counts_tbl.column("cnt").to_pylist())
                     / max(t_dicts - t0, 1e-9), 1),

@@ -51,8 +51,9 @@ class EncodeStage:
     emitted and appends only *new* entries as small Arrow IPC delta files
     under ``dict_delta_dir`` — CLP's per-archive incremental dictionary flush
     (writer/Archive.cpp:474-478) re-expressed as content-addressed deltas.
-    Finalization dedups the deltas (``write_archive_dicts``, a bucketed
-    merge); duplicate deltas from task retries are harmless.
+    Finalization dedups the deltas (``write_archive_dicts``: in process
+    when they are small, else a bucketed Ray merge); duplicate deltas from
+    task retries are harmless.
     """
 
     def __init__(self, text_col: str = "text", keep_text: bool = False,

@@ -4,7 +4,9 @@ CLP interns strings into per-archive dictionaries with sequential ids
 (VariableDictionaryWriter.cpp:7-37, LogTypeDictionaryWriter.cpp). Here ids are
 content hashes computed inline during encode (no coordination). An
 archive's dictionary tables are built from the encode stage's dict deltas
-(entries new to each task) by one bucketed merge, ``write_archive_dicts``;
+(entries new to each task) by ``write_archive_dicts``: in the calling
+process into one var.dict part when the deltas are small
+(``LOCAL_FINALIZE_BYTES``), else by an N-bucket Ray merge;
 ``logtype_dict``/``var_dict`` derive the same tables from an encoded Dataset
 as a bucketed distinct-value aggregate over per-batch-deduped partials.
 """
@@ -129,6 +131,25 @@ UNIFIED_SCHEMA = pa.schema([("kind", pa.int8()), ("id", pa.int64()),
 
 N_FINALIZE_BUCKETS = 16
 
+#: Largest finalize input, in bytes, that is merged in the calling process
+#: into one var.dict part; above it the finalize is the N-bucket Ray merge.
+#: For compress the input is the dict-delta files (Arrow IPC), for
+#: merge_archives the sources' var.dict/ + logtype.dict.parquet. The Ray
+#: merge costs ``fixed + var/N`` on N CPUs and the local one ``var``, so
+#: local never loses while ``var <= fixed``. Measured on a 1-CPU VM with a
+#: warm Ray (synthetic transcripts, medians of 3 after a warm-up, Ray vs in
+#: process), write_archive_dicts over 0.11 / 0.45 / 1.33 / 2.62 / 4.52 /
+#: 8.14 MB of deltas: 0.100/0.008, 0.140/0.016, 0.223/0.048, 0.389/0.091,
+#: 0.499/0.178, 0.789/0.278 s; merge_archives of one archive with 0.06 /
+#: 0.23 / 0.64 / 1.24 / 2.14 / 3.91 MB of dictionaries: 0.101/0.012,
+#: 0.109/0.019, 0.177/0.046, 0.214/0.062, 0.322/0.121, 0.453/0.238 s.
+#: So fixed is ~0.09 s, and local costs ~0.035 s per MB of deltas and
+#: ~0.06 s per MB of dictionaries; with the Ray merge at its full 16-bucket
+#: width the crossover is ~3.0 MB of deltas and ~1.7 MB of dictionaries.
+#: At 2 MB a delta finalize never loses, a merge loses at most ~0.02 s to a
+#: 16-CPU cluster, and on a single-CPU host local wins at every size.
+LOCAL_FINALIZE_BYTES = 2 << 20
+
 
 def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
                         prededup_refs: list | None = None) -> dict:
@@ -139,35 +160,55 @@ def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
     the class→logtype_ids map is our segment index analogue — search prunes
     sink partitions with it (J4).
 
-    One finalize, a bucketed two-phase merge: ``_prededup_files`` tasks read
-    and dedup the dict-delta files, each returning its rows split into the
-    N id-hash buckets (phase 1), then ``_finalize_dicts_parallel`` merges
-    each bucket (phase 2). ``prededup_refs`` are phase-1 tasks already
-    started (the compress delta watcher submits them during the sink
-    write); without them, phase 1 runs here over the files in ``delta_dir``.
+    Without ``prededup_refs``, dict-delta files in ``delta_dir`` that sum to
+    at most ``LOCAL_FINALIZE_BYTES`` are read and merged in the calling
+    process into one var.dict part (``_finalize_local``), as CLP's
+    DictionaryWriter finalizes in the writing process. Otherwise the
+    finalize is a bucketed two-phase Ray merge: ``_prededup_files`` tasks
+    read and dedup the files, each returning its rows split into the N
+    id-hash buckets (phase 1), then ``_finalize_dicts_parallel`` merges
+    each bucket into its own var.dict part (phase 2). ``prededup_refs`` are
+    phase-1 tasks already started (the compress delta watcher submits them
+    during the sink write) and always take the Ray merge.
+
+    Returns {n_logtypes, classes, side ("local"/"ray"), input_bytes}.
     """
-    if prededup_refs is None:
-        prededup_refs = _submit_prededup(delta_dir)
-    return _finalize_dicts_parallel(out_dir, prededup_refs=prededup_refs)
+    fs, files, nbytes = _delta_files(delta_dir)
+    if prededup_refs is None and nbytes <= LOCAL_FINALIZE_BYTES:
+        info = _finalize_local(out_dir, [_read_delta(p, fs) for p in files])
+        side = "local"
+    else:
+        if prededup_refs is None:
+            prededup_refs = _submit_prededup(fs, files)
+        info = _finalize_dicts_parallel(out_dir, prededup_refs=prededup_refs)
+        side = "ray"
+    return {**info, "side": side, "input_bytes": nbytes}
 
 
-def _submit_prededup(delta_dir: str | None) -> list:
-    """Phase-1 tasks over every dict-delta file in ``delta_dir``, in at most
-    16 file groups."""
-    import ray
+def _delta_files(delta_dir: str | None) -> tuple:
+    """(filesystem, sorted dict-delta paths, their summed bytes) in
+    ``delta_dir``, a local path or a storage URI."""
     from pyarrow import fs as pafs
 
     from clp_core_ray.stages.encode import _resolve_fs
 
     if not delta_dir:
-        return []
+        return None, [], 0
     fs, path = _resolve_fs(delta_dir)
     try:
         infos = fs.get_file_info(pafs.FileSelector(path))
     except FileNotFoundError:
         infos = []
-    files = sorted(i.path for i in infos
-                   if i.type == pafs.FileType.File and i.path.endswith(".arrow"))
+    infos = sorted((i for i in infos if i.type == pafs.FileType.File
+                    and i.path.endswith(".arrow")), key=lambda i: i.path)
+    return fs, [i.path for i in infos], int(sum(i.size for i in infos))
+
+
+def _submit_prededup(fs, files: list) -> list:
+    """Phase-1 tasks over the dict-delta ``files``, in at most 16 file
+    groups."""
+    import ray
+
     task = ray.remote(num_returns=N_FINALIZE_BUCKETS)(_prededup_files)
     return [task.remote(g.tolist(), fs)
             for g in np.array_split(np.array(files), 16) if len(g)]
@@ -314,8 +355,7 @@ def _finalize_dicts_parallel(out_dir: str, prededup_refs: list) -> dict:
     import ray
 
     merge_task = ray.remote(_merge_write_bucket)
-    vdir = os.path.join(out_dir, "var.dict")
-    os.makedirs(vdir, exist_ok=True)
+    vdir = _fresh_var_dict_dir(out_dir)
     lt_refs = [
         merge_task.remote(
             b, os.path.join(vdir, f"part-{b}.parquet"),
@@ -324,6 +364,31 @@ def _finalize_dicts_parallel(out_dir: str, prededup_refs: list) -> dict:
         for b in range(N_FINALIZE_BUCKETS)
     ]
     return _write_logtype_dict(out_dir, pa.concat_tables(ray.get(lt_refs)))
+
+
+def _finalize_local(out_dir: str, tables: list) -> dict:
+    """The finalize in the calling process over unified rows (dict deltas
+    or ``compact._archive_unified_rows``): the one-bucket case of the Ray
+    merge, with its dedup, hash-collision check and writers, into one
+    var.dict part. With no tables (empty input) that part is empty but
+    still carries the var-dict schema."""
+    import os
+
+    vdir = _fresh_var_dict_dir(out_dir)
+    lt = _merge_write_bucket(0, os.path.join(vdir, "part-0.parquet"), *tables)
+    return _write_logtype_dict(out_dir, lt)
+
+
+def _fresh_var_dict_dir(out_dir: str) -> str:
+    """An empty ``<out_dir>/var.dict``: a rerun into the same dir may take
+    the other finalize side, and its parts must not mix with stale ones."""
+    import os
+    import shutil
+
+    vdir = os.path.join(out_dir, "var.dict")
+    shutil.rmtree(vdir, ignore_errors=True)
+    os.makedirs(vdir)
+    return vdir
 
 
 def _write_logtype_dict(out_dir: str, lt: pa.Table) -> dict:

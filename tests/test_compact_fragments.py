@@ -165,6 +165,99 @@ def test_compact_restart_after_precommit_crash(frag_base, monkeypatch):
     assert _cnt(frags, "*compact shard*") == 0
 
 
+def _blocking_compress(monkeypatch, release):
+    """Replace compress so that its first call makes a partial archive dir
+    and waits for ``release``; later calls run the real compress."""
+    import threading
+
+    import clp_core_ray.pipelines.compress as cp
+
+    real = cp.compress
+    started = threading.Event()
+    calls = {"n": 0}
+
+    def blocking(sf, out_dir, *a, **k):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            os.makedirs(out_dir, exist_ok=True)
+            open(os.path.join(out_dir, "partial"), "w").close()
+            started.set()
+            release.wait(60)
+        return real(sf, out_dir, *a, **k)
+
+    monkeypatch.setattr(cp, "compress", blocking)
+    return started
+
+
+def test_compact_lease_outlives_long_build(frag_base, monkeypatch):
+    """A build that runs longer than the lease keeps its journal fresh: a
+    second compactor stands down and leaves the partial archive alone."""
+    import threading
+    import time
+
+    from clp_core_ray.pipelines import compact as cpt
+
+    _, frags, cold = frag_base
+    release = threading.Event()
+    started = _blocking_compress(monkeypatch, release)
+    first = {}
+
+    def run_first():
+        first["res"] = cpt.compact_fragments(frags, cold, lease_s=0.5)
+
+    t = threading.Thread(target=run_first)
+    t.start()
+    try:
+        assert started.wait(60)
+        time.sleep(1.0)  # twice the lease
+        second = {}
+        t2 = threading.Thread(target=lambda: second.update(
+            res=cpt.compact_fragments(frags, cold, lease_s=0.5)))
+        t2.start()
+        t2.join(120)
+        assert not t2.is_alive()
+        res2 = second["res"]
+        assert res2["archive"] is None and res2.get("active")
+        (arch,) = os.listdir(cold)
+        assert os.path.exists(os.path.join(cold, arch, "partial"))
+    finally:
+        release.set()
+        t.join(120)
+    assert not t.is_alive()
+    res = first["res"]
+    assert res["rows"] == 30 and len(res["fragments"]) == 3
+    assert _cnt(res["archive"], "*compact shard*") == 30
+    assert _cnt(frags, "*compact shard*") == 0
+
+
+def test_compact_stands_down_when_journal_lost(frag_base, monkeypatch):
+    """A compactor whose journal disappeared during the build (another
+    compactor took the run over) retires nothing."""
+    import threading
+
+    from clp_core_ray.pipelines import compact as cpt
+
+    _, frags, cold = frag_base
+    release = threading.Event()
+    started = _blocking_compress(monkeypatch, release)
+    out = {}
+    t = threading.Thread(target=lambda: out.update(
+        res=cpt.compact_fragments(frags, cold)))
+    t.start()
+    try:
+        assert started.wait(60)
+        jdir = os.path.join(frags, cpt.COMPACTIONS_DIR)
+        for f in os.listdir(jdir):
+            os.unlink(os.path.join(jdir, f))
+    finally:
+        release.set()
+        t.join(120)
+    assert not t.is_alive()
+    res = out["res"]
+    assert res["archive"] is None and res.get("lost")
+    assert _cnt(frags, "*compact shard*") == 30  # fragments not retired
+
+
 def test_watch_with_compaction_and_catalog(ray_session, tmp_path):
     """The full lifecycle in one daemon: ingest waves -> lull-triggered
     compaction into a CATALOGED cold dir -> multi-archive search over the

@@ -37,16 +37,25 @@ def _dict_state(archive: str):
     return lt_rows, by_class, var_rows
 
 
-def test_finalize_entry_shapes_agree(ray_session, tmp_path, turns):
-    """compress() (watcher refs), the sink stage + write_archive_dicts
+def _var_dict_parts(archive: str) -> int:
+    return len([f for f in os.listdir(os.path.join(archive, "var.dict"))
+                if f.endswith(".parquet")])
+
+
+def _check_entry_shapes(tmp_path, turns, side: str) -> None:
+    """compress() (delta watcher), the sink stage + write_archive_dicts
     without refs, and merge_archives of the first archive all write the
-    same dictionaries."""
+    same dictionaries on the finalize ``side``, which each manifest
+    records; the local side writes one var.dict part, the Ray side one per
+    bucket."""
     import ray.data as rd
 
     from clp_core_ray.pipelines.compact import merge_archives
     from clp_core_ray.pipelines.compress import (SINK_DICT_COLS,
                                                  FusedSinkStage, compress)
-    from clp_core_ray.state.dictionaries import write_archive_dicts
+    from clp_core_ray.state.dictionaries import (N_FINALIZE_BUCKETS,
+                                                 write_archive_dicts)
+    from clp_core_ray.state.manifest import read_manifests
 
     a = str(tmp_path / "a")
     compress(None, a, ds=rd.from_arrow(turns), input_label="a")
@@ -59,7 +68,10 @@ def test_finalize_entry_shapes_agree(ray_session, tmp_path, turns):
                           dict_cols=SINK_DICT_COLS)
     for block in turns.to_batches(max_chunksize=200):
         sink(pa.Table.from_batches([block]))
-    write_archive_dicts(b, delta)
+    info = write_archive_dicts(b, delta)
+    delta_bytes = sum(os.path.getsize(os.path.join(delta, f))
+                      for f in os.listdir(delta))
+    assert info["side"] == side and info["input_bytes"] == delta_bytes > 0
 
     c = str(tmp_path / "c")
     merge_archives([a], c)
@@ -68,6 +80,56 @@ def test_finalize_entry_shapes_agree(ray_session, tmp_path, turns):
     assert want[0] and want[1] and want[2]
     assert _dict_state(b) == want
     assert _dict_state(c) == want
+    parts = 1 if side == "local" else N_FINALIZE_BUCKETS
+    assert [_var_dict_parts(x) for x in (a, b, c)] == [parts] * 3
+
+    (ma,) = read_manifests(a)
+    assert ma["metrics"]["finalize_side"] == side
+    assert ma["metrics"]["dict_input_bytes"] > 0
+    (mc,) = read_manifests(c)
+    assert mc["metrics"]["finalize_side"] == side
+    assert mc["metrics"]["dict_input_bytes"] == (
+        sum(os.path.getsize(os.path.join(a, "var.dict", f))
+            for f in os.listdir(os.path.join(a, "var.dict")))
+        + os.path.getsize(os.path.join(a, "logtype.dict.parquet")))
+    assert mc["metrics"]["finalize_sec"] >= 0
+
+
+def test_finalize_entry_shapes_agree(ray_session, tmp_path, turns):
+    """Small dictionaries finalize in the calling process."""
+    _check_entry_shapes(tmp_path, turns, "local")
+
+
+def test_finalize_entry_shapes_agree_ray_side(ray_session, tmp_path, turns,
+                                              monkeypatch):
+    """Dictionaries above LOCAL_FINALIZE_BYTES take the bucketed Ray merge
+    and write the same entries."""
+    from clp_core_ray.state import dictionaries
+
+    monkeypatch.setattr(dictionaries, "LOCAL_FINALIZE_BYTES", -1)
+    _check_entry_shapes(tmp_path, turns, "ray")
+
+
+def test_local_finalize_detects_id_collision(tmp_path):
+    """Two delta rows with one id and different values fail the local
+    finalize instead of decoding wrong text."""
+    from clp_core_ray.state.dictionaries import (UNIFIED_SCHEMA,
+                                                 write_archive_dicts)
+
+    delta = tmp_path / "dict.deltas"
+    delta.mkdir()
+    for i, value in enumerate(["alpha", "beta"]):
+        t = pa.table({"kind": pa.array([1], pa.int8()),
+                      "id": pa.array([42], pa.int64()),
+                      "value": pa.array([value], pa.large_string()),
+                      "n_vars": pa.array([0], pa.int32()),
+                      "logtype_class": pa.array(["c"], pa.string())},
+                     schema=UNIFIED_SCHEMA)
+        with pa.OSFile(str(delta / f"d{i}.arrow"), "wb") as f, \
+                pa.ipc.new_file(f, t.schema) as w:
+            w.write_table(t)
+    with pytest.raises(ValueError, match="collision"):
+        write_archive_dicts(str(tmp_path / "out"), str(delta))
 
 
 def test_empty_input_archive(ray_session, tmp_path, turns):
@@ -118,9 +180,10 @@ def test_empty_input_archive_search_columns(ray_session, tmp_path, turns):
     assert search_archive_multi(out, ["*", "x"]).count() == 0
 
 
-def test_compress_is_reproducible(ray_session, tmp_path):
+def _check_reproducible(tmp_path) -> int:
     """Compressing one input twice writes byte-identical dictionaries: the
-    logtype dict, the class index and every var.dict part."""
+    logtype dict, the class index and every var.dict part. Returns the
+    number of var.dict parts."""
     import ray.data as rd
 
     from clp_core_ray.pipelines.compress import compress
@@ -144,6 +207,19 @@ def test_compress_is_reproducible(ray_session, tmp_path):
         with open(os.path.join(outs[0], name), "rb") as fa, \
                 open(os.path.join(outs[1], name), "rb") as fb:
             assert fa.read() == fb.read(), name
+    return len(names) - 2
+
+
+def test_compress_is_reproducible(ray_session, tmp_path):
+    assert _check_reproducible(tmp_path) == 1
+
+
+def test_compress_is_reproducible_ray_side(ray_session, tmp_path,
+                                           monkeypatch):
+    from clp_core_ray.state import dictionaries
+
+    monkeypatch.setattr(dictionaries, "LOCAL_FINALIZE_BYTES", -1)
+    assert _check_reproducible(tmp_path) == dictionaries.N_FINALIZE_BUCKETS
 
 
 def test_compress_rerun_after_crash_before_commit(ray_session, tmp_path,
