@@ -1,0 +1,107 @@
+"""Where a stage runs: in the calling process, or as a Ray job.
+
+A Ray Data job (or a fan of Ray tasks) costs about ``fixed + var / N`` on
+N CPUs, where ``fixed`` is the per-job cost of planning, scheduling and
+moving blocks through the object store, and ``var`` the work itself. The
+same work in the calling process costs ``var`` and nothing else, so it
+cannot lose on any CPU count while ``var <= fixed``. Each stage therefore
+has one input-size constant, measured on its own input: at or under it the
+stage runs in process, above it on Ray. :func:`choose` applies that rule;
+``tools/measure_crossover.py`` re-derives every constant on the current
+host (input-size sweep, medians, fixed Ray cost against local seconds per
+MB). The sweeps cited beside the constants ran it on a VM (Intel Xeon,
+pinned to 1 CPU, Ray on 1 CPU, synthetic transcripts, archives in
+/dev/shm): sweep A over 2K-80K turns with medians of 5, sweep B over
+1K-20K turns with medians of 7. There, "fixed" is the median of Ray minus
+local seconds at equal input, "local" the slope of the local seconds per
+MB, and the crossover ``fixed / local``, the largest input at which
+``var <= fixed``.
+
+This module also holds :func:`cluster_cpus`, the one place the package asks
+Ray for the cluster's CPU count.
+"""
+
+from __future__ import annotations
+
+#: Kept sink bytes at or under which a search plan is scanned in the
+#: calling process (pyarrow read + ``_ArchiveScan`` over 32K-row
+#: slices) instead of by a Ray Data job. Measured on a 1-CPU VM with the
+#: worst query kind (``ERROR*timeout``: every class kept, a full decode and
+#: verify) over synthetic transcripts (seed 1, 4K-80K turns = 0.15-2.0 MB
+#: of sinks, medians of 6): the Ray Data path takes 0.09-0.10 s more than
+#: the local one at equal bytes up to 1 MB (its fixed cost), and the local
+#: scan grows by 0.094-0.101 s per MB (its variable cost). The two meet at
+#: 0.9-1.0 MB. Sweep A (0.09-1.92 MB of kept sinks): fixed 0.19 s, local
+#: 0.11 s/MB, crossover 1.75 MB.
+LOCAL_SCAN_BYTES = 1 << 20
+
+#: Largest dictionary finalize input, in bytes, that is merged in the
+#: calling process into one var.dict part; above it the finalize is the
+#: N-bucket Ray merge. For compress the input is the dict-delta files
+#: (Arrow IPC), for merge_archives the sources' var.dict/ +
+#: logtype.dict.parquet. Measured on a 1-CPU VM with a warm Ray (synthetic
+#: transcripts, medians of 3 after a warm-up, Ray vs in process),
+#: write_archive_dicts over 0.11 / 0.45 / 1.33 / 2.62 / 4.52 / 8.14 MB of
+#: deltas: 0.100/0.008, 0.140/0.016, 0.223/0.048, 0.389/0.091,
+#: 0.499/0.178, 0.789/0.278 s; merge_archives of one archive with 0.06 /
+#: 0.23 / 0.64 / 1.24 / 2.14 / 3.91 MB of dictionaries: 0.101/0.012,
+#: 0.109/0.019, 0.177/0.046, 0.214/0.062, 0.322/0.121, 0.453/0.238 s.
+#: So fixed is ~0.09 s, and local costs ~0.035 s per MB of deltas and
+#: ~0.06 s per MB of dictionaries; with the Ray merge at its full 16-bucket
+#: width the crossover is ~3.0 MB of deltas and ~1.7 MB of dictionaries.
+#: At 2 MB a delta finalize never loses, a merge loses at most ~0.02 s to a
+#: 16-CPU cluster, and on a single-CPU host local wins at every size.
+#: Sweep A: deltas of 0.06-1.28 MB fixed 0.19 s, local 0.045 s/MB,
+#: crossover 4.1 MB; merges of 0.03-0.62 MB fixed 0.18 s, local
+#: 0.065 s/MB, crossover 2.8 MB.
+LOCAL_FINALIZE_BYTES = 2 << 20
+
+#: Sink bytes of an archive at or under which ``decompress`` decodes it in
+#: the calling process. Measured on every row column, consumed, with the
+#: one ``rd.from_arrow`` wrap on the local side: Ray/local seconds at
+#: 0.09 / 0.24 / 0.54 / 1.01 / 1.92 MB of sinks were 0.240/0.098,
+#: 0.348/0.127, 0.388/0.141, 0.380/0.216, 0.700/0.447 (sweep A): fixed
+#: 0.22 s, local 0.19 s/MB, crossover 1.17 MB; sweep B: fixed 0.19 s,
+#: local 0.11 s/MB, crossover 1.69 MB. 1 MB sits under both.
+LOCAL_DECODE_BYTES = 1 << 20
+
+#: Sink bytes at or under which ``extract_text_logs`` decodes an archive
+#: and rebuilds its files in the calling process. Both sides rebuild every
+#: file in Python; the Ray side adds a groupby shuffle to the decode job.
+#: Ray/local seconds at 0.07 / 0.09 / 0.14 / 0.23 / 0.33 / 0.53 MB of
+#: sinks were 0.487/0.089, 0.400/0.096, 0.473/0.133, 0.585/0.226,
+#: 1.065/0.430, 1.265/0.797 (sweep B): fixed 0.38 s, local 1.56 s/MB,
+#: crossover 0.24 MB; sweep A: fixed 0.43 s, local 1.21 s/MB, crossover
+#: 0.36 MB. 192 KB sits under both.
+LOCAL_TEXT_EXTRACT_BYTES = 3 << 16
+
+#: Sink bytes at or under which ``extract_ir_chunks`` decodes and
+#: serializes an archive in the calling process. IR serialization
+#: re-encodes every event in Python, so it costs far more per MB than the
+#: decode. Ray/local seconds at 0.07 / 0.09 / 0.14 / 0.24 / 0.34 /
+#: 0.54 MB of sinks were 0.263/0.101, 0.356/0.105, 0.627/0.206,
+#: 0.860/0.593, 1.021/0.522, 1.319/1.479 (sweep B): fixed 0.26 s, local
+#: 2.81 s/MB, crossover 0.09 MB; sweep A: fixed 0.23 s, local 2.15 s/MB,
+#: crossover 0.11 MB. 64 KB sits under both.
+LOCAL_IR_EXTRACT_BYTES = 1 << 16
+
+
+def choose(stage: str, input_bytes: int) -> str:
+    """"local" when ``input_bytes`` is at most ``stage``'s constant
+    ("scan", "finalize", "decode", "text_extract" or "ir_extract"), else
+    "ray"."""
+    limit = {"scan": LOCAL_SCAN_BYTES, "finalize": LOCAL_FINALIZE_BYTES,
+             "decode": LOCAL_DECODE_BYTES,
+             "text_extract": LOCAL_TEXT_EXTRACT_BYTES,
+             "ir_extract": LOCAL_IR_EXTRACT_BYTES}[stage]
+    return "local" if input_bytes <= limit else "ray"
+
+
+def cluster_cpus(default: int = 8) -> int:
+    """The Ray cluster's CPU count; ``default`` when Ray is not initialized
+    or the cluster reports no CPUs."""
+    import ray
+
+    if not ray.is_initialized():
+        return default
+    return int(ray.cluster_resources().get("CPU", default)) or default

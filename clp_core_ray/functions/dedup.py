@@ -13,6 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from clp_core_ray.execution import cluster_cpus
 from clp_core_ray.functions.text import fingerprints, word_shingle_hashes
 
 _SPLITMIX64 = np.uint64(0x9E3779B97F4A7C15)
@@ -217,11 +218,7 @@ def minhash_lsh_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         batch_format="pyarrow",
     ).materialize()
 
-    import ray
-
-    ncpu = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    n_buckets = max(64, 4 * ncpu)
+    n_buckets = max(64, 4 * cluster_cpus())
 
     def add_cbucket(b: pa.Table) -> pa.Table:
         # coarse bucket = hash of (band, band_hash): the shuffle key moves
@@ -389,7 +386,7 @@ def dup_clusters_ds(pairs_ds, max_rounds: int = 20,
 
     from clp_core_ray.pipelines.join import hash_join
 
-    npart = max(4, int(ray.cluster_resources().get("CPU", 8)))
+    npart = max(4, cluster_cpus())
 
     # One repartition+materialize up front: (a) the edge list is re-joined
     # every round — without this the whole upstream pair pipeline (LSH etc.)
@@ -1534,9 +1531,7 @@ def fuzzy_join(left_ds, right_ds, *, threshold: float = 0.5,
     sig_l = sig_side(left_ds, 0)
     sig_r = sig_side(right_ds, 1)
 
-    ncpu = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    n_buckets = max(64, 4 * ncpu)
+    n_buckets = max(64, 4 * cluster_cpus())
 
     def explode(b: pa.Table) -> pa.Table:
         t = _explode_bands(b.select(["doc", "sig"]), "doc")

@@ -572,30 +572,18 @@ def search_ir(paths, query: str, ignore_case: bool = False,
 # ---- Ray integration ---------------------------------------------------------
 
 
-def write_ir(ds, out_dir: str, four_byte: bool = True, ts_col: str = "ts",
-             text_col: str = "text",
-             target_bytes: int | None = None,
-             _test_crash_marker: str | None = None) -> list[str]:
-    """Dataset → IR stream files under out_dir (K8 analogue).
-
-    One file per block by default; ``target_bytes`` (clo's
-    ``--ir-target-size``, default 128 MiB at
-    clo/CommandLineArguments.hpp:187) additionally splits each block into
-    ~target-sized streams at event granularity (split points from the
-    serialized-size estimate: text bytes + per-event framing — each chunk is
-    a self-contained stream with its own preamble/EOF, so size parity is
-    approximate exactly like the reference's roll-after-crossing check).
-    Returns the written paths (accounting is collected via the small
-    per-block result table). ``ts_col`` may be a timestamp or int64-ms
-    column."""
+def ir_block_writer(out_dir: str, four_byte: bool = True, ts_col: str = "ts",
+                    text_col: str = "text", target_bytes: int | None = None,
+                    _test_crash_marker: str | None = None):
+    """The per-block writer of :func:`write_ir`: a callable that writes one
+    block (a table with ``ts_col`` and ``text_col``) to IR stream file(s)
+    under ``out_dir`` and returns their (path, n_events) rows."""
     import os
 
     import numpy as np
     import pyarrow.compute as pc
 
     from clp_core_ray.state.atomic import atomic_write_bytes
-
-    os.makedirs(out_dir, exist_ok=True)
 
     def write_block(batch: pa.Table) -> pa.Table:
         ts = batch.column(ts_col)
@@ -641,6 +629,30 @@ def write_ir(ds, out_dir: str, four_byte: bool = True, ts_col: str = "ts",
         return pa.table({"path": pa.array(out_paths),
                          "n_events": pa.array(out_events, type=pa.int64())})
 
+    return write_block
+
+
+def write_ir(ds, out_dir: str, four_byte: bool = True, ts_col: str = "ts",
+             text_col: str = "text",
+             target_bytes: int | None = None,
+             _test_crash_marker: str | None = None) -> list[str]:
+    """Dataset → IR stream files under out_dir (K8 analogue).
+
+    One file per block by default; ``target_bytes`` (clo's
+    ``--ir-target-size``, default 128 MiB at
+    clo/CommandLineArguments.hpp:187) additionally splits each block into
+    ~target-sized streams at event granularity (split points from the
+    serialized-size estimate: text bytes + per-event framing — each chunk is
+    a self-contained stream with its own preamble/EOF, so size parity is
+    approximate exactly like the reference's roll-after-crossing check).
+    Returns the written paths (accounting is collected via the small
+    per-block result table). ``ts_col`` may be a timestamp or int64-ms
+    column."""
+    import os
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_block = ir_block_writer(out_dir, four_byte, ts_col, text_col,
+                                  target_bytes, _test_crash_marker)
     acct = ds.map_batches(write_block, batch_format="pyarrow").to_pandas()
     # job complete: sweep dead attempts' .inprogress tmps (readers filter on
     # the .clp.ir extension anyway)

@@ -15,8 +15,8 @@ this module adds one, and the repo's content-hash dictionary ids
 - only the dictionaries and the segment indexes (class lists,
   class_logtypes.json) actually merge, through the compress finalize
   (state/dictionaries.py): in process into one var.dict part while the
-  sources' dictionaries total at most ``LOCAL_FINALIZE_BYTES``, else via
-  the 16-way id-hash bucket tasks;
+  sources' dictionaries total at most ``execution.LOCAL_FINALIZE_BYTES``,
+  else via the 16-way id-hash bucket tasks;
 - the lineage manifest records the merged time range and summed class
   counts so multi-archive pruning keeps working over the result.
 
@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from clp_core_ray.state import dictionaries
+from clp_core_ray.execution import choose
 from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.state.dictionaries import (
     N_FINALIZE_BUCKETS,
@@ -152,12 +152,12 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
     dictionaries + segment indexes union through the compress finalize
     (hash-collision check included): in this process into one var.dict
     part when the sources' dictionaries total at most
-    ``LOCAL_FINALIZE_BYTES``, else through the 16-bucket Ray merge, with
-    the links made by Ray tasks alongside. The manifest records the merged
-    time range, summed class counts and the finalize's side, input bytes
-    and seconds. GLT layouts are NOT merged — they are derived state,
-    rebuilt on demand from the merged rows. Returns the manifest info
-    dict."""
+    ``execution.LOCAL_FINALIZE_BYTES``, else through the 16-bucket Ray
+    merge, with the links made by Ray tasks alongside. The manifest records
+    the merged time range, summed class counts and the finalize's side,
+    input bytes and seconds. GLT layouts are NOT merged — they are derived
+    state, rebuilt on demand from the merged rows. Returns the manifest
+    info dict."""
     import time
 
     import ray
@@ -176,7 +176,7 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
     prefixes = [f"a{i:03d}" for i in range(len(archive_dirs))]
     dict_bytes = sum(_dict_bytes(d) for d in archive_dirs)
     t0 = time.time()
-    if dict_bytes <= dictionaries.LOCAL_FINALIZE_BYTES:
+    if choose("finalize", dict_bytes) == "local":
         side = "local"
         _finalize_local(out_dir,
                         [_archive_unified_rows(d) for d in archive_dirs])

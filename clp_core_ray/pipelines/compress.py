@@ -16,12 +16,12 @@ pipeline:
 
 Scale notes: the only exchange is the dictionary finalize's id-hash bucket
 merge over the encode tasks' dict deltas (deltas of at most
-``LOCAL_FINALIZE_BYTES`` merge in the calling process instead); the encode
-path is per-batch, and each task returns a few pre-aggregated stats rows
-instead of its encoded data. Sinks are partitioned parquet (one dir per
-class), never a single file. Fragmented execution (run_fragments) bounds the
-blast radius of a failure to one fragment and makes reruns skip completed
-work.
+``execution.LOCAL_FINALIZE_BYTES`` merge in the calling process instead);
+the encode path is per-batch, and each task returns a few pre-aggregated
+stats rows instead of its encoded data. Sinks are partitioned parquet (one
+dir per class), never a single file. Fragmented execution (run_fragments)
+bounds the blast radius of a failure to one fragment and makes reruns skip
+completed work.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import shutil
 
 import pyarrow as pa
 
+from clp_core_ray.execution import cluster_cpus
 from clp_core_ray.sources.transcripts import read_transcripts, transcripts_path
 from clp_core_ray.stages.encode import DecodeStage, EncodeStage
 from clp_core_ray.stages.enrich import EnrichStage
@@ -338,8 +339,6 @@ def compress(
     """
     import time
 
-    import ray
-
     from clp_core_ray.state.dictionaries import write_archive_dicts
 
     ds_provided = ds is not None
@@ -353,8 +352,7 @@ def compress(
         # (search pays per-file footer+planning cost). The row count comes
         # from parquet footers only.
         expected_rows = _rows_from_footers(transcript_files(sf_dir_or_sf))
-        ncpu = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
+        ncpu = cluster_cpus()
         by_file = expected_rows // FUSED_ROWS_PER_BLOCK or 1
         by_min = expected_rows // FUSED_MIN_ROWS_PER_BLOCK or 1
         ds = read_transcripts(

@@ -5,8 +5,16 @@ columns, decode each message through the dictionaries, and emit text; ordered
 reconstruction is a sort by (conv_id, turn_idx) — the rebuild's analogue of
 clp_s's k-way merge by log_event_idx (JsonConstructor.cpp:63-160).
 
-Dictionaries are loaded once on the driver and broadcast via ray.put (they are
-the small side; CLP likewise loads dicts once per process, clg.cpp:176-199).
+Dictionaries are loaded once per call, as CLP loads them once per process
+(clg.cpp:176-199). An archive decodes on one of two sides, chosen by its
+sink bytes through ``execution.choose``, with one constant per entry point
+(``LOCAL_DECODE_BYTES`` for decompress, ``LOCAL_TEXT_EXTRACT_BYTES`` and
+``LOCAL_IR_EXTRACT_BYTES`` for the extractions). At or under it the
+archive decodes in the calling process, as ``clp x``'s FileDecompressor
+does: pyarrow reads the sinks and the decode stage runs over 32K-row
+slices, with no Ray job. Above it the decode is a Ray Data job with the
+dictionaries broadcast via ray.put. A var dictionary over
+``CLP_DICT_BROADCAST_CAP`` always decodes on Ray, by a partitioned join.
 """
 
 from __future__ import annotations
@@ -18,7 +26,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray.execution import choose
 from clp_core_ray.vec.decoder import decode_batch
+
+_DECODE_BATCH = 32 * 1024  # rows per decode stage call, either side
 
 
 def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
@@ -47,27 +58,30 @@ def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
 
 
 class ArchiveDecodeStage:
-    """Stateless-task decode for compact archives (T3): the dictionaries
-    ride a plasma ref inside the pickled instance and each task resolves it
-    lazily on first batch — a zero-copy ``ray.get`` of Arrow tables. This
-    lets the streaming executor fuse read → decode into ONE task per block;
-    an actor pool here would de-fuse the chain and ship every encoded block
-    through the object store to reach the actor (measured 2× wall on the
-    compress side for the same pattern).
+    """Decode for compact archives (T3): resolves logtype templates by id,
+    then decodes encoded_vars through the var dictionary.
 
-    Resolves logtype templates by id, then decodes encoded_vars through the
-    broadcast var dictionary.
+    ``dicts`` is the ``load_dicts`` pair itself when the stage runs in the
+    calling process, or a plasma ref to it inside a Ray task, resolved
+    lazily on the first batch — a zero-copy ``ray.get`` of Arrow tables.
+    Stateless tasks let the streaming executor fuse read → decode into ONE
+    task per block; an actor pool here would de-fuse the chain and ship
+    every encoded block through the object store to reach the actor
+    (measured 2× wall on the compress side for the same pattern).
     """
 
-    def __init__(self, dicts_ref, out_col: str = "text"):
-        self.dicts_ref = dicts_ref
+    def __init__(self, dicts, out_col: str = "text"):
+        self.dicts = dicts
         self.out_col = out_col
         self._loaded = False
 
     def _load(self):
-        import ray
+        if isinstance(self.dicts, tuple):
+            ldict, vdict = self.dicts
+        else:
+            import ray
 
-        ldict, vdict = ray.get(self.dicts_ref)
+            ldict, vdict = ray.get(self.dicts)
         self.lt_ids = ldict.column("logtype_id").combine_chunks()
         self.lt_values = ldict.column("logtype").combine_chunks()
         self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
@@ -112,14 +126,19 @@ def _vardict_uncompressed_bytes(archive_dir: str) -> int:
     return total
 
 
+def _sink_files(routed: str) -> list[str]:
+    """Every sink file under ``routed``, sorted. *.parquet only: a dead
+    task attempt's *.inprogress tmp (swept by compress(), but a reader may
+    race a crashed job) must never reach the parquet reader."""
+    return sorted(os.path.join(root, f) for root, _, files in os.walk(routed)
+                  for f in files if f.endswith(".parquet"))
+
+
 def first_parquet(routed: str) -> str | None:
     """The first sink file under ``routed`` (it carries the archive's sink
     schema), or None when the archive holds no sink file."""
-    for root, _, files in os.walk(routed):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                return os.path.join(root, f)
-    return None
+    files = _sink_files(routed)
+    return files[0] if files else None
 
 
 #: Column types of the transcript row model, for the 0-row result of an
@@ -131,41 +150,83 @@ _ROW_TYPES = {"conv_id": pa.string(), "turn_idx": pa.int32(),
 
 def decompress(archive_dir: str, columns=("conv_id", "turn_idx"), ordered: bool = False,
                prefilter=None):
-    """Dataset[(…columns, text)] reconstructed from the archive.
+    """Dataset[(…columns, text)] reconstructed from the archive; an archive
+    decoded in process comes back as one ``rd.from_arrow`` block.
 
     ``prefilter`` (batch→batch over the raw encoded rows) runs BEFORE the
     decode stage, so callers that only need a row subset (e.g. context
     extraction around search matches) never pay decode for pruned rows."""
+    import ray.data as rd
+
+    out = _decode(archive_dir, columns, ordered, prefilter)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+
+
+def _decode(archive_dir: str, columns, ordered: bool = False, prefilter=None,
+            stage: str = "decode"):
+    """The archive's rows as (…columns, text): a ``pa.Table`` decoded in
+    this process when ``execution.choose(stage, sink bytes)`` says so and
+    the var dict is under the broadcast cap, else a lazy Ray Dataset."""
+    files = _sink_files(os.path.join(archive_dir, "routed"))
+    if not files:  # an empty input wrote no sink file
+        return pa.schema(
+            [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
+        ).empty_table()
+    need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
+    inline = "dict_vars" in pq.ParquetFile(files[0]).schema_arrow.names
+    if inline:  # non-compact archive: decode inline
+        need.append("dict_vars")
+        need.append("logtype")  # DecodeStage resolves templates from the row
+    over_cap = (not inline and _vardict_uncompressed_bytes(archive_dir)
+                > _dict_broadcast_cap())
+    if not over_cap and choose(
+            stage, sum(os.path.getsize(f) for f in files)) == "local":
+        return _decode_local(archive_dir, files, need, inline, columns,
+                             ordered, prefilter)
+    return _decode_ray(archive_dir, need, inline, over_cap, columns,
+                       ordered, prefilter)
+
+
+def _decode_local(archive_dir: str, files: list[str], need: list[str],
+                  inline: bool, columns, ordered: bool,
+                  prefilter) -> pa.Table:
+    """Decode in the calling process: pyarrow reads the sinks, then
+    ``prefilter`` and the decode stage run over 32K-row slices."""
+    from clp_core_ray.stages.encode import DecodeStage
+
+    stage = (DecodeStage(out_col="text") if inline
+             else ArchiveDecodeStage(load_dicts(archive_dir)))
+    t = pa.concat_tables(
+        (pq.read_table(f, columns=need, partitioning=None) for f in files),
+        promote_options="permissive").combine_chunks()
+    keep = [*columns, "text"]
+    parts = []
+    # one slice even of 0 rows: its decode gives the output schema
+    for o in range(0, t.num_rows or 1, _DECODE_BATCH):
+        b = t.slice(o, _DECODE_BATCH)
+        if prefilter is not None:
+            b = prefilter(b)
+        parts.append(stage(b).select(keep))
+    out = pa.concat_tables(parts)
+    return out.sort_by([(c, "ascending") for c in columns]) if ordered else out
+
+
+def _decode_ray(archive_dir: str, need: list[str], inline: bool,
+                over_cap: bool, columns, ordered: bool, prefilter):
+    """Decode as a Ray Data job → lazy Dataset: the dictionaries broadcast
+    via ray.put, or, over the broadcast cap, the partitioned join."""
     import ray
     import ray.data as rd
 
-    routed = os.path.join(archive_dir, "routed")
-    first_file = first_parquet(routed)
-    if first_file is None:  # an empty input wrote no sink file
-        return rd.from_arrow(pa.schema(
-            [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
-        ).empty_table())
-    need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
-    first = pq.ParquetFile(first_file).schema_arrow.names
-    if "dict_vars" in first:  # non-compact archive: decode inline
-        need.append("dict_vars")
-        need.append("logtype")  # DecodeStage resolves templates from the row
-    over_cap = ("dict_vars" not in need
-                and _vardict_uncompressed_bytes(archive_dir)
-                > _dict_broadcast_cap())
     if over_cap:
         # join keys for the partitioned fallback ride the read
         need += [c for c in ("conv_id", "turn_idx") if c not in need]
-    else:
-        dicts_ref = ray.put(load_dicts(archive_dir))
-    # *.parquet only: a dead task attempt's *.inprogress tmp (swept by
-    # compress(), but a reader may race a crashed job) must never reach the
-    # parquet reader
-    ds = rd.read_parquet(routed, columns=need, file_extensions=["parquet"])
+    ds = rd.read_parquet(os.path.join(archive_dir, "routed"), columns=need,
+                         file_extensions=["parquet"])
     if prefilter is not None:
         ds = ds.map_batches(prefilter, batch_format="pyarrow")
 
-    if "dict_vars" in first:
+    if inline:
         from clp_core_ray.stages.encode import DecodeStage
 
         out = ds.map_batches(DecodeStage(out_col="text"), batch_format="pyarrow")
@@ -173,9 +234,9 @@ def decompress(archive_dir: str, columns=("conv_id", "turn_idx"), ordered: bool 
         out = _decode_partitioned(ds, archive_dir)
     else:
         out = ds.map_batches(
-            ArchiveDecodeStage(dicts_ref),
+            ArchiveDecodeStage(ray.put(load_dicts(archive_dir))),
             batch_format="pyarrow",
-            batch_size=32 * 1024,
+            batch_size=_DECODE_BATCH,
         )
     out = out.map_batches(
         lambda b: b.select(list(columns) + ["text"]), batch_format="pyarrow"
@@ -365,80 +426,92 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     consumes archives as IR chunks, not text).
 
     Composition of the two existing stages: decode the archive's encoded
-    columns back to (ts, text), then serialize each block as one IR stream
-    via ``ir.write_ir``; one chunk per block keeps the extraction streaming
-    (no per-archive materialization). Returns the chunk paths.
+    columns back to (ts, text), then serialize with ``ir.write_ir``'s block
+    writer. An archive of at most ``execution.LOCAL_IR_EXTRACT_BYTES`` of
+    sinks is decoded and serialized in process as one block; on Ray each
+    block is one chunk, which keeps the extraction streaming (no
+    per-archive materialization). Returns the chunk paths.
     """
-    from clp_core_ray.ir import write_ir
+    from clp_core_ray.ir import ir_block_writer, write_ir
 
-    ds = decompress(archive_dir, columns=("ts",))
-    return write_ir(ds, out_dir, four_byte=four_byte, ts_col="ts",
-                    target_bytes=target_bytes)
+    dec = _decode(archive_dir, ("ts",), stage="ir_extract")
+    if not isinstance(dec, pa.Table):
+        return write_ir(dec, out_dir, four_byte=four_byte, ts_col="ts",
+                        target_bytes=target_bytes)
+    os.makedirs(out_dir, exist_ok=True)
+    write_block = ir_block_writer(out_dir, four_byte, "ts", "text",
+                                  target_bytes)
+    return sorted(write_block(dec).column("path").to_pylist())
+
+
+def _write_log_files(g: pa.Table, out_dir: str) -> list[str]:
+    """Rebuild every source file whose messages ``g`` holds (all of them:
+    a file's rows never span two groups) into ``out_dir`` → the written
+    paths."""
+    from clp_core_ray.sources.textlog import reconstruct_file_text
+
+    if g.num_rows == 0:
+        return []
+    paths_out = []
+    ids = g.column("conv_id").combine_chunks()
+    codes = np.asarray(ids.dictionary_encode().indices, dtype=np.int64)
+    order = np.lexsort((np.asarray(g.column("turn_idx")), codes))
+    cs = codes[order]
+    starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
+    ends = np.append(starts[1:], len(cs))
+    ts_ms = pc.cast(pc.cast(g.column("ts"), pa.timestamp("ms"), safe=False),
+                    pa.int64())
+    for s, e in zip(starts, ends):
+        idx = pa.array(order[s:e], type=pa.int64())
+        src_path = ids[order[s]].as_py()
+        sub = pa.table({
+            "path": pa.array([src_path] * (e - s)),
+            "msg_idx": g.column("turn_idx").take(idx).cast(pa.int64()),
+            "ts_ms": ts_ms.take(idx),
+            "pattern_id": g.column("pattern_id").take(idx),
+            "ts_begin": g.column("ts_begin").take(idx),
+            "content": g.column("text").take(idx),
+        })
+        name = src_path.replace("/", "_").lstrip("_")
+        dst = os.path.join(out_dir, name)
+        txt = reconstruct_file_text(sub)
+        if g.column("eof_nl")[order[s]].as_py():
+            txt += "\n"
+        with open(dst, "w") as f:
+            f.write(txt)
+        paths_out.append(dst)
+    return paths_out
 
 
 def extract_text_logs(archive_dir: str, out_dir: str) -> list[str]:
     """Reconstruct original log FILES from an archive written by
     ``compress_text_logs`` — `clp x` (FileDecompressor.cpp:9-76): decode
     each message, re-insert its timestamp with the original pattern, join
-    in message order, one output file per input file. File assembly runs
-    distributed (one map_groups task per file-hash bucket writes its files
-    to shared storage); returns the written paths."""
-    import os
-
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from clp_core_ray.sources.textlog import reconstruct_file_text
-
+    in message order, one output file per input file. An archive decoded
+    in process is assembled straight from the decoded table; on Ray, file
+    assembly runs distributed (one map_groups task per file-hash bucket
+    writes its files to shared storage). Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    dec = decompress(
+    dec = _decode(
         archive_dir,
-        columns=("conv_id", "turn_idx", "ts", "pattern_id", "ts_begin",
-                 "eof_nl"),
+        ("conv_id", "turn_idx", "ts", "pattern_id", "ts_begin", "eof_nl"),
+        stage="text_extract",
     )
+    if isinstance(dec, pa.Table):
+        return sorted(_write_log_files(dec, out_dir))
 
+    from clp_core_ray.pipelines.temporal import _key_and_bucket
     from clp_core_ray.pipelines.windows import scaled_buckets
 
     nb = scaled_buckets()
 
     def bucket(b):
-        from clp_core_ray.pipelines.temporal import _key_and_bucket
-
         _, bk = _key_and_bucket(b.column("conv_id"), nb)
         return b.append_column("_bucket", bk)
 
-    def write_files(g) -> "object":
-        import pyarrow as pa
-
-        paths_out = []
-        ids = g.column("conv_id").combine_chunks()
-        codes = np.asarray(ids.dictionary_encode().indices, dtype=np.int64)
-        order = np.lexsort((np.asarray(g.column("turn_idx")), codes))
-        cs = codes[order]
-        starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
-        ends = np.append(starts[1:], len(cs))
-        ts_ms = pc.cast(pc.cast(g.column("ts"), pa.timestamp("ms"), safe=False),
-                        pa.int64())
-        for s, e in zip(starts, ends):
-            idx = pa.array(order[s:e], type=pa.int64())
-            src_path = ids[order[s]].as_py()
-            sub = pa.table({
-                "path": pa.array([src_path] * (e - s)),
-                "msg_idx": g.column("turn_idx").take(idx).cast(pa.int64()),
-                "ts_ms": ts_ms.take(idx),
-                "pattern_id": g.column("pattern_id").take(idx),
-                "ts_begin": g.column("ts_begin").take(idx),
-                "content": g.column("text").take(idx),
-            })
-            name = src_path.replace("/", "_").lstrip("_")
-            dst = os.path.join(out_dir, name)
-            txt = reconstruct_file_text(sub)
-            if g.column("eof_nl")[order[s]].as_py():
-                txt += "\n"
-            with open(dst, "w") as f:
-                f.write(txt)
-            paths_out.append(dst)
-        return pa.table({"path": pa.array(paths_out, type=pa.large_string())})
+    def write_files(g: pa.Table) -> pa.Table:
+        return pa.table({"path": pa.array(_write_log_files(g, out_dir),
+                                          type=pa.large_string())})
 
     acct = (dec.map_batches(bucket, batch_format="pyarrow")
             .groupby("_bucket").map_groups(write_files, batch_format="pyarrow"))

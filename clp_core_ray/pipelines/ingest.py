@@ -44,6 +44,7 @@ import glob as _glob
 import os
 import socket
 import time
+import uuid
 
 from clp_core_ray.state import jobs as jb
 from clp_core_ray.state import manifest as mf
@@ -59,7 +60,9 @@ DEFAULT_PATTERNS = {"transcripts": "*.parquet", "ndjson": "*.ndjson",
 
 
 def _default_owner() -> str:
-    return f"{socket.gethostname()}:{os.getpid()}"
+    """``host:pid:nonce``, new on every call: the threads of one process
+    (and successive polls) are distinct claim owners."""
+    return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:12]}"
 
 
 def run_one_ndjson_fragment(frag: str, paths: list[str],

@@ -60,9 +60,9 @@ def hash_join(left_ds, right_ds, left_on: str, right_on: str,
     ``num_partitions`` defaults to the cluster CPU count — one aggregator
     partition per core; raise it when either side exceeds memory per core.
     """
-    import ray
+    from clp_core_ray.execution import cluster_cpus
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) or 8
+    ncpu = cluster_cpus()
     if num_partitions is None:
         num_partitions = max(4, ncpu)
     # fractional CPUs for the shuffle aggregators so a partition count near

@@ -375,17 +375,45 @@ def clp_reducer_pipeline(sf_dir: str):
     return red.run_reducer(read_transcripts(sf_dir), "role", ops)
 
 
+#: Package sources that decide an archive's bytes (encode, dictionary
+#: finalize, sink, manifest, the synthetic input): the clp queries' cached
+#: archives are keyed by their fingerprint, so a sweep never reads an
+#: archive that other code built.
+_ARCHIVE_SOURCES = (
+    "encoding.py", "execution.py", "sources/transcripts.py",
+    "stages/encode.py", "stages/enrich.py", "stages/route.py",
+    "vec/tokenizer.py", "state/atomic.py", "state/dictionaries.py",
+    "state/manifest.py", "pipelines/compress.py", "pipelines/compact.py",
+)
+
+
+def _archive_code_fingerprint() -> str:
+    import hashlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for rel in _ARCHIVE_SOURCES:
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(rel.encode() + b"\0" + f.read())
+    return h.hexdigest()[:12]
+
+
+def _cached_archive(name: str, sf_dir: str) -> str:
+    """Cache dir of archive ``name`` for the scale of ``sf_dir``, keyed by
+    the fingerprint of the code that builds it."""
+    from clp_core_ray.sources.transcripts import sf_of_dir
+
+    return (f"/tmp/clp_core_ray_data/{name}_sf{sf_of_dir(sf_dir)}"
+            f"_{_archive_code_fingerprint()}")
+
+
 def _archive_dir(sf_dir: str) -> str:
     """Compress once per scale into a cached archive dir (CLP: search reads
     what compression wrote)."""
-    import os
-
     from clp_core_ray.pipelines.compress import compress
-    from clp_core_ray.sources.transcripts import sf_of_dir
     from clp_core_ray.state.manifest import completed_fragments
 
-    sf = sf_of_dir(sf_dir)
-    out = f"/tmp/clp_core_ray_data/archive_sf{sf}"
+    out = _cached_archive("archive", sf_dir)
     if "full" not in completed_fragments(out):
         compress(sf_dir, out)
     return out
@@ -394,7 +422,7 @@ def _archive_dir(sf_dir: str) -> str:
 def _multi_archive_dir(sf_dir: str) -> str:
     """Two self-contained archives (own dicts) from the input's file halves —
     CLP's archive-per-input-group model (clp/compression.cpp:133-163) — under
-    one base dir, cached per scale."""
+    one base dir, cached per scale and archive code fingerprint."""
     import ray.data as rd
 
     from clp_core_ray.pipelines.compress import compress
@@ -402,7 +430,7 @@ def _multi_archive_dir(sf_dir: str) -> str:
     from clp_core_ray.state.manifest import completed_fragments
 
     sf = sf_of_dir(sf_dir)
-    base = f"/tmp/clp_core_ray_data/multi_archive_sf{sf}"
+    base = _cached_archive("multi_archive", sf_dir)
     files = transcript_files(sf)
     halves = [files[0::2], files[1::2]] if len(files) > 1 else [files]
     for i, part in enumerate(halves):
@@ -480,11 +508,10 @@ def clp_merge_roundtrip(sf_dir: str):
     need no remap) decompress to every original turn."""
     from clp_core_ray.pipelines.compact import merge_archives
     from clp_core_ray.pipelines.decompress import decompress
-    from clp_core_ray.sources.transcripts import sf_of_dir
     from clp_core_ray.state.manifest import completed_fragments
 
     base = _multi_archive_dir(sf_dir)
-    out = f"/tmp/clp_core_ray_data/merged_archive_sf{sf_of_dir(sf_dir)}"
+    out = _cached_archive("merged_archive", sf_dir)
     if "merge" not in completed_fragments(out):
         merge_archives(
             [os.path.join(base, d) for d in sorted(os.listdir(base))
@@ -1832,11 +1859,9 @@ def docs_fingerprint(sf_dir: str):
     # coarse-bucket shuffle + vectorized run labeling: one Python call per
     # bucket (O(CPUs) of them), not per distinct fingerprint — at corpus
     # scale a per-group callback would dominate the stage
-    import ray as _ray
+    from clp_core_ray.execution import cluster_cpus
 
-    ncpu = (int(_ray.cluster_resources().get("CPU", 8))
-            if _ray.is_initialized() else 8)
-    nb = max(64, 4 * ncpu)
+    nb = max(64, 4 * cluster_cpus())
 
     def add_bucket(b: pa.Table) -> pa.Table:
         h = np.asarray(b.column("fingerprint"), dtype=np.uint64)

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from clp_core_ray.execution import choose
+
 
 def wildcard_to_regex(pattern: str, full_match: bool = True) -> str:
     """CLP wildcard (* = any run, ? = any char) → anchored regex.
@@ -254,19 +256,6 @@ def _probe_var_dict(vfiles: list, query: str, ignore_case: bool):
         return pq.read_table(vfiles[0]).slice(0, 0)
     return pa.concat_tables(hits)
 
-
-#: Kept sink bytes at or under which a search plan is scanned in the
-#: calling process (pyarrow read + :class:`_ArchiveScan` over 32K-row
-#: slices) instead of by a Ray Data job. The Ray Data path costs about
-#: ``fixed + var / N`` on N CPUs and the local path ``var``, so the local
-#: path cannot lose on any CPU count while ``var <= fixed``. Measured on a
-#: 1-CPU VM with the worst query kind (``ERROR*timeout``: every class
-#: kept, a full decode and verify) over synthetic transcripts (seed 1,
-#: 4K-80K turns = 0.15-2.0 MB of sinks, medians of 6): the Ray Data path
-#: takes 0.09-0.10 s more than the local one at equal bytes up to 1 MB
-#: (its fixed cost), and the local scan grows by 0.094-0.101 s per MB
-#: (its variable cost). The two meet at 0.9-1.0 MB.
-_LOCAL_SCAN_BYTES = 1 << 20
 
 _SCAN_BATCH = 32 * 1024  # rows per _ArchiveScan call, either side
 
@@ -744,12 +733,12 @@ def _scan_ray(plan: _Plan):
 def _run_plans(plans: list, empty: pa.Table):
     """Run search plans → one match Dataset, in plan order. The choice of
     side is made once, on the plans' summed kept bytes: at most
-    :data:`_LOCAL_SCAN_BYTES` scans in this process, more fans out to
+    ``execution.LOCAL_SCAN_BYTES`` scans in this process, more fans out to
     Ray Data (so many small archives still scan in parallel)."""
     import ray.data as rd
 
     plans = [p for p in plans if p.files]
-    if sum(p.nbytes for p in plans) > _LOCAL_SCAN_BYTES:
+    if choose("scan", sum(p.nbytes for p in plans)) == "ray":
         return _union([_scan_ray(p) for p in plans], empty)
     parts = [t for p in plans for t in _scan_local(p)]
     return rd.from_arrow(pa.concat_tables(parts, promote_options="permissive")

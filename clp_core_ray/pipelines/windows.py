@@ -31,11 +31,9 @@ def scaled_buckets(minimum: int = N_BUCKETS, per_cpu: int = 4) -> int:
     scaling with CPUs keeps per-bucket bytes roughly constant as the cluster
     (and with it the corpus a job is sized for) grows, and gives the
     streaming executor enough groups to keep every slot busy."""
-    import ray
+    from clp_core_ray.execution import cluster_cpus
 
-    ncpu = (int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8)
-    return max(minimum, per_cpu * ncpu)
+    return max(minimum, per_cpu * cluster_cpus())
 
 
 def _add_bucket_fn(num_buckets: int):

@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from clp_core_ray.execution import cluster_cpus
+
 SEED = 42
 TURNS_PER_SF = 6_000_000  # sf0.1 → 600k turns
 CACHE_DIR = "/tmp/clp_core_ray_data"
@@ -208,11 +210,10 @@ def read_transcripts(sf_dir_or_sf: str | float, seed: int = SEED, **read_kwargs)
     - too many blocks → blocks shrink below one encode batch and per-task
       overhead dominates; floor at 2×ENCODE_BATCH_SIZE rows per block.
     """
-    import ray
     import ray.data as rd
 
     if "override_num_blocks" not in read_kwargs:
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+        ncpu = cluster_cpus()
         sf = sf_of_dir(sf_dir_or_sf) if isinstance(sf_dir_or_sf, str) else float(sf_dir_or_sf)
         n = n_turns_for_sf(sf)
         by_rows = n // (2 * 16 * 1024)  # ≥2 encode batches per block

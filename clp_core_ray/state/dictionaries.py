@@ -6,7 +6,7 @@ content hashes computed inline during encode (no coordination). An
 archive's dictionary tables are built from the encode stage's dict deltas
 (entries new to each task) by ``write_archive_dicts``: in the calling
 process into one var.dict part when the deltas are small
-(``LOCAL_FINALIZE_BYTES``), else by an N-bucket Ray merge;
+(``execution.LOCAL_FINALIZE_BYTES``), else by an N-bucket Ray merge;
 ``logtype_dict``/``var_dict`` derive the same tables from an encoded Dataset
 as a bucketed distinct-value aggregate over per-batch-deduped partials.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from clp_core_ray.execution import choose
 from clp_core_ray.vec.tokenizer import _fnv1a64_tokens, _string_buffers
 
 
@@ -131,25 +132,6 @@ UNIFIED_SCHEMA = pa.schema([("kind", pa.int8()), ("id", pa.int64()),
 
 N_FINALIZE_BUCKETS = 16
 
-#: Largest finalize input, in bytes, that is merged in the calling process
-#: into one var.dict part; above it the finalize is the N-bucket Ray merge.
-#: For compress the input is the dict-delta files (Arrow IPC), for
-#: merge_archives the sources' var.dict/ + logtype.dict.parquet. The Ray
-#: merge costs ``fixed + var/N`` on N CPUs and the local one ``var``, so
-#: local never loses while ``var <= fixed``. Measured on a 1-CPU VM with a
-#: warm Ray (synthetic transcripts, medians of 3 after a warm-up, Ray vs in
-#: process), write_archive_dicts over 0.11 / 0.45 / 1.33 / 2.62 / 4.52 /
-#: 8.14 MB of deltas: 0.100/0.008, 0.140/0.016, 0.223/0.048, 0.389/0.091,
-#: 0.499/0.178, 0.789/0.278 s; merge_archives of one archive with 0.06 /
-#: 0.23 / 0.64 / 1.24 / 2.14 / 3.91 MB of dictionaries: 0.101/0.012,
-#: 0.109/0.019, 0.177/0.046, 0.214/0.062, 0.322/0.121, 0.453/0.238 s.
-#: So fixed is ~0.09 s, and local costs ~0.035 s per MB of deltas and
-#: ~0.06 s per MB of dictionaries; with the Ray merge at its full 16-bucket
-#: width the crossover is ~3.0 MB of deltas and ~1.7 MB of dictionaries.
-#: At 2 MB a delta finalize never loses, a merge loses at most ~0.02 s to a
-#: 16-CPU cluster, and on a single-CPU host local wins at every size.
-LOCAL_FINALIZE_BYTES = 2 << 20
-
 
 def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
                         prededup_refs: list | None = None) -> dict:
@@ -161,8 +143,8 @@ def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
     sink partitions with it (J4).
 
     Without ``prededup_refs``, dict-delta files in ``delta_dir`` that sum to
-    at most ``LOCAL_FINALIZE_BYTES`` are read and merged in the calling
-    process into one var.dict part (``_finalize_local``), as CLP's
+    at most ``execution.LOCAL_FINALIZE_BYTES`` are read and merged in the
+    calling process into one var.dict part (``_finalize_local``), as CLP's
     DictionaryWriter finalizes in the writing process. Otherwise the
     finalize is a bucketed two-phase Ray merge: ``_prededup_files`` tasks
     read and dedup the files, each returning its rows split into the N
@@ -174,7 +156,7 @@ def write_archive_dicts(out_dir: str, delta_dir: str | None = None,
     Returns {n_logtypes, classes, side ("local"/"ray"), input_bytes}.
     """
     fs, files, nbytes = _delta_files(delta_dir)
-    if prededup_refs is None and nbytes <= LOCAL_FINALIZE_BYTES:
+    if prededup_refs is None and choose("finalize", nbytes) == "local":
         info = _finalize_local(out_dir, [_read_delta(p, fs) for p in files])
         side = "local"
     else:

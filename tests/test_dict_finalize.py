@@ -104,9 +104,9 @@ def test_finalize_entry_shapes_agree_ray_side(ray_session, tmp_path, turns,
                                               monkeypatch):
     """Dictionaries above LOCAL_FINALIZE_BYTES take the bucketed Ray merge
     and write the same entries."""
-    from clp_core_ray.state import dictionaries
+    from clp_core_ray import execution
 
-    monkeypatch.setattr(dictionaries, "LOCAL_FINALIZE_BYTES", -1)
+    monkeypatch.setattr(execution, "LOCAL_FINALIZE_BYTES", -1)
     _check_entry_shapes(tmp_path, turns, "ray")
 
 
@@ -216,9 +216,10 @@ def test_compress_is_reproducible(ray_session, tmp_path):
 
 def test_compress_is_reproducible_ray_side(ray_session, tmp_path,
                                            monkeypatch):
+    from clp_core_ray import execution
     from clp_core_ray.state import dictionaries
 
-    monkeypatch.setattr(dictionaries, "LOCAL_FINALIZE_BYTES", -1)
+    monkeypatch.setattr(execution, "LOCAL_FINALIZE_BYTES", -1)
     assert _check_reproducible(tmp_path) == dictionaries.N_FINALIZE_BUCKETS
 
 

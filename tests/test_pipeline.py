@@ -11,6 +11,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from clp_core_ray import execution
+
 SF = 0.0005  # ~3000 turns — small but multi-fragment
 
 
@@ -642,7 +644,7 @@ def test_multi_query_search_equals_singles(ray_session, tiny_transcripts,
                         lambda plan: ray_plans.append(plan)
                         or real_scan_ray(plan))
     if ray_scan:
-        monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", 0)
+        monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", 0)
     out = str(tmp_path / "arch_multi")
     compress(SF, out, compact=compact)
     full = pa.concat_tables(
@@ -760,8 +762,8 @@ def test_search_archives_over_local_limit_fans_out(ray_session, tmp_path,
     query, queries = "ERROR*timeout", ["ERROR*timeout", "*latency*"]
     sizes = [search_mod._search_plan(d, [query], False).nbytes for d in dirs]
     assert min(sizes) > 0
-    monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", max(sizes))
-    assert sum(sizes) > search_mod._LOCAL_SCAN_BYTES
+    monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", max(sizes))
+    assert sum(sizes) > execution.LOCAL_SCAN_BYTES
 
     ray_plans = []
     real_scan_ray = search_mod._scan_ray
@@ -828,7 +830,7 @@ def test_search_after_ray_restart(ray_session, tmp_path, monkeypatch):
              ignore_reinit_error=True)
     assert _match_keys(search_mod.search_archive(out, "ERROR*timeout")) \
         == before
-    monkeypatch.setattr(search_mod, "_LOCAL_SCAN_BYTES", 0)
+    monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", 0)
     assert _match_keys(search_mod.search_archive(out, "ERROR*timeout")) \
         == before
 

@@ -179,6 +179,55 @@ def test_lease_expiry_takeover(ray_session, tmp_path):
     assert _total_rows(out) == 8
 
 
+def test_default_owner_is_per_call(ray_session, tmp_path, monkeypatch):
+    """Two threads of one process get distinct default claim owners, and a
+    poll in one thread skips the live claim another thread holds instead
+    of taking it over."""
+    from clp_core_ray.pipelines import compress as cmod
+    from clp_core_ray.pipelines import ingest
+    from clp_core_ray.state import jobs as jb
+
+    owners = []
+    threads = [threading.Thread(
+        target=lambda: owners.append(ingest._default_owner()))
+        for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(set(owners)) == 2
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    _shard(indir, 0)
+    out = str(tmp_path / "arch")
+    frag = "shard-0000"
+    started, release, ran = threading.Event(), threading.Event(), []
+
+    def runner(frag_id, files, out_dir):
+        ran.append(frag_id)
+        started.set()
+        assert release.wait(60)
+        return 0
+
+    monkeypatch.setattr(cmod, "run_one_fragment", runner)
+    res = {}
+    holder = threading.Thread(
+        target=lambda: res.update(a=ingest.poll(str(indir), out)))
+    holder.start()
+    try:
+        assert started.wait(60)
+        claim = jb.read_jobs(out)[frag]["owner"]
+        other = ingest.poll(str(indir), out)
+        assert other["done"] == [] and other["skipped_active"] == 1
+        assert jb.read_jobs(out)[frag]["owner"] == claim
+    finally:
+        release.set()
+        holder.join()
+    assert res["a"]["done"] == [frag] and ran == [frag]
+    assert jb.read_jobs(out)[frag]["owner"] == claim
+
+
 def test_watch_loop_drains_and_exits(ray_session, tmp_path):
     from clp_core_ray.pipelines import ingest
 

@@ -1,18 +1,20 @@
 """Driver-style correctness sweep: run every queries() entry at a given SF and
 compare against oracle_sql() via DuckDB (sorted columns, sorted rows,
 stringified value compare). Usage: python tools/check_correctness.py [sf_dir]
+Imports the package from the checkout this script lives in.
 """
+import os
 import sys
 
 import ray
 
-ray.init(address="local", num_cpus=int(__import__("os").environ.get("CHECK_CPUS", "16")), include_dashboard=False, log_to_driver=False)
+ray.init(address="local", num_cpus=int(os.environ.get("CHECK_CPUS", "16")), include_dashboard=False, log_to_driver=False)
 
 import duckdb  # noqa: E402
 import pandas as pd  # noqa: E402
 import pyarrow as pa  # noqa: E402
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import __ray_entry__ as entry  # noqa: E402
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
