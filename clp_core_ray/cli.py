@@ -781,9 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "*.parquet / *.ndjson / *.log)")
     ing.add_argument("--format", choices=["transcripts", "ndjson", "textlog"],
                      default="transcripts",
-                     help="transcripts: parquet shards -> encoded "
-                          "fragments; ndjson: JSON logs -> one clp_s "
-                          "archive per fragment (KQL-searchable); "
+                     help="transcripts: parquet shards -> one "
+                          "dictionary archive per fragment; ndjson: JSON "
+                          "logs -> one clp_s archive per fragment "
+                          "(KQL-searchable); "
                           "textlog: raw .log files -> one dictionary "
                           "archive per fragment (wildcard-searchable)")
     ing.add_argument("--fragment-target-bytes", type=int, default=None,

@@ -156,8 +156,9 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
     merge, with the links made by Ray tasks alongside. The manifest records
     the merged time range, summed class counts and the finalize's side,
     input bytes and seconds. GLT layouts are NOT merged — they are derived
-    state, rebuilt on demand from the merged rows. Returns the manifest
-    info dict."""
+    state, rebuilt on demand from the merged rows. When ``out_dir``'s
+    parent dir carries a ``_catalog/``, the merged archive is registered
+    there, as ``compress`` does. Returns the manifest info dict."""
     import time
 
     import ray
@@ -221,6 +222,12 @@ def merge_archives(archive_dirs: list[str], out_dir: str) -> dict:
                     "finalize_sec": round(finalize_sec, 3)},
     }
     mf.record_fragment(out_dir, "merge", info)
+    # like compress(): a parent dir with a _catalog/ registers the archive
+    from clp_core_ray.state import catalog as _cat
+
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    if _cat.has_catalog(parent):
+        _cat.register_archive(parent, out_dir)
     return info
 
 
@@ -317,20 +324,21 @@ def compact_fragments(frag_base: str, archive_dir: str,
                       lease_s: float = COMPACTION_LEASE_S,
                       **compress_kwargs) -> dict:
     """Compact the ingest scheduler's accumulated fragments
-    (pipelines/ingest.py sinks: inline-encoded, dictionary-less) into ONE
-    self-contained dictionary archive — the hot-tail → cold-tier step of
-    continuous ingestion (the reference package's archive lifecycle:
-    small compression-job outputs become searchable dictionary archives).
+    (pipelines/ingest.py: each ``clp`` fragment is a dictionary archive)
+    into ONE self-contained dictionary archive — the hot-tail → cold-tier
+    step of continuous ingestion (the reference package's archive
+    lifecycle: small compression-job outputs merge into larger archives).
 
     Crash-safe two-phase protocol, journaled under
     ``<frag_base>/_compactions/``:
 
     1. Select completed, UNRETIRED fragments; write the journal (fragment
        list + target archive) atomically BEFORE any data work.
-    2. Build the compact archive: streaming decode of the fragments'
-       inline rows (DecodeStage) → the normal flagship compress (real
-       dictionaries + segment indexes + per-archive manifest). The
-       archive's manifest commit is the data commit point.
+    2. Build the compact archive: for ``clp`` fragments the
+       metadata-only ``merge_archives`` (sink files hard-linked, only the
+       dictionaries and segment indexes merge); ``clps`` fragments are
+       decompressed and recompressed as one clp_s archive. The archive's
+       manifest commit is the data commit point.
     3. Retire each fragment (manifest keeps input ownership — the
        scheduler never re-ingests; readers skip it) and remove its sink;
        mark the journal done.
@@ -432,7 +440,10 @@ def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
     from clp_core_ray.stages.encode import DecodeStage
 
     if fmt == "inline":
-        # transcript fragments: streaming inline decode -> flagship compress
+        # inline fragments (no "format": rows carry their logtype and
+        # dict_vars): streaming decode -> flagship compress. The ingest
+        # runners no longer write them; this branch remains only because
+        # perfbench/tracing.py's traced transcript ingest still does.
         sinks = [m["sink"] for m in frags]
         need = ["conv_id", "turn_idx", "role", "tool", "ts", "logtype",
                 "logtype_id", "encoded_vars", "var_types", "dict_vars"]
@@ -478,8 +489,9 @@ def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
         schemas = clps_compress(ds, out_arch)
         rows = int(sum(schemas.values()))
     elif fmt == "clp":
-        # textlog fragments are already full archives: compaction is the
-        # metadata-only dictionary merge (data files hard-linked)
+        # transcript and textlog fragments are already full archives:
+        # compaction is the metadata-only dictionary merge (data files
+        # hard-linked)
         info = merge_archives([m["sink"] for m in frags], out_arch)
         rows = int(sum(info.get("class_counts", {}).values()))
     else:

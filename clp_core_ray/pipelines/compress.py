@@ -156,6 +156,10 @@ class FullEncodeStage:
     ``logtype_id`` and ``encoded_vars`` — CLP's actual storage model (three
     columns + dictionaries, File.hpp:17-22) — which roughly halves sink bytes.
     Decode then resolves both through the archive dictionaries.
+    ``compact=False`` (self-contained inline rows) remains for
+    ``compress(compact=False)`` and for the inline transcript fragments
+    that perfbench/tracing.py's traced ingest writes; the ingest runners
+    write compact archives.
     """
 
     def __init__(self, keep_text: bool = False, dict_delta_dir: str | None = None,
@@ -291,6 +295,22 @@ def _rows_from_footers(files) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
+def _sink_blocks(files: list[str]) -> int:
+    """Read blocks for a fused-sink write of transcript parquet ``files``.
+
+    Block = sink-file granularity: parallelism (≥1 block/CPU) wins while
+    blocks still hold at least FUSED_MIN_ROWS_PER_BLOCK rows; below that a
+    small job keeps fewer, bigger blocks instead of shattering the archive
+    into per-class files of a few hundred rows (search pays per-file
+    footer+planning cost). The row count comes from parquet footers only.
+    """
+    expected_rows = _rows_from_footers(files)
+    ncpu = cluster_cpus()
+    by_file = expected_rows // FUSED_ROWS_PER_BLOCK or 1
+    by_min = expected_rows // FUSED_MIN_ROWS_PER_BLOCK or 1
+    return max(1, min(4 * ncpu, max(by_file, min(ncpu, by_min))))
+
+
 def build_encoded(ds, keep_text: bool = False, concurrency=None,
                   dict_delta_dir: str | None = None, compact: bool = False):
     """transcripts Dataset → routed+enriched+encoded Dataset (lazy)."""
@@ -345,21 +365,9 @@ def compress(
     if ds is None:
         from clp_core_ray.sources.transcripts import transcript_files
 
-        # block = sink-file granularity: parallelism (≥1 block/CPU) wins
-        # while blocks still hold at least FUSED_MIN_ROWS_PER_BLOCK rows;
-        # below that a small job keeps fewer, bigger blocks instead of
-        # shattering the archive into per-class files of a few hundred rows
-        # (search pays per-file footer+planning cost). The row count comes
-        # from parquet footers only.
-        expected_rows = _rows_from_footers(transcript_files(sf_dir_or_sf))
-        ncpu = cluster_cpus()
-        by_file = expected_rows // FUSED_ROWS_PER_BLOCK or 1
-        by_min = expected_rows // FUSED_MIN_ROWS_PER_BLOCK or 1
         ds = read_transcripts(
             sf_dir_or_sf,
-            override_num_blocks=max(
-                1, min(4 * ncpu, max(by_file, min(ncpu, by_min)))),
-        )
+            override_num_blocks=_sink_blocks(transcript_files(sf_dir_or_sf)))
     delta_dir = os.path.join(out_dir, "dict.deltas")
     routed_dir = os.path.join(out_dir, "routed")
     t0 = time.time()
@@ -569,10 +577,11 @@ def run_fragments(sf_dir_or_sf, out_dir: str,
     """Checkpointed execution: one fragment per input group, skip completed.
 
     Each fragment is an independent sub-pipeline (read its input shard(s) →
-    encode → routed sink); its manifest is recorded only after the write
-    succeeds, so a rerun after a crash reprocesses only unfinished fragments
-    (resume = anti-join of fragment ids against the manifest dir). Returns
-    the fragment ids processed in this run.
+    encode → a dictionary archive, run_one_fragment); its manifest is
+    recorded only after the archive commits, so a rerun after a crash
+    reprocesses only unfinished fragments (resume = anti-join of fragment
+    ids against the manifest dir). Returns the fragment ids processed in
+    this run.
 
     ``files`` overrides input discovery (the CLI passes a real user
     directory's parquet shards here; without it the synthetic transcript
@@ -596,40 +605,39 @@ def run_fragments(sf_dir_or_sf, out_dir: str,
     return todo
 
 
-def run_one_fragment(frag: str, paths: list[str], out_dir: str, *,
-                     dict_cols: list[str] | None = None) -> int:
-    """Compress ONE fragment (its input shard group → routed sink +
-    manifest commit) — the unit of work a scheduler poller claims. The
-    manifest records only after the sink write succeeds, so a crash
-    mid-fragment leaves no completed record and a retry reprocesses it
-    (content-hash sink files make the retry collision-free). Returns the
-    fragment's row count."""
-    import time
-
+def run_one_fragment(frag: str, paths: list[str], out_dir: str) -> int:
+    """Compress ONE fragment of transcript parquet shards — the unit of
+    work a scheduler poller claims — into a dictionary archive at
+    ``<out_dir>/fragment=<frag>`` (:func:`archive_fragment`). As in CLP,
+    where each compression task's archive is its checkpoint, the fragment
+    needs no re-encode later: compacting fragments is ``merge_archives``.
+    Returns the fragment's row count."""
     import ray.data as rd
 
-    if dict_cols is None:
-        dict_cols = SINK_DICT_COLS + ["logtype"]
+    return archive_fragment(frag, paths, out_dir, lambda sink: compress(
+        None, sink,
+        ds=rd.read_parquet(paths, override_num_blocks=_sink_blocks(paths)),
+        input_label=";".join(paths)))
+
+
+def archive_fragment(frag: str, paths: list[str], out_dir: str,
+                     write) -> int:
+    """Write one fragment as a dictionary archive at
+    ``<out_dir>/fragment=<frag>`` (``write(sink)`` builds it and returns
+    its per-class count table) and commit the fragment's manifest:
+    ``"format": "clp"``, rows, class counts and the ts range folded from
+    the archive's own manifests. The manifest records only after the
+    archive committed, so a crash mid-fragment leaves no completed record
+    and a retry rebuilds it (content-hash sink files make the retry
+    collision-free). Returns the fragment's row count."""
+    import time
+
     t0 = time.time()
     sink = os.path.join(out_dir, f"fragment={frag}")
-    os.makedirs(sink, exist_ok=True)
-    # fused sink (same as the flagship): each encode task writes its own
-    # per-class files and returns tiny stats rows — the encoded fragment
-    # never re-enters the object store, and counts/ts-range come from
-    # the stats instead of a post-write footer pass. compact=False keeps
-    # rows self-contained (inline logtype/dict_vars), so fragments need
-    # no per-fragment dictionary finalize.
-    stats_ds = rd.read_parquet(paths).map_batches(
-        FusedSinkStage(routed_dir=sink, compact=False,
-                       dict_cols=dict_cols),
-        batch_format="pyarrow", batch_size=None,
-    )
-    stats = _to_table(stats_ds)
-    sweep_inprogress(sink)
-    counts, ts_range = fold_sink_stats(stats)
-    class_counts = _class_counts(counts)
+    class_counts = _class_counts(write(sink))
     n_rows = int(sum(class_counts.values()))
     wall = time.time() - t0
+    ts = mf.fold_manifests(sink)
     mf.record_fragment(
         out_dir,
         frag,
@@ -637,11 +645,12 @@ def run_one_fragment(frag: str, paths: list[str], out_dir: str, *,
             "input": paths[0] if len(paths) == 1 else paths,
             "sink": sink,
             "rows": n_rows,
+            "format": "clp",
             "metrics": {"wall_sec": round(wall, 3),
                         "rows_per_sec": round(n_rows / max(wall, 1e-9), 1)},
             "class_counts": class_counts,
-            **({"ts_min": ts_range[0], "ts_max": ts_range[1]}
-               if ts_range else {}),
+            **({"ts_min": int(ts["ts_min"]), "ts_max": int(ts["ts_max"])}
+               if ts["ts_min"] is not None else {}),
         },
     )
     return n_rows

@@ -10,13 +10,18 @@ completed fragment OR an active claim, packs the remainder into
 size-bounded fragment jobs (the deterministic partitioner run_fragments
 uses), claims each job through the lock-free job table (state/jobs.py,
 O_EXCL claims) and runs it as one fused read→encode→route→sink pipeline
-(compress.run_one_fragment). Failed fragments are retried on later polls
-up to ``max_attempts``, then parked. Safety properties:
+(compress.run_one_fragment, which writes the fragment as a dictionary
+archive, so compaction is a metadata-only merge). Failed fragments are
+retried on later polls up to ``max_attempts``, then parked. Safety
+properties:
 
 - **Concurrent pollers never double-compress an input** on the common
   path: files under a fresh running claim are excluded from discovery
-  before grouping (so grouping divergence between pollers is impossible
-  for claimed files), and the claim itself is an atomic O_EXCL create.
+  before grouping, the job claim is an atomic O_EXCL create, and so is
+  the claim on each of its member files (state/jobs.py claim_files).
+  Pollers whose discovery snapshots differ can pack a shared file into
+  different groups with different fragment ids; the group that loses a
+  file claim is given up, and its other files return on a later poll.
 - **Retry keeps the ORIGINAL grouping**: a failed/expired job is retried
   with the file list recorded in its claim, never regrouped with newer
   arrivals — so its fragment id is stable and its partial sink files are
@@ -100,44 +105,15 @@ def run_one_ndjson_fragment(frag: str, paths: list[str],
 
 def run_one_textlog_fragment(frag: str, paths: list[str],
                              out_dir: str) -> int:
-    """Raw-text-log fragment runner (`clp c`'s primary input shape): each
-    fragment becomes a full DICTIONARY archive via compress_text_logs
-    (timestamp-pattern message assembly + the normal encode path), so the
-    fragment is immediately two-phase-searchable as an archive — no
-    compaction step needed for this format. The fragment manifest's ts
-    range folds from the archive's own manifests."""
-    import time as _time
+    """Raw-text-log fragment runner (`clp c`'s primary input shape): like
+    the transcript runner, each fragment becomes a dictionary archive
+    (compress.archive_fragment), here built by compress_text_logs
+    (timestamp-pattern message assembly + the normal encode path)."""
+    from clp_core_ray.pipelines.compress import (archive_fragment,
+                                                 compress_text_logs)
 
-    import pyarrow.compute as _pc
-
-    from clp_core_ray.pipelines.compress import compress_text_logs
-
-    t0 = _time.time()
-    sink = os.path.join(out_dir, f"fragment={frag}")
-    counts = compress_text_logs(paths, sink)
-    rows = int(_pc.sum(counts.column("cnt")).as_py() or 0)
-    wall = _time.time() - t0
-    info = {
-        "input": paths[0] if len(paths) == 1 else paths,
-        "sink": sink,
-        "rows": rows,
-        "format": "clp",
-        "class_counts": dict(zip(
-            counts.column("logtype_class").to_pylist(),
-            counts.column("cnt").to_pylist())),
-        "metrics": {"wall_sec": round(wall, 3),
-                    "rows_per_sec": round(rows / max(wall, 1e-9), 1)},
-    }
-    lo = hi = None
-    for m in mf.read_manifests(sink):
-        if m.get("ts_min") is not None:
-            lo = m["ts_min"] if lo is None else min(lo, m["ts_min"])
-        if m.get("ts_max") is not None:
-            hi = m["ts_max"] if hi is None else max(hi, m["ts_max"])
-    if lo is not None:
-        info["ts_min"], info["ts_max"] = int(lo), int(hi)
-    mf.record_fragment(out_dir, frag, info)
-    return rows
+    return archive_fragment(frag, paths, out_dir,
+                            lambda sink: compress_text_logs(paths, sink))
 
 
 def clps_search_fragments(out_dir: str, query: str,
@@ -219,7 +195,8 @@ def poll(input_dir: str, out_dir: str, *,
                 summary["failed"].append(frag)
             return
         jb.mark_done(out_dir, frag, owner, rows=rows,
-                     wall_sec=time.time() - t0, attempt=attempt)
+                     wall_sec=time.time() - t0, attempt=attempt,
+                     files=files)
         with lock:
             summary["done"].append(frag)
 
@@ -236,7 +213,7 @@ def poll(input_dir: str, out_dir: str, *,
             # manifest commit and mark_done) — normalize
             if state == "running":
                 jb.mark_done(out_dir, frag, rec.get("owner", "?"),
-                             rows=0, wall_sec=0.0)
+                             rows=0, wall_sec=0.0, files=files)
             # done-record TTL: the MANIFEST is the authoritative completion
             # record, so old done job files are pure observability state —
             # prune them or _jobs/ grows one file per fragment forever
@@ -258,6 +235,9 @@ def poll(input_dir: str, out_dir: str, *,
                 continue
             claimed_files.update(files)
             jb.takeover(out_dir, frag, files, owner, attempt + 1)
+            if not jb.claim_files(out_dir, frag, files):
+                jb.clear_job(out_dir, frag)  # a file went to another group
+                continue
             _run(frag, files, attempt + 1)
 
     # -- pass 2: discover, group and claim NEW work ------------------------
@@ -271,6 +251,12 @@ def poll(input_dir: str, out_dir: str, *,
         if frag in done_ids:
             continue
         if not jb.try_claim(out_dir, frag, g, owner):
+            summary["skipped_active"] += 1
+            continue
+        if not jb.claim_files(out_dir, frag, g):
+            # another poller's group holds a member file: give this group
+            # up; its other files come back on a later poll
+            jb.clear_job(out_dir, frag)
             summary["skipped_active"] += 1
             continue
         _run(frag, g, 1)

@@ -896,19 +896,15 @@ def search_fragments(out_dir: str, query: str, ignore_case: bool = False,
                      columns=None, path_glob: str | None = None,
                      ts_min: int | None = None, ts_max: int | None = None,
                      **_ignored):
-    """Search the ingest scheduler's fragment archives (pipelines/ingest.py
-    sinks: non-compact rows with INLINE logtype/dict_vars, no archive
-    dictionaries to compile against).
+    """Search the ingest scheduler's fragment base (pipelines/ingest.py):
+    every fragment is a dictionary archive (``"format": "clp"``).
 
     Manifest-pruned fragment selection first (select_fragments — the same
-    metadata-DB time/path narrowing clg does before opening archives), then
-    a column-pruned scan → vectorized inline decode (DecodeStage) →
-    wildcard verify. Fragments hold recent arrivals awaiting merge into
-    dictionary archives (merge_archives), so the decode-scan cost is
-    bounded by the un-compacted tail, not the corpus."""
-    import ray.data as rd
-
-    from clp_core_ray.stages.encode import DecodeStage
+    metadata-DB time/path narrowing clg does before opening archives);
+    the kept fragments are then one list of archives, planned and run as
+    in :func:`search_archives`. A fragment of another format raises
+    ``ValueError``: one without a ``format`` holds inline rows, which
+    ``compact_fragments`` turns into an archive."""
     from clp_core_ray.state import manifest as mf
 
     ts_range = None
@@ -916,53 +912,21 @@ def search_fragments(out_dir: str, query: str, ignore_case: bool = False,
         lo = ts_min if ts_min is not None else -(1 << 62)
         hi = ts_max if ts_max is not None else (1 << 62)
         ts_range = (lo, hi)
-    frags = mf.select_fragments(out_dir, path_glob=path_glob,
-                                ts_range=ts_range)
+    frags = [f for f in mf.select_fragments(out_dir, path_glob=path_glob,
+                                            ts_range=ts_range)
+             if f.get("sink")]
+    for f in frags:
+        if f.get("format") != "clp":
+            raise ValueError(
+                f"{out_dir}: fragment {f.get('fragment_id')} is not a "
+                f"dictionary archive (format {f.get('format') or 'inline'}); "
+                f"compact the fragment base (compact_fragments) to search it")
     extra = [c for c in (columns or [])
              if c not in ("conv_id", "turn_idx", "text")]
-
-    # format dispatch: 'clp' fragments (textlog ingest) are full dictionary
-    # archives — route them through the two-phase compiled search; inline
-    # fragments (transcript ingest) take the decode-scan below
-    parts = [
-        search_archive(f["sink"], query, columns=columns,
-                       ignore_case=ignore_case)
-        for f in frags if f.get("sink") and f.get("format") == "clp"]
-    sinks = [f["sink"] for f in frags
-             if f.get("sink") and f.get("format") != "clp"]
-    if sinks:
-        need = ["conv_id", "turn_idx", "logtype", "logtype_id",
-                "encoded_vars", "var_types", "dict_vars"] + extra
-        ds = rd.read_parquet(sinks, columns=need, file_extensions=["parquet"])
-        decode = DecodeStage(out_col="text")
-        wq = query if ("*" in query or "?" in query) else f"*{query}*"
-        # lowercase-both mode (string_utils.hpp:88-94): lower the QUERY
-        # before regex build — lowering the built regex would corrupt
-        # [\s\S] classes
-        rx = wildcard_to_regex(wq.lower() if ignore_case else wq)
-
-        def scan(b: pa.Table) -> pa.Table:
-            # two-phase discipline even without dictionaries: the candidate
-            # test runs per UNIQUE inline template, so non-matching
-            # templates' rows skip decode entirely
-            if b.num_rows:
-                enc = b.column("logtype").combine_chunks().dictionary_encode()
-                cand = _candidate_templates(enc.dictionary, wq, ignore_case)
-                if not cand.all():
-                    b = b.filter(pa.array(
-                        cand[np.asarray(enc.indices, dtype=np.int64)]))
-            b = decode(b)
-            text = b.column("text").combine_chunks()
-            if ignore_case:
-                hit = pc.match_substring_regex(pc.utf8_lower(text), rx)
-            else:
-                hit = pc.match_substring_regex(text, rx)
-            b = b.filter(hit)
-            return b.select(["conv_id", "turn_idx", "text"] + extra)
-
-        parts.insert(0, ds.map_batches(scan, batch_format="pyarrow"))
-    return _union(parts, _empty_matches([pa.field(c, pa.null())
-                                         for c in extra]))
+    plans = [_search_plan(f["sink"], [query], ignore_case, columns=columns)
+             for f in frags]
+    return _run_plans(plans, plans[0].empty if plans else _empty_matches(
+        [pa.field(c, pa.null()) for c in extra]))
 
 
 def _is_fragment_base(target: str) -> bool:

@@ -20,8 +20,13 @@ job. The state machine:
                           completion record, exactly as in run_fragments
 
 Atomicity: a CLAIM is ``os.open(O_CREAT|O_EXCL)`` — the filesystem picks
-exactly one winner among concurrent pollers, which is the "two pollers
-never double-compress an input" guarantee on the common path. A TAKEOVER
+exactly one winner among concurrent pollers. A job's member files are
+claimed the same way, one ``_jobs/files/`` entry per input path naming
+its fragment (:func:`claim_files`): pollers that saw different file sets
+pack a shared file into different groups with different fragment ids,
+and only the file claim keeps them from both compressing it. Together
+they are the "two pollers never double-compress an input" guarantee on
+the common path. A TAKEOVER
 (lease expiry / retry) is ``os.replace``; two pollers racing a takeover can
 both believe they own the job — accepted, because fragments are idempotent
 (content-hash-atomic sink files + atomic manifest replace make a duplicate
@@ -32,6 +37,8 @@ tmp → ``os.replace`` like every sink in the repo.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import time
@@ -108,11 +115,51 @@ def takeover(out_dir: str, frag: str, files: list[str], owner: str,
                            "files": files})
 
 
+def _file_claim_path(out_dir: str, path: str) -> str:
+    d = os.path.join(jobs_dir(out_dir), "files")
+    os.makedirs(d, exist_ok=True)
+    return os.path.join(d, hashlib.sha1(path.encode()).hexdigest()[:24])
+
+
+def _file_owner(claim: str) -> str | None:
+    try:
+        with open(claim) as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+
+
+def claim_files(out_dir: str, frag: str, files: list[str]) -> bool:
+    """Claim every member file of ``frag`` (O_CREAT|O_EXCL, in sorted
+    order, so two overlapping groups meet at their first shared file).
+    A file already claimed for ``frag`` (an earlier attempt's) counts as
+    held. A file claimed for another fragment loses the whole group: the
+    claims this call made are released and False is returned. Call it
+    while holding ``frag``'s job claim."""
+    made = []
+    for f in sorted(files):
+        claim = _file_claim_path(out_dir, f)
+        try:
+            fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if _file_owner(claim) == frag:
+                continue
+            for c in made:
+                os.unlink(c)
+            return False
+        with os.fdopen(fd, "w") as fh:
+            fh.write(frag)
+        made.append(claim)
+    return True
+
+
 def mark_done(out_dir: str, frag: str, owner: str, *,
-              rows: int, wall_sec: float, attempt: int = 1) -> None:
+              rows: int, wall_sec: float, attempt: int = 1,
+              files: list[str] = ()) -> None:
     _write(out_dir, frag, {"state": "done", "owner": owner,
                            "attempt": attempt, "t": time.time(),
-                           "rows": rows, "wall_sec": round(wall_sec, 3)})
+                           "rows": rows, "wall_sec": round(wall_sec, 3),
+                           "files": list(files)})
 
 
 def mark_failed(out_dir: str, frag: str, files: list[str], owner: str,
@@ -123,10 +170,23 @@ def mark_failed(out_dir: str, frag: str, files: list[str], owner: str,
 
 
 def clear_job(out_dir: str, frag: str) -> bool:
-    """Operator action: unpark a permanently-failed job so the next poll
-    retries it from attempt 1."""
+    """Forget a job record and the file claims that name its fragment:
+    the operator's unpark of a permanently-failed job (the next poll
+    retries its files from attempt 1, in whatever group they then fall
+    into), a done record's pruning, or a claim given up."""
+    path = _path(out_dir, frag)
     try:
-        os.unlink(_path(out_dir, frag))
-        return True
+        with open(path) as f:
+            files = json.load(f).get("files") or []
     except FileNotFoundError:
         return False
+    except json.JSONDecodeError:
+        files = []
+    for p in files:
+        claim = _file_claim_path(out_dir, p)
+        if _file_owner(claim) == frag:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(claim)
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return True

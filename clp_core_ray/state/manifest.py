@@ -190,12 +190,12 @@ def fsck_archive(out_dir: str) -> dict:
 def _fsck_fragment_base(out_dir: str) -> dict:
     """fsck for an ingest-scheduler FRAGMENT base (no central routed/
     sink): per unretired fragment, the manifest's recorded row count must
-    equal the footer total of every parquet under its sink — a format-
-    independent invariant (inline transcript fragments count sink rows,
-    textlog fragments their routed rows, clp_s fragments their schema-
-    table rows), still footer-metadata-only. Retired fragments must have
-    NO surviving sink dir; orphan fragment dirs with no manifest are
-    flagged."""
+    equal the footer total of its data files — the parquet under the
+    archive's ``routed/`` for ``clp`` fragments (dictionaries are parquet
+    too, but hold no rows), every parquet under the sink otherwise
+    (inline fragments' rows, clp_s fragments' schema tables) — still
+    footer-metadata-only. Retired fragments must have NO surviving sink
+    dir; orphan fragment dirs with no manifest are flagged."""
     import glob
 
     import pyarrow.parquet as pq
@@ -217,12 +217,15 @@ def _fsck_fragment_base(out_dir: str) -> dict:
             continue
         expected = int(man.get("rows") or 0)
         actual = 0
+        data = (os.path.join(sink, "routed") if man.get("format") == "clp"
+                else sink)
         for path in sorted(glob.glob(os.path.join(sink, "**", "*"),
                                      recursive=True)):
             if path.endswith(".inprogress"):
                 problems.append(
                     f"torn write: {os.path.relpath(path, out_dir)}")
-            elif path.endswith(".parquet") and os.path.isfile(path):
+            elif (path.startswith(data + os.sep) and path.endswith(".parquet")
+                  and os.path.isfile(path)):
                 try:
                     actual += pq.ParquetFile(path).metadata.num_rows
                 except Exception as exc:

@@ -237,8 +237,10 @@ def test_import_does_not_mutate_env():
         "clp_core_ray._export_tuning_env()\n"
         "assert os.environ['OMP_NUM_THREADS'] == '2'\n"
     )
+    # run in this checkout, so the child imports the package under test
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     subprocess.run([sys.executable, "-c", code], check=True,
-                   cwd="/root/repo", timeout=120)
+                   cwd=repo, timeout=120)
 
 
 def test_sql_round_matches_duckdb_round():

@@ -133,19 +133,16 @@ def test_compact_restart_after_precommit_crash(frag_base, monkeypatch):
 
     _, frags, cold = frag_base
 
-    real_compress = __import__(
-        "clp_core_ray.pipelines.compress", fromlist=["compress"]).compress
+    real_merge = cpt.merge_archives
     calls = {"n": 0}
 
     def crash_once(*a, **k):
         if calls["n"] == 0:
             calls["n"] += 1
             raise RuntimeError("simulated crash mid-build")
-        return real_compress(*a, **k)
+        return real_merge(*a, **k)
 
-    import clp_core_ray.pipelines.compress as cp
-
-    monkeypatch.setattr(cp, "compress", crash_once)
+    monkeypatch.setattr(cpt, "merge_archives", crash_once)
     with pytest.raises(RuntimeError):
         cpt.compact_fragments(frags, cold)
     # journal exists, archive not committed
@@ -165,27 +162,28 @@ def test_compact_restart_after_precommit_crash(frag_base, monkeypatch):
     assert _cnt(frags, "*compact shard*") == 0
 
 
-def _blocking_compress(monkeypatch, release):
-    """Replace compress so that its first call makes a partial archive dir
-    and waits for ``release``; later calls run the real compress."""
+def _blocking_merge(monkeypatch, release):
+    """Replace the compaction's merge_archives so that its first call
+    makes a partial archive dir and waits for ``release``; later calls run
+    the real merge."""
     import threading
 
-    import clp_core_ray.pipelines.compress as cp
+    from clp_core_ray.pipelines import compact as cpt
 
-    real = cp.compress
+    real = cpt.merge_archives
     started = threading.Event()
     calls = {"n": 0}
 
-    def blocking(sf, out_dir, *a, **k):
+    def blocking(archive_dirs, out_dir):
         calls["n"] += 1
         if calls["n"] == 1:
             os.makedirs(out_dir, exist_ok=True)
             open(os.path.join(out_dir, "partial"), "w").close()
             started.set()
             release.wait(60)
-        return real(sf, out_dir, *a, **k)
+        return real(archive_dirs, out_dir)
 
-    monkeypatch.setattr(cp, "compress", blocking)
+    monkeypatch.setattr(cpt, "merge_archives", blocking)
     return started
 
 
@@ -199,7 +197,7 @@ def test_compact_lease_outlives_long_build(frag_base, monkeypatch):
 
     _, frags, cold = frag_base
     release = threading.Event()
-    started = _blocking_compress(monkeypatch, release)
+    started = _blocking_merge(monkeypatch, release)
     first = {}
 
     def run_first():
@@ -239,7 +237,7 @@ def test_compact_stands_down_when_journal_lost(frag_base, monkeypatch):
 
     _, frags, cold = frag_base
     release = threading.Event()
-    started = _blocking_compress(monkeypatch, release)
+    started = _blocking_merge(monkeypatch, release)
     out = {}
     t = threading.Thread(target=lambda: out.update(
         res=cpt.compact_fragments(frags, cold)))
@@ -391,3 +389,117 @@ def test_compact_textlog_fragments(ray_session, tmp_path):
     assert search_count(res["archive"],
                         "*handler 1 req 7*")["cnt"][0].as_py() == 1
     assert search_count(frags, "*merged handler*")["cnt"][0].as_py() == 0
+
+
+def test_merge_archives_registers_in_catalog(ray_session, tmp_path):
+    """merge_archives into a catalogued dir registers the merged archive,
+    as compress() does: catalog-driven search sees its rows, and it is
+    not an untracked dir for the retention orphan pass."""
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compact import merge_archives
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.state.catalog import init_catalog, read_catalog
+
+    srcs = []
+    for i in range(2):
+        d = str(tmp_path / "src" / f"a{i}")
+        t = pq.read_table(_shard(tmp_path, i))
+        compress(None, d, ds=rd.from_arrow(t), input_label=f"a{i}")
+        srcs.append(d)
+    cold = str(tmp_path / "cold")
+    init_catalog(cold)
+    merged = os.path.join(cold, "merged")
+    merge_archives(srcs, merged)
+
+    (entry,) = read_catalog(cold)
+    assert os.path.normpath(entry["dir"]) == os.path.normpath(merged)
+    assert entry["rows"] == 20
+    assert _cnt(cold, "*compact shard*") == 20
+
+
+def _input_rows(indir) -> list:
+    t = pa.concat_tables(pq.read_table(os.path.join(indir, f))
+                         for f in sorted(os.listdir(indir)))
+    return sorted(zip(t.column("conv_id").to_pylist(),
+                      t.column("turn_idx").to_pylist(),
+                      t.column("text").to_pylist()))
+
+
+def test_transcript_fragments_are_dictionary_archives(frag_base, tmp_path):
+    """Transcript fragments are compact dictionary archives: no sink file
+    carries the inline ``logtype``/``dict_vars`` columns, compaction is the
+    dictionary merge (``format == "clp"``, finalized in process), and the
+    compacted archive decompresses, searches and extracts to the input
+    rows."""
+    from clp_core_ray.ir import decode_ir_stream_to_text
+    from clp_core_ray.pipelines.compact import compact_fragments
+    from clp_core_ray.pipelines.decompress import (decompress,
+                                                   extract_ir_chunks)
+    from clp_core_ray.state.manifest import read_manifests
+
+    indir, frags, cold = frag_base
+    sinks = [os.path.join(r, f) for r, _, fs in os.walk(frags)
+             for f in fs if f.endswith(".parquet")
+             and "routed" in r.split(os.sep)]
+    assert sinks
+    for f in sinks:
+        names = pq.read_schema(f).names
+        assert "logtype" not in names and "dict_vars" not in names, f
+    assert {m["format"] for m in read_manifests(frags)} == {"clp"}
+
+    res = compact_fragments(frags, cold)
+    assert res["format"] == "clp" and res["rows"] == 30
+    (man,) = read_manifests(res["archive"])
+    assert man["metrics"]["finalize_side"] == "local"
+
+    want = _input_rows(indir)
+    got = pa.concat_tables(pa.table(b) for b in decompress(
+        res["archive"]).iter_batches(batch_format="pyarrow"))
+    assert sorted(zip(got.column("conv_id").to_pylist(),
+                      got.column("turn_idx").to_pylist(),
+                      got.column("text").to_pylist())) == want
+    for q in ("*compact shard*", "*shard 2 row 7 *", "*took 9 ms*"):
+        body = q.strip("*")
+        assert _cnt(res["archive"], q) == sum(body in t for *_, t in want)
+    texts = []
+    for p in extract_ir_chunks(res["archive"], str(tmp_path / "ir")):
+        with open(p, "rb") as fh:
+            texts += decode_ir_stream_to_text(fh.read()).column(
+                "text").to_pylist()
+    assert sorted(texts) == sorted(t for *_, t in want)
+
+
+def test_inline_fragment_base_must_be_compacted(ray_session, tmp_path):
+    """A fragment written inline (rows carry logtype/dict_vars, manifest
+    has no ``format``) is not searched by decoding: search_fragments asks
+    for compaction, and compaction rebuilds it into a dictionary archive
+    with the same rows."""
+    from clp_core_ray.pipelines.compact import compact_fragments
+    from clp_core_ray.pipelines.compress import (SINK_DICT_COLS,
+                                                 FusedSinkStage)
+    from clp_core_ray.pipelines.search import search_fragments
+    from clp_core_ray.state import manifest as mf
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    frags = str(tmp_path / "frags")
+    for i in range(2):
+        p = _shard(indir, i)
+        sink = os.path.join(frags, f"fragment=shard-{i:04d}")
+        stage = FusedSinkStage(routed_dir=os.path.join(sink, "routed"),
+                               compact=False,
+                               dict_cols=SINK_DICT_COLS + ["logtype"])
+        stats = stage(pq.read_table(p))
+        mf.record_fragment(frags, f"shard-{i:04d}", {
+            "input": p, "sink": sink, "rows": 10,
+            "class_counts": dict(zip(stats.column("logtype_class")
+                                     .to_pylist(),
+                                     stats.column("cnt").to_pylist()))})
+    with pytest.raises(ValueError, match="compact"):
+        search_fragments(frags, "*compact shard*")
+
+    res = compact_fragments(frags, str(tmp_path / "cold"))
+    assert res["format"] == "inline" and res["rows"] == 20
+    assert _cnt(res["archive"], "*compact shard*") == 20
+    assert _cnt(res["archive"], "*shard 1 row 4 *") == 1

@@ -893,7 +893,8 @@ def test_fragment_size_grouping(ray_session, tmp_path):
     assert len(completed_fragments(out)) == len(groups)
     # round trip: the union of fragment sinks holds exactly the input rows
     sink_files = [os.path.join(r, f) for r, _, fs in os.walk(out)
-                  for f in fs if f.endswith(".parquet")]
+                  for f in fs if f.endswith(".parquet")
+                  and "routed" in r.split(os.sep)]
     assert sum(pq.ParquetFile(f).metadata.num_rows
                for f in sink_files) == total_rows
 
@@ -980,6 +981,7 @@ def test_ingest_once_two_waves(ray_session, tmp_path):
     assert ingest_once(str(indir), out, target_bytes=target) == []  # no-op
 
     sink_files = [os.path.join(r, f) for r, _, fs in os.walk(out)
-                  for f in fs if f.endswith(".parquet")]
+                  for f in fs if f.endswith(".parquet")
+                  and "routed" in r.split(os.sep)]
     assert sum(pq.ParquetFile(f).metadata.num_rows
                for f in sink_files) == 9 * 8

@@ -32,8 +32,11 @@ def _shard(indir, i: int, n: int = 8) -> str:
 
 
 def _total_rows(out: str) -> int:
+    """Rows in the fragments' routed sinks (their dictionaries are parquet
+    too, but hold no rows)."""
     files = [os.path.join(r, f) for r, _, fs in os.walk(out)
-             for f in fs if f.endswith(".parquet")]
+             for f in fs if f.endswith(".parquet")
+             and "routed" in r.split(os.sep)]
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
@@ -268,8 +271,8 @@ def test_cli_ingest_watch(ray_session, tmp_path, capsys):
 def test_fragment_archive_search(ray_session, tmp_path):
     """Fragments written by the scheduler are immediately searchable: the
     search dispatcher recognizes a fragment base (manifests + fragment=
-    sinks) and runs the inline-decode wildcard scan with manifest ts
-    pruning."""
+    sinks) and runs the compiled archive search over the fragments with
+    manifest ts pruning."""
     import pyarrow as _pa
 
     from clp_core_ray.pipelines import ingest
@@ -303,9 +306,9 @@ def test_fragment_archive_search(ray_session, tmp_path):
 
 def test_fragment_count_by_time_and_prefilter(ray_session, tmp_path):
     """count-by-time works over a fragment base (ts passthrough through
-    the fragment scan), and the template-candidate prefilter never drops a
-    true match (conservative: verify equality against a no-prefilter
-    reference on a query whose constants split across variables)."""
+    the fragment scan), and logtype pruning never drops a true match
+    (a query whose constants split across variables still counts
+    exactly)."""
     import pyarrow as _pa
 
     from clp_core_ray.pipelines import ingest
@@ -406,7 +409,7 @@ def test_textlog_ingest_and_search(ray_session, tmp_path):
     """textlog format (`clp c` primary input): each fragment is a full
     dictionary archive built by timestamp-pattern message assembly; the
     fragment-base search routes such fragments through the two-phase
-    compiled archive search and unions with inline fragments."""
+    compiled archive search."""
     from clp_core_ray.pipelines import ingest
     from clp_core_ray.pipelines.search import search_count
 
@@ -490,6 +493,119 @@ def test_scheduler_fuzz_convergence(ray_session, tmp_path, monkeypatch):
     assert _total_rows(out) == 12 * 8
 
 
+def test_fsck_textlog_fragment_base(ray_session, tmp_path):
+    """fsck counts a textlog fragment's routed rows only: its dictionary
+    files are parquet too but hold no log rows."""
+    import shutil
+
+    from clp_core_ray.pipelines import ingest
+    from clp_core_ray.state.manifest import fsck_archive
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    shutil.copy(os.path.join(os.path.dirname(__file__), "fixtures",
+                             "log.txt"), indir / "app.log")
+    out = str(tmp_path / "frags")
+    assert ingest.poll(str(indir), out, fmt="textlog")["done"] == ["app"]
+    r = fsck_archive(out)
+    assert r["ok"], r["problems"]
+    (v,) = r["classes"].values()
+    assert v["expected"] == v["actual"] > 0
+
+
+def test_grouped_claims_with_diverging_discovery(ray_session, tmp_path,
+                                                 monkeypatch):
+    """Two pollers with size packing that discover different file sets
+    (here: different patterns) group a shared file into different
+    fragments. Both read the job table before either claims; still no
+    input is ingested twice, and a later poll picks up what the losing
+    group left."""
+    from clp_core_ray.pipelines import compress as cp
+    from clp_core_ray.pipelines import ingest
+    from clp_core_ray.state.manifest import read_manifests
+
+    indir = tmp_path / "in"
+    indir.mkdir()
+    files = [_shard(indir, i) for i in range(5)]
+    target = os.path.getsize(files[0]) * 2 + 1  # two files per group
+
+    barrier = threading.Barrier(2, timeout=60)
+    real_group = cp.group_input_files
+
+    def group_after_both_discovered(fs, tb):
+        barrier.wait()
+        return real_group(fs, tb)
+
+    monkeypatch.setattr(cp, "group_input_files", group_after_both_discovered)
+    out = str(tmp_path / "arch")
+    results = {}
+
+    def run(name, pattern):
+        results[name] = ingest.poll(str(indir), out, pattern=pattern,
+                                    target_bytes=target, owner=name)
+
+    # a: [0,1] [2]   b: [0,1] [2,3] [4] -- shard 2 sits in two groups
+    ta = threading.Thread(target=run, args=("a", "shard-000[0-2].parquet"))
+    tb = threading.Thread(target=run, args=("b", "*.parquet"))
+    ta.start(); tb.start(); ta.join(); tb.join()
+    assert not results["a"]["failed"] and not results["b"]["failed"]
+
+    monkeypatch.setattr(cp, "group_input_files", real_group)
+    ingest.poll(str(indir), out, target_bytes=target)
+    owned = []
+    for m in read_manifests(out):
+        owned += m["input"] if isinstance(m["input"], list) else [m["input"]]
+    assert sorted(owned) == sorted(files)  # each input exactly once
+    assert _total_rows(out) == 5 * 8
+
+
+def test_file_claims_stress_overlapping_groups(tmp_path):
+    """More claimers than cores race over overlapping groups of one file
+    set, with a short thread switch interval: the groups that win both
+    their job claim and every file claim are pairwise disjoint, and every
+    losing group left no claim behind."""
+    import random
+    import sys
+
+    from clp_core_ray.state import jobs as jb
+
+    out = str(tmp_path / "arch")
+    files = [f"/in/f{i:02d}" for i in range(24)]
+    rng = random.Random(7)
+    plans = [[sorted(rng.sample(files, rng.randint(1, 5)))
+              for _ in range(12)] for _ in range(8)]
+    won, lock = [], threading.Lock()
+
+    def claimer(k):
+        for g in plans[k]:
+            frag = "g-" + "-".join(f[-2:] for f in g)
+            if not jb.try_claim(out, frag, g, f"c{k}"):
+                continue
+            if jb.claim_files(out, frag, g):
+                with lock:
+                    won.append((frag, g))
+            else:
+                jb.clear_job(out, frag)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=claimer, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    owned = [f for _, g in won for f in g]
+    assert won and len(owned) == len(set(owned))
+    # only the winners' file claims remain
+    assert set(jb.read_jobs(out)) == {frag for frag, _ in won}
+    assert len(os.listdir(os.path.join(out, "_jobs", "files"))) == len(owned)
+
+
 def test_fsck_fragment_base(ray_session, tmp_path):
     """fsck understands fragment bases: green after ingest, red on a
     deleted sink file, and untracked fragment dirs are flagged."""
@@ -507,10 +623,10 @@ def test_fsck_fragment_base(ray_session, tmp_path):
     assert all(v["expected"] == v["actual"] == 8
                for v in r["classes"].values())
 
-    # delete one sink parquet -> count mismatch
+    # delete one routed sink parquet -> count mismatch
     victim = next(os.path.join(rr, f)
                   for rr, _, fs in os.walk(os.path.join(
-                      out, "fragment=shard-0000"))
+                      out, "fragment=shard-0000", "routed"))
                   for f in fs if f.endswith(".parquet"))
     os.unlink(victim)
     r2 = fsck_archive(out)
