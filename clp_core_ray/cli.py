@@ -64,10 +64,6 @@ def cmd_compress(args) -> dict:
     if getattr(args, "fragments", False):
         # checkpointed mode: one fragment per input shard, resume skips the
         # ones whose lineage manifest already exists (north-rule resume path)
-        if args.no_compact:
-            raise SystemExit(
-                "--fragments writes the compact layout only; "
-                "--no-compact is not supported in checkpointed mode")
         from clp_core_ray.pipelines.compress import run_fragments
         from clp_core_ray.state import manifest as mf
 
@@ -94,19 +90,16 @@ def cmd_compress(args) -> dict:
     codec_kw = dict(codec=getattr(args, "codec", "zstd") or "zstd",
                     codec_level=getattr(args, "codec_level", None))
     if synth_sf is not None:
-        counts = compress(synth_sf, args.out, compact=not args.no_compact,
-                          tags=tags, **codec_kw)
+        counts = compress(synth_sf, args.out, tags=tags, **codec_kw)
     elif is_cache:
-        counts = compress(src, args.out, compact=not args.no_compact,
-                          tags=tags, **codec_kw)
+        counts = compress(src, args.out, tags=tags, **codec_kw)
     else:
         # arbitrary transcript parquet path: read it directly (the reference's
         # archive-per-input-group model, clp/compression.cpp:133-163)
         import ray.data as rd
 
-        counts = compress(None, args.out, compact=not args.no_compact,
-                          ds=rd.read_parquet(src), input_label=src, tags=tags,
-                          **codec_kw)
+        counts = compress(None, args.out, ds=rd.read_parquet(src),
+                          input_label=src, tags=tags, **codec_kw)
     wall = time.time() - t0
     total = sum(counts.column("cnt").to_pylist())
     out = {
@@ -752,8 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True,
                    help="sf dir or transcript parquet path")
     c.add_argument("--out", required=True, help="archive output dir")
-    c.add_argument("--no-compact", action="store_true",
-                   help="inline logtype/dict_vars per row")
     c.add_argument("--tag", action="append",
                    help="archive tag recorded in the manifest (repeatable; "
                         "search --tag selects on it)")

@@ -321,8 +321,7 @@ def _owns_journal(jpath: str, owner: str) -> bool:
 
 
 def compact_fragments(frag_base: str, archive_dir: str,
-                      lease_s: float = COMPACTION_LEASE_S,
-                      **compress_kwargs) -> dict:
+                      lease_s: float = COMPACTION_LEASE_S) -> dict:
     """Compact the ingest scheduler's accumulated fragments
     (pipelines/ingest.py: each ``clp`` fragment is a dictionary archive)
     into ONE self-contained dictionary archive — the hot-tail → cold-tier
@@ -420,8 +419,7 @@ def compact_fragments(frag_base: str, archive_dir: str,
         raise ValueError(f"mixed fragment formats in one base: {fmts}")
     fmt = fmts.pop()
     with _JournalHeartbeat(jpath, lease_s):
-        rows = _build_compacted(fmt, frags, frag_ids, cid, out_arch,
-                                compress_kwargs)
+        rows = _build_compacted(fmt, frags, frag_ids, cid, out_arch)
     if not _owns_journal(jpath, journal["owner"]):
         return {"archive": None, "fragments": [], "rows": 0,
                 "resumed": bool(resumed), "lost": cid}
@@ -431,7 +429,7 @@ def compact_fragments(frag_base: str, archive_dir: str,
 
 
 def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
-                     out_arch: str, compress_kwargs: dict) -> int:
+                     out_arch: str) -> int:
     """Phase 2 of ``compact_fragments``: build the compact archive of
     ``frags`` at ``out_arch``; returns its row count."""
     import ray.data as rd
@@ -459,8 +457,7 @@ def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
         ds = ds.map_batches(to_transcript, batch_format="pyarrow")
         counts = compress(
             None, out_arch, ds=ds,
-            input_label=f"compaction:{cid} ({len(frag_ids)} fragments)",
-            **compress_kwargs)
+            input_label=f"compaction:{cid} ({len(frag_ids)} fragments)")
         rows = int(pc.sum(counts.column("cnt")).as_py() or 0)
     elif fmt == "clps":
         # NDJSON fragments: per-fragment decompress with a global event

@@ -70,7 +70,7 @@ FUSED_MIN_ROWS_PER_BLOCK = 4096
 # parquet dictionary pages only for genuinely repetitive columns:
 # dictionary-encoding the mostly-unique var/text columns costs ~1.5x write
 # time AND more bytes (measured 20.4s/384MB default vs 13.9s/352MB selective
-# at sf1.6, 16 CPUs). Non-compact sinks add the inline ``logtype`` column.
+# at sf1.6, 16 CPUs).
 SINK_DICT_COLS = ["conv_id", "role", "tool", "role_group", "tool_category"]
 # one row per (task, class) a FusedSinkStage call wrote
 _STATS_SCHEMA = pa.schema([("logtype_class", pa.string()),
@@ -151,15 +151,14 @@ class FullEncodeStage:
     dictionary delta dedup (T1/T2) is per-block; the finalize distinct
     removes cross-block duplicates.
 
-    With ``compact=True`` (the archival mode) the per-row ``logtype`` string
-    and inline ``dict_vars`` are dropped from the output: rows carry only
-    ``logtype_id`` and ``encoded_vars`` — CLP's actual storage model (three
-    columns + dictionaries, File.hpp:17-22) — which roughly halves sink bytes.
-    Decode then resolves both through the archive dictionaries.
-    ``compact=False`` (self-contained inline rows) remains for
-    ``compress(compact=False)`` and for the inline transcript fragments
-    that perfbench/tracing.py's traced ingest writes; the ingest runners
-    write compact archives.
+    With ``compact=True`` (what ``compress`` writes) the per-row ``logtype``
+    string and inline ``dict_vars`` are dropped from the output: rows carry
+    only ``logtype_id`` and ``encoded_vars`` — CLP's storage model (three
+    columns + dictionaries, File.hpp:17-22). Decode then resolves both
+    through the archive dictionaries. ``compact=False`` keeps both inline
+    for in-memory decode (``build_encoded``, ``roundtrip_check``); the
+    traced ingest in perfbench/tracing.py also writes such rows as
+    fragments.
     """
 
     def __init__(self, keep_text: bool = False, dict_delta_dir: str | None = None,
@@ -193,14 +192,13 @@ class FusedSinkStage:
     encode → write_parquet pipeline would ship every encoded block through
     it: encode task → plasma → write task)."""
 
-    def __init__(self, routed_dir: str, keep_text: bool = False,
-                 dict_delta_dir: str | None = None, compact: bool = False,
-                 dict_cap_entries: int | None = None, dict_cols=(),
-                 row_group_rows: int = 64 * 1024,
+    def __init__(self, routed_dir: str, dict_delta_dir: str | None = None,
+                 compact: bool = False, dict_cap_entries: int | None = None,
+                 dict_cols=(), row_group_rows: int = 64 * 1024,
                  codec: str = "zstd", codec_level: int | None = None):
         self.stage = FullEncodeStage(
-            keep_text=keep_text, dict_delta_dir=dict_delta_dir,
-            compact=compact, dict_cap_entries=dict_cap_entries,
+            dict_delta_dir=dict_delta_dir, compact=compact,
+            dict_cap_entries=dict_cap_entries,
         )
         self.routed_dir = routed_dir
         self.dict_cols = list(dict_cols)
@@ -311,28 +309,22 @@ def _sink_blocks(files: list[str]) -> int:
     return max(1, min(4 * ncpu, max(by_file, min(ncpu, by_min))))
 
 
-def build_encoded(ds, keep_text: bool = False, concurrency=None,
-                  dict_delta_dir: str | None = None, compact: bool = False):
-    """transcripts Dataset → routed+enriched+encoded Dataset (lazy)."""
+def build_encoded(ds, keep_text: bool = False):
+    """transcripts Dataset → routed+enriched+encoded Dataset (lazy), rows
+    carrying their ``logtype`` and ``dict_vars`` for in-memory decode."""
     # resolve the dictionary-epoch cap on the driver (workers may not see
     # env changes made after the Ray session started)
     dict_cap = int(os.environ.get("CLP_DICT_CAP_ENTRIES", 4_000_000))
     return ds.map_batches(
-        FullEncodeStage(keep_text=keep_text, compact=compact,
-                        dict_delta_dir=dict_delta_dir,
-                        dict_cap_entries=dict_cap),
+        FullEncodeStage(keep_text=keep_text, dict_cap_entries=dict_cap),
         batch_format="pyarrow",
         batch_size=ENCODE_BATCH_SIZE,
-        concurrency=concurrency,
     )
 
 
 def compress(
     sf_dir_or_sf,
     out_dir: str,
-    keep_text: bool = False,
-    concurrency=None,
-    compact: bool = True,
     ds=None,
     input_label: str | None = None,
     tags: list | None = None,
@@ -342,12 +334,13 @@ def compress(
 ):
     """Run the flagship pipeline; returns the per-class count table (small).
 
-    Writes routed sinks to <out_dir>/routed/ partitioned by logtype_class and
-    a manifest with per-class counts. compact=True stores CLP's three-column
-    model (ids + encoded vars, dictionaries separate); compact=False keeps
-    the logtype/dict_vars inline per row (self-contained rows, bigger sinks).
-    ``ds`` overrides the input with an arbitrary transcript Dataset (the
-    archive-per-input-group model, clp/compression.cpp:133-163 file grouping);
+    Writes routed sinks to <out_dir>/routed/ partitioned by logtype_class,
+    the archive's dictionaries and a manifest with per-class counts. Sink
+    rows hold CLP's three columns (ts, logtype id, encoded vars, plus the
+    row metadata); logtype templates and dictionary variables live only in
+    the dictionaries. ``ds`` overrides the input with an arbitrary
+    transcript Dataset (the archive-per-input-group model,
+    clp/compression.cpp:133-163 file grouping);
     ``input_label`` is then recorded as the manifest's input. ``tags``
     are free-form archive labels persisted in the manifest; multi-archive
     search selects on them (the package metadata-DB tag column's role).
@@ -378,17 +371,14 @@ def compress(
     watcher = _DeltaWatcher(delta_dir).start()
     os.makedirs(routed_dir, exist_ok=True)
     sink = FusedSinkStage(
-        routed_dir=routed_dir, keep_text=keep_text, dict_delta_dir=delta_dir,
-        compact=compact,
+        routed_dir=routed_dir, dict_delta_dir=delta_dir, compact=True,
         dict_cap_entries=int(os.environ.get("CLP_DICT_CAP_ENTRIES",
                                             4_000_000)),
-        dict_cols=SINK_DICT_COLS + ([] if compact else ["logtype"]),
-        codec=codec, codec_level=codec_level,
+        dict_cols=SINK_DICT_COLS, codec=codec, codec_level=codec_level,
     )
     try:
         stats = _to_table(ds.map_batches(sink, batch_format="pyarrow",
-                                         batch_size=None,
-                                         concurrency=concurrency))
+                                         batch_size=None))
     finally:
         # a failed write must not leave the poller thread running
         watcher.stop()

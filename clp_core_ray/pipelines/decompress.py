@@ -173,29 +173,20 @@ def _decode(archive_dir: str, columns, ordered: bool = False, prefilter=None,
             [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
         ).empty_table()
     need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
-    inline = "dict_vars" in pq.ParquetFile(files[0]).schema_arrow.names
-    if inline:  # non-compact archive: decode inline
-        need.append("dict_vars")
-        need.append("logtype")  # DecodeStage resolves templates from the row
-    over_cap = (not inline and _vardict_uncompressed_bytes(archive_dir)
-                > _dict_broadcast_cap())
+    over_cap = _vardict_uncompressed_bytes(archive_dir) > _dict_broadcast_cap()
     if not over_cap and choose(
             stage, sum(os.path.getsize(f) for f in files)) == "local":
-        return _decode_local(archive_dir, files, need, inline, columns,
-                             ordered, prefilter)
-    return _decode_ray(archive_dir, need, inline, over_cap, columns,
-                       ordered, prefilter)
+        return _decode_local(archive_dir, files, need, columns, ordered,
+                             prefilter)
+    return _decode_ray(archive_dir, need, over_cap, columns, ordered,
+                       prefilter)
 
 
 def _decode_local(archive_dir: str, files: list[str], need: list[str],
-                  inline: bool, columns, ordered: bool,
-                  prefilter) -> pa.Table:
+                  columns, ordered: bool, prefilter) -> pa.Table:
     """Decode in the calling process: pyarrow reads the sinks, then
     ``prefilter`` and the decode stage run over 32K-row slices."""
-    from clp_core_ray.stages.encode import DecodeStage
-
-    stage = (DecodeStage(out_col="text") if inline
-             else ArchiveDecodeStage(load_dicts(archive_dir)))
+    stage = ArchiveDecodeStage(load_dicts(archive_dir))
     t = pa.concat_tables(
         (pq.read_table(f, columns=need, partitioning=None) for f in files),
         promote_options="permissive").combine_chunks()
@@ -211,8 +202,8 @@ def _decode_local(archive_dir: str, files: list[str], need: list[str],
     return out.sort_by([(c, "ascending") for c in columns]) if ordered else out
 
 
-def _decode_ray(archive_dir: str, need: list[str], inline: bool,
-                over_cap: bool, columns, ordered: bool, prefilter):
+def _decode_ray(archive_dir: str, need: list[str], over_cap: bool, columns,
+                ordered: bool, prefilter):
     """Decode as a Ray Data job → lazy Dataset: the dictionaries broadcast
     via ray.put, or, over the broadcast cap, the partitioned join."""
     import ray
@@ -226,11 +217,7 @@ def _decode_ray(archive_dir: str, need: list[str], inline: bool,
     if prefilter is not None:
         ds = ds.map_batches(prefilter, batch_format="pyarrow")
 
-    if inline:
-        from clp_core_ray.stages.encode import DecodeStage
-
-        out = ds.map_batches(DecodeStage(out_col="text"), batch_format="pyarrow")
-    elif over_cap:
+    if over_cap:
         out = _decode_partitioned(ds, archive_dir)
     else:
         out = ds.map_batches(
@@ -260,9 +247,8 @@ def _decode_partitioned(ds, archive_dir: str):
        dict SHARD for a bucket is ever resident — never the whole dict.
     2. Union resolved slots with the encoded rows; bucket on conv_id hash;
        per bucket sort both sides by (conv_id, turn_idx[, slot]), fold the
-       values into an aligned ``list<string>`` per row, and decode inline
-       via ``decode_batch(dict_vars=...)`` (the non-compact archives'
-       inline-dict path).
+       values into an aligned ``list<string>`` per row, and decode with
+       ``decode_batch(dict_vars=...)``.
 
     Relies on the flagship archive invariant that (conv_id, turn_idx) is
     unique per row (the same stable ordering key the reconstruction sort

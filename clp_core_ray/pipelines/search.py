@@ -554,10 +554,10 @@ class _ArchiveScan:
     against the decoded text.
 
     ``dicts`` are the decode dictionaries ``(lt_ids, lt_values, var_ids,
-    var_values)``, or a Ray ref to them, or None for inline sinks. A ref
-    resolves lazily per task (zero-copy plasma get): an eager get in the
-    driver-side constructor would pickle the full dict tables into every
-    task's closure instead of shipping the ref."""
+    var_values)``, or a Ray ref to them. A ref resolves lazily per task
+    (zero-copy plasma get): an eager get in the driver-side constructor
+    would pickle the full dict tables into every task's closure instead of
+    shipping the ref."""
 
     def __init__(self, queries, dicts, extra, empty, query_idx):
         self.queries = queries  # [(query_idx, cq, regex)]
@@ -572,9 +572,8 @@ class _ArchiveScan:
 
         self.decode = decode_batch
         d = self.dicts
-        if d is not None:
-            (self.lt_ids, self.lt_values, self.var_ids,
-             self.var_values) = ray.get(d) if isinstance(d, ray.ObjectRef) else d
+        (self.lt_ids, self.lt_values, self.var_ids,
+         self.var_values) = ray.get(d) if isinstance(d, ray.ObjectRef) else d
         self._loaded = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -586,16 +585,11 @@ class _ArchiveScan:
             return self.empty
         if not union.all():
             batch = batch.filter(pa.array(union))
-        if self.dicts is None:
-            text = self.decode(
-                batch.column("logtype"), batch.column("encoded_vars"),
-                batch.column("var_types"), dict_vars=batch.column("dict_vars"))
-        else:
-            pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
-            text = self.decode(
-                pc.take(self.lt_values, pos), batch.column("encoded_vars"),
-                batch.column("var_types"), dict_ids=self.var_ids,
-                dict_values=self.var_values)
+        pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
+        text = self.decode(
+            pc.take(self.lt_values, pos), batch.column("encoded_vars"),
+            batch.column("var_types"), dict_ids=self.var_ids,
+            dict_values=self.var_values)
         cols = {"conv_id": batch.column("conv_id").combine_chunks(),
                 "turn_idx": batch.column("turn_idx").combine_chunks(),
                 "text": text}
@@ -637,10 +631,9 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     each query keeps the sink classes its subqueries can match
     (:func:`_prune_keep_classes`), the scan reads the union of kept classes
     once, and one unprunable query forces the full scan. Scan: see
-    :class:`_ArchiveScan`; it decodes through the dictionaries, or through
-    the sinks' inline ``logtype``/``dict_vars`` columns. ``columns`` are
-    sink columns passed through to the matches. :func:`_run_plans` runs
-    the plans.
+    :class:`_ArchiveScan`; it decodes through the archive's dictionaries.
+    ``columns`` are sink columns passed through to the matches.
+    :func:`_run_plans` runs the plans.
     """
     import os
 
@@ -684,10 +677,7 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
 
     cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
     cols += [c for c in extra if c not in cols]
-    if "dict_vars" in st.sink_schema.names:
-        cols += ["logtype", "dict_vars"]
-        dicts = None
-    elif st.var_ids is not None:
+    if st.var_ids is not None:
         dicts = (st.lt_ids, st.lt_values, st.var_ids, st.var_values)
     else:  # var dict over the cap: read for this scan only, uncached
         ldict, vdict = load_dicts(archive_dir)
@@ -717,9 +707,9 @@ def _scan_ray(plan: _Plan):
     import ray.data as rd
 
     scan = plan.scan
-    if scan.dicts is not None:  # broadcast once, not pickled per task
-        scan = _ArchiveScan(scan.queries, ray.put(scan.dicts), scan.extra,
-                            scan.empty, scan.query_idx)
+    # broadcast the dicts once, not pickled per task
+    scan = _ArchiveScan(scan.queries, ray.put(scan.dicts), scan.extra,
+                        scan.empty, scan.query_idx)
     ds = rd.read_parquet(plan.files, columns=plan.cols,
                          file_extensions=["parquet"])
     # task-based: the scan's state (broadcast dicts) is a cheap zero-copy

@@ -246,37 +246,20 @@ class EncodeStage:
 class DecodeStage:
     """Inverse of EncodeStage → adds a decoded text column.
 
-    Resolves dict vars inline when the batch carries ``dict_vars``; otherwise
-    uses a broadcast dictionary passed as a ray.ObjectRef (J2 in SURVEY.md:
-    dict table shipped once via ray.put, read per actor in __init__)."""
+    Decodes batches that carry each row's ``logtype`` template and
+    ``dict_vars`` values: in-memory encoded batches (``build_encoded``,
+    ``roundtrip_check``, rule encoders) and the inline fragments that
+    compaction rebuilds. Archives decode through their dictionaries
+    (``ArchiveDecodeStage``)."""
 
-    def __init__(self, out_col: str = "text", var_dict_ref=None):
+    def __init__(self, out_col: str = "text"):
         self.out_col = out_col
-        self._ids = None
-        self._values = None
-        if var_dict_ref is not None:
-            import ray
-
-            tbl = ray.get(var_dict_ref)
-            self._ids = np.asarray(tbl["var_id"], dtype=np.int64)
-            self._values = tbl["value"] if isinstance(tbl["value"], pa.Array) else pa.array(
-                tbl["value"]
-            )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if "dict_vars" in batch.column_names and self._ids is None:
-            decoded = decode_batch(
-                batch.column("logtype"),
-                batch.column("encoded_vars"),
-                batch.column("var_types"),
-                dict_vars=batch.column("dict_vars"),
-            )
-        else:
-            decoded = decode_batch(
-                batch.column("logtype"),
-                batch.column("encoded_vars"),
-                batch.column("var_types"),
-                dict_ids=self._ids,
-                dict_values=self._values,
-            )
+        decoded = decode_batch(
+            batch.column("logtype"),
+            batch.column("encoded_vars"),
+            batch.column("var_types"),
+            dict_vars=batch.column("dict_vars"),
+        )
         return batch.append_column(self.out_col, decoded)

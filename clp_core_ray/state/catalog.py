@@ -87,66 +87,58 @@ def read_catalog(base_dir: str) -> list[dict]:
     return out
 
 
+#: Suffix of a retention tombstone in the catalog dir: ``<entry>.tombstone``
+#: names the archive a sweep is removing, written before its entry goes.
+TOMBSTONE = ".tombstone"
+
+
 def retention_sweep(base_dir: str, *, before_us: int,
-                    dry_run: bool = False,
-                    orphan_grace_s: float = 24 * 3600.0) -> list[str]:
+                    dry_run: bool = False) -> list[str]:
     """Archive TTL enforcement (the reference package's archive-deletion
     job role, `clp-package` del-archives script semantics): drop every
     archive whose ENTIRE time range ends before ``before_us``.
 
-    Order makes this crash-safe without coordination: the catalog entry is
-    unlinked FIRST (the atomic commit point — selection stops routing
-    queries at the archive immediately), then the archive directory is
-    removed. A crash between the two leaves an orphaned directory that no
-    query will read; this sweep's SECOND pass collects such untracked
-    directories — but only ones untouched for ``orphan_grace_s`` seconds,
-    because a compress job registers its archive only on completion, so a
-    young untracked dir may be an in-flight build, not an orphan. The
-    reverse unlink order would leave a catalog entry pointing at nothing
-    and break multi-archive search. Archives with unknown ts_max are kept
-    (unknown age is not old age). Returns the removed archive dirs.
+    Crash-safe without coordination, in this order per archive: a
+    tombstone naming the archive is written to the catalog dir, the
+    catalog entry is unlinked (the commit point — selection stops routing
+    queries at the archive), the directory is removed, and the tombstone
+    goes last. Every sweep also finishes the tombstones it finds, so a
+    sweep that crashed part-way is completed by the next one. Only
+    tombstoned archives are ever removed: an un-catalogued dir under
+    ``base_dir`` (a build not yet registered, a ``fragment=`` dir) is
+    never touched. The reverse unlink order would leave a catalog entry
+    pointing at nothing and break multi-archive search. Archives with
+    unknown ts_max are kept (unknown age is not old age). Returns the
+    removed archive dirs.
     """
     import shutil
-    import time
 
-    removed = []
     d = catalog_dir(base_dir)
-    tracked = set()
+    doomed: dict[str, str] = {}  # entry stem → archive path under base_dir
     for name in sorted(os.listdir(d)):
-        if not name.endswith(".json"):
+        stem, ext = os.path.splitext(name)
+        if ext not in (".json", TOMBSTONE):
             continue
-        path = os.path.join(d, name)
-        with open(path) as f:
+        with open(os.path.join(d, name)) as f:
             e = json.load(f)
-        tracked.add(e["archive"])
-        if e.get("ts_max") is None or int(e["ts_max"]) >= before_us:
-            continue
-        target = os.path.join(base_dir, e["archive"])
-        if dry_run:
-            removed.append(target)
-            continue
-        os.unlink(path)            # commit point: archive leaves selection
-        shutil.rmtree(target, ignore_errors=True)
+        if ext == TOMBSTONE or (e.get("ts_max") is not None
+                                and int(e["ts_max"]) < before_us):
+            doomed[stem] = e["archive"]
+    removed = []
+    for stem, rel in sorted(doomed.items()):
+        target = os.path.join(base_dir, rel)
         removed.append(target)
-        tracked.discard(e["archive"])
-    # orphan pass: untracked archive dirs (crash between unlink and rmtree,
-    # or a compress job that died after writing data but before register)
-    now = time.time()
-    for name in sorted(os.listdir(base_dir)):
-        full = os.path.join(base_dir, name)
-        if (name.startswith("_") or name in tracked
-                or not os.path.isdir(full)):
+        if dry_run:
             continue
+        tomb = os.path.join(d, stem + TOMBSTONE)
+        tmp = inprogress_path(tomb)
+        with open(tmp, "w") as f:
+            json.dump({"archive": rel}, f)
+        os.replace(tmp, tomb)
         try:
-            age = now - max(os.path.getmtime(full),
-                            max((os.path.getmtime(os.path.join(r, f))
-                                 for r, _, fs in os.walk(full) for f in fs),
-                                default=0.0))
-        except OSError:
-            continue               # racing writer — clearly not an orphan
-        if age < orphan_grace_s:
-            continue
-        if not dry_run:
-            shutil.rmtree(full, ignore_errors=True)
-        removed.append(full)
+            os.unlink(os.path.join(d, stem + ".json"))  # commit point
+        except FileNotFoundError:
+            pass  # a crashed sweep already committed
+        shutil.rmtree(target, ignore_errors=True)
+        os.unlink(tomb)
     return removed

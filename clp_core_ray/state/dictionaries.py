@@ -404,14 +404,3 @@ def _write_logtype_dict(out_dir: str, lt: pa.Table) -> dict:
         json.dump({c: by_class[c] for c in sorted(by_class)}, f)
     return {"n_logtypes": len(ldict), "classes": sorted(by_class)}
 
-
-def broadcast_var_dict(var_dict_ds):
-    """Materialize the var dict small-side and ray.put it for DecodeStage."""
-    import ray
-
-    tables = [pa.table(b) for b in var_dict_ds.iter_batches(batch_format="pyarrow")]
-    tbl = pa.concat_tables(tables) if tables else pa.table(
-        {"var_id": pa.array([], type=pa.int64()), "value": pa.array([], type=pa.string())}
-    )
-    return ray.put({"var_id": tbl.column("var_id").combine_chunks(),
-                    "value": tbl.column("value").combine_chunks()})

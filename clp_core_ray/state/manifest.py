@@ -193,8 +193,7 @@ def _fsck_fragment_base(out_dir: str) -> dict:
     equal the footer total of its data files — the parquet under the
     archive's ``routed/`` for ``clp`` fragments (dictionaries are parquet
     too, but hold no rows), every parquet under the sink otherwise
-    (inline fragments' rows, clp_s fragments' schema tables) — still
-    footer-metadata-only. Retired fragments must have NO surviving sink
+    (clp_s fragments' schema tables) — still footer-metadata-only. Retired fragments must have NO surviving sink
     dir; orphan fragment dirs with no manifest are flagged."""
     import glob
 

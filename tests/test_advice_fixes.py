@@ -42,21 +42,6 @@ def test_search_boundary_var_tokens(ray_session, tiny, tmp_path):
     assert sorted(hits["text"]) == sorted(want["text"])
 
 
-def test_decompress_noncompact(ray_session, tiny, tmp_path):
-    """compress(compact=False) → decompress round-trip (ADVICE r1: KeyError
-    because 'logtype' was not projected)."""
-    from clp_core_ray.pipelines.compress import compress
-    from clp_core_ray.pipelines.decompress import decompress
-    from clp_core_ray.sources.transcripts import read_transcripts
-
-    out = str(tmp_path / "arch_inline")
-    compress(SF, out, compact=False)
-    dec = decompress(out).to_pandas().sort_values(["conv_id", "turn_idx"])
-    orig = read_transcripts(SF).to_pandas().sort_values(["conv_id", "turn_idx"])
-    assert len(dec) == len(orig)
-    assert (dec["text"].values == orig["text"].values).all()
-
-
 # (tame, wild, expected) — escape block of
 # /root/reference/components/core/tests/test-string_utils.cpp:229-283
 ESCAPE_CASES = [
@@ -149,7 +134,6 @@ def test_cli_compress_real_input_not_replaced(ray_session, tmp_path):
     class A:
         input = str(src)
         out = str(tmp_path / "arch")
-        no_compact = False
 
     out = cmd_compress(A())
     assert out["rows"] == 10  # the 10 real rows, not sf0.5's 3M synthetic
@@ -165,7 +149,6 @@ def test_cli_compress_missing_input_errors(ray_session, tmp_path):
     class A:
         input = str(tmp_path / "nope")
         out = str(tmp_path / "arch2")
-        no_compact = False
 
     with pytest.raises(SystemExit):
         cmd_compress(A())

@@ -143,6 +143,66 @@ def test_retention_sweep(ray_session, tmp_path):
     assert len(hits) == 300
 
 
+def _bare_archive(base, name, ts_max, register=True):
+    """An archive dir with only a manifest (enough for the catalog)."""
+    from clp_core_ray.state import catalog as cat
+    from clp_core_ray.state import manifest as mf
+
+    d = os.path.join(base, name)
+    os.makedirs(os.path.join(d, "routed"))
+    mf.record_fragment(d, "full", {"ts_min": ts_max - 10, "ts_max": ts_max,
+                                   "class_counts": {"c": 1}})
+    if register:
+        cat.register_archive(base, d)
+    return d
+
+
+def test_retention_sweep_removes_only_tombstoned_dirs(tmp_path, monkeypatch):
+    """The sweep removes only archives it tombstoned before unlinking their
+    catalog entry: an un-catalogued archive and a ``fragment=`` dir under
+    the base stay, however old. A crash between the catalog unlink and the
+    rmtree leaves the tombstone, and the next sweep finishes the removal."""
+    import shutil
+
+    import pytest
+
+    from clp_core_ray.state import catalog as cat
+
+    base = str(tmp_path / "archives")
+    cat.init_catalog(base)
+    old = _bare_archive(base, "old", 1_000)
+    new = _bare_archive(base, "new", 10**18)
+    loose = _bare_archive(base, "loose", 1_000, register=False)
+    frag = os.path.join(base, "fragment=x")
+    os.makedirs(os.path.join(frag, "routed"))
+    for d in (loose, frag):  # untouched for decades
+        for r, _, fs in os.walk(d):
+            for p in [r, *(os.path.join(r, f) for f in fs)]:
+                os.utime(p, (0, 0))
+
+    real_rmtree = shutil.rmtree
+    crashed = []
+
+    def rmtree_crash_once(path, *a, **kw):
+        if not crashed:
+            crashed.append(path)
+            raise OSError("crash before rmtree")
+        return real_rmtree(path, *a, **kw)
+
+    monkeypatch.setattr(shutil, "rmtree", rmtree_crash_once)
+    with pytest.raises(OSError, match="crash before rmtree"):
+        cat.retention_sweep(base, before_us=1_000_000)
+    assert crashed == [old] and os.path.isdir(old)
+    assert [os.path.basename(e["dir"]) for e in cat.read_catalog(base)] == \
+        ["new"]
+
+    assert cat.retention_sweep(base, before_us=1_000_000) == [old]
+    assert not os.path.exists(old)
+    assert all(os.path.isdir(d) for d in (new, loose, frag))
+    assert cat.retention_sweep(base, before_us=1_000_000) == []
+    assert all(os.path.isdir(d) for d in (new, loose, frag))
+
+
 def test_results_cache(ray_session, tmp_path):
     """Cache hit serves the identical table WITHOUT re-running the search;
     any archive change (new compress job) changes the key so the next

@@ -426,30 +426,43 @@ def _input_rows(indir) -> list:
                       t.column("text").to_pylist()))
 
 
+def _assert_three_column_sinks(root: str) -> None:
+    """Every routed sink file under ``root`` holds CLP's columns only: no
+    inline ``logtype`` or ``dict_vars``."""
+    sinks = [os.path.join(r, f) for r, _, fs in os.walk(root)
+             for f in fs if f.endswith(".parquet")
+             and "routed" in r.split(os.sep)]
+    assert sinks, root
+    for f in sinks:
+        names = pq.read_schema(f).names
+        assert "logtype" not in names and "dict_vars" not in names, f
+
+
 def test_transcript_fragments_are_dictionary_archives(frag_base, tmp_path):
-    """Transcript fragments are compact dictionary archives: no sink file
-    carries the inline ``logtype``/``dict_vars`` columns, compaction is the
-    dictionary merge (``format == "clp"``, finalized in process), and the
-    compacted archive decompresses, searches and extracts to the input
-    rows."""
+    """Transcript fragments are compact dictionary archives, compaction is
+    the dictionary merge (``format == "clp"``, finalized in process), and
+    the compacted archive decompresses, searches and extracts to the input
+    rows. No sink file that ``compress`` (the fragments),
+    ``merge_archives`` (the compacted archive) or ``compress_text_logs``
+    writes carries the inline ``logtype``/``dict_vars`` columns."""
     from clp_core_ray.ir import decode_ir_stream_to_text
     from clp_core_ray.pipelines.compact import compact_fragments
+    from clp_core_ray.pipelines.compress import compress_text_logs
     from clp_core_ray.pipelines.decompress import (decompress,
                                                    extract_ir_chunks)
     from clp_core_ray.state.manifest import read_manifests
 
     indir, frags, cold = frag_base
-    sinks = [os.path.join(r, f) for r, _, fs in os.walk(frags)
-             for f in fs if f.endswith(".parquet")
-             and "routed" in r.split(os.sep)]
-    assert sinks
-    for f in sinks:
-        names = pq.read_schema(f).names
-        assert "logtype" not in names and "dict_vars" not in names, f
+    _assert_three_column_sinks(frags)
     assert {m["format"] for m in read_manifests(frags)} == {"clp"}
 
     res = compact_fragments(frags, cold)
     assert res["format"] == "clp" and res["rows"] == 30
+    _assert_three_column_sinks(res["archive"])
+    logs = str(tmp_path / "logs")
+    compress_text_logs([os.path.join(os.path.dirname(__file__), "fixtures",
+                                     "log.txt")], logs)
+    _assert_three_column_sinks(logs)
     (man,) = read_manifests(res["archive"])
     assert man["metrics"]["finalize_side"] == "local"
 

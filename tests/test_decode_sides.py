@@ -26,12 +26,12 @@ def turns():
     return synth_transcripts(3000, seed=3)
 
 
-def _compress(turns, out, **kw):
+def _compress(turns, out):
     import ray.data as rd
 
     from clp_core_ray.pipelines.compress import compress
 
-    compress(None, out, ds=rd.from_arrow(turns), input_label="t", **kw)
+    compress(None, out, ds=rd.from_arrow(turns), input_label="t")
     return out
 
 
@@ -40,7 +40,6 @@ def archives(ray_session, turns, tmp_path_factory):
     base = tmp_path_factory.mktemp("decode_sides")
     return {
         "compact": _compress(turns, str(base / "compact")),
-        "inline": _compress(turns, str(base / "inline"), compact=False),
         "empty": _compress(turns.slice(0, 0), str(base / "empty")),
         "small": _compress(turns.slice(0, IR_TURNS), str(base / "small")),
     }
@@ -68,8 +67,6 @@ CASES = [
     ("compact", ("conv_id", "turn_idx", "ts"), False, True),
     ("compact", ("conv_id", "turn_idx"), True, False),
     ("compact", ("conv_id", "turn_idx", "ts"), True, True),
-    ("inline", ("conv_id", "turn_idx", "ts"), False, False),
-    ("inline", ("conv_id", "turn_idx"), True, True),
     ("empty", ("conv_id", "turn_idx", "ts"), False, False),
 ]
 
@@ -219,5 +216,4 @@ def test_local_decode_submits_no_ray_job(ray_session, archives, tmp_path,
     extract_ir_chunks(archives["small"], str(tmp_path / "ir"))
     decompress(archives["compact"], columns=("conv_id", "turn_idx", "ts"),
                ordered=True, prefilter=_even_turns_filter())
-    decompress(archives["inline"])
     assert set(threading.enumerate()) <= before
