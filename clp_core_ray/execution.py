@@ -56,13 +56,20 @@ LOCAL_SCAN_BYTES = 1 << 20
 #: 0.065 s/MB, crossover 2.8 MB.
 LOCAL_FINALIZE_BYTES = 2 << 20
 
-#: Sink bytes of an archive at or under which ``decompress`` decodes it in
-#: the calling process. Measured on every row column, consumed, with the
-#: one ``rd.from_arrow`` wrap on the local side: Ray/local seconds at
-#: 0.09 / 0.24 / 0.54 / 1.01 / 1.92 MB of sinks were 0.240/0.098,
-#: 0.348/0.127, 0.388/0.141, 0.380/0.216, 0.700/0.447 (sweep A): fixed
-#: 0.22 s, local 0.19 s/MB, crossover 1.17 MB; sweep B: fixed 0.19 s,
-#: local 0.11 s/MB, crossover 1.69 MB. 1 MB sits under both.
+#: Sink bytes of an archive at or under which ``decompress`` decodes it,
+#: and ``extract_ir_chunks`` writes its IR chunks, in the calling process.
+#: Decompress, measured on every row column, consumed, with the one
+#: ``rd.from_arrow`` wrap on the local side: Ray/local seconds at 0.09 /
+#: 0.24 / 0.54 / 1.01 / 1.92 MB of sinks were 0.240/0.098, 0.348/0.127,
+#: 0.388/0.141, 0.380/0.216, 0.700/0.447 (sweep A): fixed 0.22 s, local
+#: 0.19 s/MB, crossover 1.17 MB; sweep B: fixed 0.19 s, local 0.11 s/MB,
+#: crossover 1.69 MB. IR extraction writes each event from the encoded
+#: columns with no decode, so it costs about what a decode does. A sweep
+#: over sweep A's sizes with that writer (medians of 5) gave Ray/local
+#: seconds at 0.09 / 0.24 / 0.54 / 1.01 / 1.92 MB of 0.184/0.018,
+#: 0.219/0.038, 0.300/0.074, 0.364/0.160, 0.700/0.299: fixed 0.20 s,
+#: local 0.16 s/MB, crossover 1.30 MB; decompress in the same run: fixed
+#: 0.18 s, local 0.14 s/MB, crossover 1.30 MB. 1 MB sits under all.
 LOCAL_DECODE_BYTES = 1 << 20
 
 #: Sink bytes at or under which ``extract_text_logs`` decodes an archive
@@ -75,25 +82,13 @@ LOCAL_DECODE_BYTES = 1 << 20
 #: 0.36 MB. 192 KB sits under both.
 LOCAL_TEXT_EXTRACT_BYTES = 3 << 16
 
-#: Sink bytes at or under which ``extract_ir_chunks`` decodes and
-#: serializes an archive in the calling process. IR serialization
-#: re-encodes every event in Python, so it costs far more per MB than the
-#: decode. Ray/local seconds at 0.07 / 0.09 / 0.14 / 0.24 / 0.34 /
-#: 0.54 MB of sinks were 0.263/0.101, 0.356/0.105, 0.627/0.206,
-#: 0.860/0.593, 1.021/0.522, 1.319/1.479 (sweep B): fixed 0.26 s, local
-#: 2.81 s/MB, crossover 0.09 MB; sweep A: fixed 0.23 s, local 2.15 s/MB,
-#: crossover 0.11 MB. 64 KB sits under both.
-LOCAL_IR_EXTRACT_BYTES = 1 << 16
-
 
 def choose(stage: str, input_bytes: int) -> str:
     """"local" when ``input_bytes`` is at most ``stage``'s constant
-    ("scan", "finalize", "decode", "text_extract" or "ir_extract"), else
-    "ray"."""
+    ("scan", "finalize", "decode" or "text_extract"), else "ray"."""
     limit = {"scan": LOCAL_SCAN_BYTES, "finalize": LOCAL_FINALIZE_BYTES,
              "decode": LOCAL_DECODE_BYTES,
-             "text_extract": LOCAL_TEXT_EXTRACT_BYTES,
-             "ir_extract": LOCAL_IR_EXTRACT_BYTES}[stage]
+             "text_extract": LOCAL_TEXT_EXTRACT_BYTES}[stage]
     return "local" if input_bytes <= limit else "ray"
 
 

@@ -19,10 +19,14 @@ encoding_methods.inc (encode_float_properties bit layouts, four-byte caps:
 int32 ints, ≤8-digit floats with digits < 2^25); conformance cases ported
 from tests/test-ir_encoding_methods.cpp.
 
-The heavy vectorized work (tokenize + 8-byte var encoding) reuses
-vec.tokenizer.encode_batch; per-event byte assembly is plain Python — IR is
-the interchange path, not the flagship archive path. Ray parallelism is
-one stream per task (write_ir / read_ir below).
+Two writers share the wire format. Text → IR (``serialize_ir_stream``,
+``write_ir``) tokenizes and encodes each message in Python, one at a time.
+Archive → IR (``ArchiveIrStage``) needs neither: an archive row already
+holds the eight-byte encoding, so the stage gathers logtype and dictionary
+strings by id and frames every event of a batch with numpy offsets; the
+four-byte width re-packs the vars that fit 32 bits and demotes the rest to
+dictionary vars. Ray parallelism is one stream per task (write_ir /
+read_ir below).
 """
 
 from __future__ import annotations
@@ -166,6 +170,22 @@ def four_byte_float_to_eight(enc4: int) -> int:
     return out - (1 << 64) if out >= (1 << 63) else out
 
 
+def eight_byte_float_to_four(enc8) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`four_byte_float_to_eight` over an int64 array:
+    unpack [1|1|54|4|4] and repack as [1|25|3|3] → (int32 encodings,
+    fits). ``fits`` is False where the float breaks a four-byte cap (more
+    than 8 digits, or digits >= 2^25); its encoding there is undefined."""
+    u = np.asarray(enc8, dtype=np.int64).view(np.uint64)
+    digits = (u >> np.uint64(8)) & np.uint64(E._FLOAT_DIGITS_MASK)
+    num_digits_m1 = (u >> np.uint64(4)) & np.uint64(0xF)
+    fits = (num_digits_m1 < 8) & (digits <= _FOUR_DIGITS_MASK)
+    out = (((u >> np.uint64(63)) << np.uint64(31))
+           | ((digits & np.uint64(_FOUR_DIGITS_MASK)) << np.uint64(6))
+           | ((num_digits_m1 & np.uint64(0x7)) << np.uint64(3))
+           | (u & np.uint64(0x7)))
+    return out.astype(np.uint32).view(np.int32), fits
+
+
 def _serialize_dict_var(tok_bytes: bytes) -> bytes:
     return _serialize_length(len(tok_bytes), VARSTR_UBYTE, VARSTR_USHORT, VARSTR_INT) + tok_bytes
 
@@ -266,6 +286,317 @@ def serialize_ir_stream(
             out.append(serialize_log_event_eight(t, m))
     out.append(EOF_BYTE)
     return b"".join(out)
+
+
+# ---- archive columns → IR ----------------------------------------------------
+
+#: Big-endian widths of a length prefix (``_serialize_length``) and of a
+#: timestamp delta (``_serialize_ts_delta``), narrowest first.
+_LENGTH_WIDTHS = (">u1", ">u2", ">i4")
+_DELTA_WIDTHS = (">i1", ">i2", ">i4", ">i8")
+_VARSTR_TAGS = (VARSTR_UBYTE, VARSTR_USHORT, VARSTR_INT)
+_LOGTYPE_TAGS = (LOGTYPE_UBYTE, LOGTYPE_USHORT, LOGTYPE_INT)
+_DELTA_TAGS = (TS_DELTA_BYTE, TS_DELTA_SHORT, TS_DELTA_INT, TS_DELTA_LONG)
+
+
+def _ragged_copy(out: np.ndarray, dst: np.ndarray, src: np.ndarray,
+                 src_start: np.ndarray, lens: np.ndarray) -> None:
+    """out[dst[i]:dst[i]+lens[i]] = src[src_start[i]:…+lens[i]] for all i."""
+    from clp_core_ray.vec.tokenizer import _cumsum0
+
+    total = int(lens.sum())
+    if not total:
+        return
+    rel = np.arange(total, dtype=np.int64) - np.repeat(
+        _cumsum0(lens, np.int64)[:-1], lens)
+    out[np.repeat(dst, lens) + rel] = src[np.repeat(src_start, lens) + rel]
+
+
+class _WireItems:
+    """The wire items of a batch of events, in stream order: each a
+    header (a tag, then a big-endian value or length, at most 9 bytes) and
+    a payload (a byte range of a source buffer, maybe empty)."""
+
+    def __init__(self, n: int):
+        self.hdr = np.zeros((n, 9), dtype=np.uint8)
+        self.hlen = np.zeros(n, dtype=np.int64)
+        self.plen = np.zeros(n, dtype=np.int64)
+        self.payloads = []  # (items, source buffer, source starts)
+
+    def put_value(self, items, tag: int, values: np.ndarray, dtype: str):
+        width = np.dtype(dtype).itemsize
+        self.hdr[items, 0] = tag
+        self.hdr[items, 1:1 + width] = np.ascontiguousarray(
+            values.astype(dtype)).view(np.uint8).reshape(len(values), width)
+        self.hlen[items] = 1 + width
+
+    def put_tagged(self, items, values: np.ndarray, tags, widths):
+        """Each value behind the first tag whose width holds it."""
+        left = np.ones(len(values), dtype=bool)
+        for tag, dt in zip(tags, widths):
+            info = np.iinfo(np.dtype(dt))
+            m = left & (values >= info.min) & (values <= info.max)
+            self.put_value(items[m], tag, values[m], dt)
+            left &= ~m
+        if left.any():
+            raise ValueError("value too large for IR encoding")
+
+    def put_strings(self, items, off: np.ndarray, data: np.ndarray,
+                    pos: np.ndarray, tags):
+        """Length-tagged strings ``pos`` of the (offsets, data) buffers."""
+        lens = off[pos + 1] - off[pos]
+        self.put_tagged(items, lens, tags, _LENGTH_WIDTHS)
+        self.plen[items] = lens
+        self.payloads.append((items, data, off[pos]))
+
+    def starts(self) -> np.ndarray:
+        from clp_core_ray.vec.tokenizer import _cumsum0
+
+        return _cumsum0(self.hlen + self.plen, np.int64)
+
+    def frame(self, start: np.ndarray) -> np.ndarray:
+        """Every item's header then payload, back to back."""
+        body = np.empty(int(start[-1]), dtype=np.uint8)
+        col = np.arange(self.hdr.shape[1])
+        m = col[None, :] < self.hlen[:, None]
+        body[(start[:-1, None] + col[None, :])[m]] = self.hdr[m]
+        for items, data, src in self.payloads:
+            _ragged_copy(body, start[items] + self.hlen[items], data, src,
+                         self.plen[items])
+        return body
+
+
+def _chunk_cuts(est: np.ndarray, target_bytes: int | None) -> list[int]:
+    """Event indexes splitting a block into ~``target_bytes`` streams by
+    the per-event size estimate ``est``: [0, …, len(est)]."""
+    cuts = [0, len(est)]
+    if target_bytes and len(est):
+        cum = np.cumsum(est)
+        n_chunks = max(1, int(np.ceil(cum[-1] / target_bytes)))
+        if n_chunks > 1:
+            marks = np.arange(1, n_chunks) * (cum[-1] / n_chunks)
+            inner = np.unique(np.searchsorted(cum, marks, side="left") + 1)
+            cuts = [0, *[int(i) for i in inner if 0 < i < len(est)], len(est)]
+    return cuts
+
+
+def _ts_ms(ts) -> np.ndarray:
+    """A timestamp or int64-ms column → int64 epoch millis (CLP timestamps
+    are epoch millis; finer resolutions truncate)."""
+    import pyarrow.compute as pc
+
+    if pa.types.is_timestamp(ts.type):
+        ts = pc.cast(pc.cast(ts, pa.timestamp("ms"), safe=False), pa.int64())
+    if isinstance(ts, pa.ChunkedArray):
+        ts = ts.combine_chunks()
+    return np.asarray(ts, dtype=np.int64)
+
+
+class ArchiveIrStage:
+    """Archive rows → IR streams, straight from the encoded columns
+    (``logtype_id``, ``encoded_vars``, ``var_types``, ``ts``): no text
+    decode, no re-tokenize.
+
+    The eight-byte event is the archive encoding on the wire: ``0x19`` +
+    int64 per encoded var, the dictionary vars' strings and the logtype,
+    each length-tagged, then ``0x30`` + the timestamp. The four-byte event
+    re-packs the vars that fit 32 bits (ints in int32, floats of at most 8
+    digits below 2^25) as ``0x18`` + int32 and demotes every other int or
+    float to a dictionary var holding its decoded text; the logtype's
+    placeholder byte of a demoted var becomes the dictionary placeholder,
+    rewritten once per distinct (logtype, demotion mask). Timestamps are
+    deltas, as ``serialize_ir_stream`` writes them. The streams are byte
+    for byte those of ``serialize_ir_stream`` over the decoded text.
+
+    ``dicts`` is the ``load_dicts`` pair when the stage runs in the calling
+    process, or a ref to it inside a Ray task, as for
+    ``ArchiveDecodeStage``. Called on a batch, the stage writes its events
+    as one stream (or ~``target_bytes`` streams) under ``out_dir`` and
+    returns their (path, n_events) rows.
+    """
+
+    def __init__(self, dicts, out_dir: str, four_byte: bool = True,
+                 target_bytes: int | None = None):
+        self.dicts = dicts
+        self.out_dir = out_dir
+        self.four_byte = four_byte
+        self.target_bytes = target_bytes
+        self._loaded = False
+
+    def _load(self):
+        from clp_core_ray.vec.tokenizer import _string_buffers
+
+        if isinstance(self.dicts, tuple):
+            ldict, vdict = self.dicts
+        else:
+            import ray
+
+            ldict, vdict = ray.get(self.dicts)
+        lt_ids = np.asarray(ldict.column("logtype_id"), dtype=np.int64)
+        order = np.argsort(lt_ids, kind="stable")
+        self.lt_ids = lt_ids[order]
+        self.lt_off, self.lt_data = _string_buffers(
+            ldict.column("logtype").combine_chunks().take(pa.array(order)))
+        self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
+        self.var_off, self.var_data = _string_buffers(
+            vdict.column("value").combine_chunks())
+        self._loaded = True
+
+    @staticmethod
+    def _lookup(sorted_ids: np.ndarray, need: np.ndarray, what: str):
+        pos = np.searchsorted(sorted_ids, need)
+        pos[pos >= len(sorted_ids)] = 0
+        if len(need) and not np.array_equal(sorted_ids[pos], need):
+            raise KeyError(f"{what} id missing from the archive dictionary")
+        return pos
+
+    def streams(self, batch: pa.Table) -> list[tuple[bytes, int]]:
+        """The batch's events as (stream bytes, n_events) chunks."""
+        from clp_core_ray.vec.decoder import _list_flat
+
+        n = batch.num_rows
+        if n == 0:
+            return [(serialize_ir_stream([], [], self.four_byte), 0)]
+        if not self._loaded:
+            self._load()
+        ts = _ts_ms(batch.column("ts"))
+        lt_pos = self._lookup(self.lt_ids, np.asarray(
+            batch.column("logtype_id"), dtype=np.int64), "logtype")
+        var_off, ev_arr = _list_flat(batch.column("encoded_vars"))
+        _, vt_arr = _list_flat(batch.column("var_types"))
+        ev = np.asarray(ev_arr, dtype=np.int64)
+        vt = np.asarray(vt_arr, dtype=np.int8)
+        nv = np.diff(var_off)
+
+        # wire items in event order: each var, the logtype, the timestamp
+        rows = np.arange(n, dtype=np.int64)
+        var_item = np.arange(len(ev), dtype=np.int64) + 2 * np.repeat(rows, nv)
+        lt_item = var_off[1:] + 2 * rows
+        ts_item = lt_item + 1
+        first_item = lt_item - nv
+        items = _WireItems(len(ev) + 2 * n)
+        is_dict = vt == E.VT_DICT
+        items.put_strings(var_item[is_dict], self.var_off, self.var_data,
+                          self._lookup(self.var_ids, ev[is_dict], "var"),
+                          _VARSTR_TAGS)
+        if self.four_byte:
+            self._four_byte_items(items, ev, vt, var_item, lt_item, var_off,
+                                  lt_pos)
+            deltas = np.r_[0, np.diff(ts)]
+            items.put_tagged(ts_item, deltas, _DELTA_TAGS, _DELTA_WIDTHS)
+        else:
+            items.put_value(var_item[~is_dict], VAR_EIGHT, ev[~is_dict], ">i8")
+            items.put_strings(lt_item, self.lt_off, self.lt_data, lt_pos,
+                              _LOGTYPE_TAGS)
+            items.put_value(ts_item, TS_VAL, ts, ">i8")
+
+        event_bounds = np.r_[first_item, len(var_item) + 2 * n]
+        start = items.starts()
+        cuts = _chunk_cuts(np.diff(start[event_bounds]), self.target_bytes)
+        if self.four_byte and len(cuts) > 2:
+            # a chunk's first delta is 0: its reference timestamp is its
+            # own first event's
+            heads = np.asarray(cuts[1:-1])
+            items.put_tagged(ts_item[heads], np.zeros(len(heads), np.int64),
+                             _DELTA_TAGS, _DELTA_WIDTHS)
+            start = items.starts()
+        body = items.frame(start)
+        ev_start = start[event_bounds]
+        out = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ref = int(ts[lo]) if self.four_byte else 0
+            out.append((serialize_preamble(self.four_byte,
+                                           reference_timestamp=ref)
+                        + body[ev_start[lo]:ev_start[hi]].tobytes()
+                        + EOF_BYTE, hi - lo))
+        return out
+
+    def _four_byte_items(self, items: _WireItems, ev, vt, var_item, lt_item,
+                         var_off, lt_pos):
+        """Four-byte var and logtype items: vars that fit 32 bits as
+        ``0x18`` + int32, the other ints and floats demoted to dictionary
+        vars of their decoded text, and each logtype with a demotion
+        rewritten."""
+        from clp_core_ray.vec.decoder import _render_floats
+        from clp_core_ray.vec.tokenizer import _string_buffers
+
+        is_int = vt == E.VT_INT
+        is_float = vt == E.VT_FLOAT
+        enc4 = np.zeros(len(ev), dtype=np.int32)
+        fits = is_int & (ev >= -(2**31)) & (ev <= 2**31 - 1)
+        enc4[fits] = ev[fits]
+        enc4[is_float], fits[is_float] = eight_byte_float_to_four(ev[is_float])
+        items.put_value(var_item[fits], VAR_FOUR, enc4[fits], ">i4")
+
+        dem_int = np.flatnonzero(is_int & ~fits)
+        dem_float = np.flatnonzero(is_float & ~fits)
+        demoted = np.concatenate([dem_int, dem_float])
+        if len(demoted):
+            d_off, d_data = _string_buffers(pa.concat_arrays([
+                pa.array(ev[dem_int]).cast(pa.large_string()),
+                _render_floats(ev[dem_float])]))
+            items.put_strings(var_item[demoted], d_off, d_data,
+                              np.arange(len(demoted), dtype=np.int64),
+                              _VARSTR_TAGS)
+
+        dem_row = np.zeros(len(lt_item), dtype=bool)
+        dem_row[np.searchsorted(var_off, demoted, side="right") - 1] = True
+        plain = np.flatnonzero(~dem_row)
+        items.put_strings(lt_item[plain], self.lt_off, self.lt_data,
+                          lt_pos[plain], _LOGTYPE_TAGS)
+        rows = np.flatnonzero(dem_row)
+        if len(rows):
+            r_off, r_data, r_pos = self._demoted_logtypes(
+                rows, lt_pos, var_off, demoted)
+            items.put_strings(lt_item[rows], r_off, r_data, r_pos,
+                              _LOGTYPE_TAGS)
+
+    def _demoted_logtypes(self, rows, lt_pos, var_off, demoted):
+        """(offsets, data, per-row position) of the rewritten logtypes of
+        ``rows``: the placeholder of each demoted var becomes
+        PLACEHOLDER_DICT, once per distinct (logtype, demotion mask)."""
+        import pyarrow.compute as pc
+
+        from clp_core_ray.vec.tokenizer import _cumsum0, _string_buffers
+
+        # key per row: its logtype position, then one mask byte per var
+        mask = np.zeros(int(var_off[-1]), dtype=np.uint8)
+        mask[demoted] = 1
+        nv = var_off[rows + 1] - var_off[rows]
+        key_off = _cumsum0(nv + 8, np.int64)
+        key = np.empty(int(key_off[-1]), dtype=np.uint8)
+        key[(key_off[:-1, None] + np.arange(8)).ravel()] = \
+            lt_pos[rows].astype("<i8").view(np.uint8)
+        _ragged_copy(key, key_off[:-1] + 8, mask, var_off[rows], nv)
+        keys = pa.Array.from_buffers(
+            pa.large_binary(), len(rows),
+            [None, pa.py_buffer(key_off.tobytes()), pa.py_buffer(key)])
+        enc = pc.dictionary_encode(keys)
+        rewritten = []
+        for k in enc.dictionary.to_pylist():
+            at = int(np.frombuffer(k[:8], "<i8")[0])
+            lt = list(self.lt_data[self.lt_off[at]:self.lt_off[at + 1]]
+                      .tobytes().decode())
+            for i, m in zip(_placeholder_positions(lt), k[8:]):
+                if m:
+                    lt[i] = E.PLACEHOLDER_DICT
+            rewritten.append("".join(lt))
+        r_off, r_data = _string_buffers(pa.array(rewritten,
+                                                 type=pa.large_string()))
+        return r_off, r_data, np.asarray(enc.indices, dtype=np.int64)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from clp_core_ray.state.atomic import atomic_write_bytes
+
+        paths, events = [], []
+        for blob, n in self.streams(batch):
+            # content-named atomic write: a retried task re-serializes the
+            # same events → same name, overwrites instead of duplicating
+            paths.append(atomic_write_bytes(blob, self.out_dir,
+                                            prefix="events", suffix=".clp.ir"))
+            events.append(n)
+        return pa.table({"path": pa.array(paths),
+                         "n_events": pa.array(events, type=pa.int64())})
 
 
 # ---- deserialization ---------------------------------------------------------
@@ -458,10 +789,16 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
     return meta, tbl
 
 
-def _placeholder_kinds(logtype: str) -> list[int]:
-    """Placeholder kinds in order, honoring '\\\\' escapes
+_PLACEHOLDER_KIND = {E.PLACEHOLDER_INT: E.VT_INT,
+                     E.PLACEHOLDER_FLOAT: E.VT_FLOAT,
+                     E.PLACEHOLDER_DICT: E.VT_DICT}
+
+
+def _placeholder_positions(logtype) -> list[int]:
+    """Indexes of the placeholder characters of ``logtype`` (a str or a
+    list of its characters), honoring '\\' escapes
     (LogTypeDictionaryEntry.cpp placeholder walk)."""
-    kinds = []
+    out = []
     i = 0
     n = len(logtype)
     while i < n:
@@ -469,14 +806,16 @@ def _placeholder_kinds(logtype: str) -> list[int]:
         if c == "\\":
             i += 2
             continue
-        if c == E.PLACEHOLDER_INT:
-            kinds.append(E.VT_INT)
-        elif c == E.PLACEHOLDER_FLOAT:
-            kinds.append(E.VT_FLOAT)
-        elif c == E.PLACEHOLDER_DICT:
-            kinds.append(E.VT_DICT)
+        if c in _PLACEHOLDER_KIND:
+            out.append(i)
         i += 1
-    return kinds
+    return out
+
+
+def _placeholder_kinds(logtype: str) -> list[int]:
+    """Placeholder kinds in order (VT_INT / VT_FLOAT / VT_DICT)."""
+    return [_PLACEHOLDER_KIND[logtype[i]]
+            for i in _placeholder_positions(logtype)]
 
 
 def decode_ir_stream_to_text(data: bytes) -> pa.Table:
@@ -548,11 +887,7 @@ def search_ir(paths, query: str, ignore_case: bool = False,
     decoding (S3 source + §2.11 search semantics, no archive required)."""
     import ray.data as rd
 
-    if isinstance(paths, str):
-        import os
-
-        paths = [os.path.join(paths, f) for f in sorted(os.listdir(paths))
-                 if f.endswith(".clp.ir")]
+    paths = _ir_files(paths)
 
     def scan(batch: pa.Table) -> pa.Table:
         tbls = []
@@ -572,6 +907,17 @@ def search_ir(paths, query: str, ignore_case: bool = False,
 # ---- Ray integration ---------------------------------------------------------
 
 
+def _ir_files(paths) -> list[str]:
+    """``paths`` itself, or, given a directory, its ``.clp.ir`` files
+    sorted."""
+    import os
+
+    if not isinstance(paths, str):
+        return list(paths)
+    return [os.path.join(paths, f) for f in sorted(os.listdir(paths))
+            if f.endswith(".clp.ir")]
+
+
 def ir_block_writer(out_dir: str, four_byte: bool = True, ts_col: str = "ts",
                     text_col: str = "text", target_bytes: int | None = None,
                     _test_crash_marker: str | None = None):
@@ -580,17 +926,12 @@ def ir_block_writer(out_dir: str, four_byte: bool = True, ts_col: str = "ts",
     under ``out_dir`` and returns their (path, n_events) rows."""
     import os
 
-    import numpy as np
     import pyarrow.compute as pc
 
     from clp_core_ray.state.atomic import atomic_write_bytes
 
     def write_block(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col)
-        if pa.types.is_timestamp(ts.type):
-            # CLP timestamps are epoch millis; truncate finer resolutions
-            ts = pc.cast(pc.cast(ts, pa.timestamp("ms"), safe=False), pa.int64())
-        ts_list = ts.to_pylist()
+        ts_list = _ts_ms(batch.column(ts_col)).tolist()
         msgs = batch.column(text_col).to_pylist()
         cuts = [0, len(msgs)]
         if target_bytes and len(msgs):
@@ -598,13 +939,7 @@ def ir_block_writer(out_dir: str, four_byte: bool = True, ts_col: str = "ts",
                 pc.cast(batch.column(text_col), pa.large_string()), ""))
                 .combine_chunks().to_numpy(zero_copy_only=False)
                 .astype(np.int64) + 12)
-            cum = np.cumsum(est)
-            n_chunks = max(1, int(np.ceil(cum[-1] / target_bytes)))
-            if n_chunks > 1:
-                marks = np.arange(1, n_chunks) * (cum[-1] / n_chunks)
-                inner = np.unique(np.searchsorted(cum, marks, side="left") + 1)
-                cuts = [0, *[int(i) for i in inner if 0 < i < len(msgs)],
-                        len(msgs)]
+            cuts = _chunk_cuts(est, target_bytes)
         out_paths, out_events = [], []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             blob = serialize_ir_stream(ts_list[lo:hi], msgs[lo:hi],
@@ -666,13 +1001,7 @@ def read_ir(paths) -> "object":
     """IR stream files → Dataset[(ts:int64 ms, text)] (S3 source)."""
     import ray.data as rd
 
-    if isinstance(paths, str):
-        import os
-
-        paths = [
-            os.path.join(paths, f) for f in sorted(__import__("os").listdir(paths))
-            if f.endswith(".clp.ir")
-        ]
+    paths = _ir_files(paths)
 
     def read_file(batch: pa.Table) -> pa.Table:
         tbls = []
@@ -709,9 +1038,7 @@ def compress_from_ir(paths, out_dir: str, four_byte_hint: bool | None = None,
 
     from clp_core_ray.pipelines.compress import compress
 
-    if isinstance(paths, str):
-        paths = [os.path.join(paths, f) for f in sorted(os.listdir(paths))
-                 if f.endswith(".clp.ir")]
+    paths = _ir_files(paths)
     if not paths:
         raise ValueError("compress_from_ir: no .clp.ir inputs")
 

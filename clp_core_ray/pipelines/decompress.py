@@ -7,14 +7,18 @@ clp_s's k-way merge by log_event_idx (JsonConstructor.cpp:63-160).
 
 Dictionaries are loaded once per call, as CLP loads them once per process
 (clg.cpp:176-199). An archive decodes on one of two sides, chosen by its
-sink bytes through ``execution.choose``, with one constant per entry point
-(``LOCAL_DECODE_BYTES`` for decompress, ``LOCAL_TEXT_EXTRACT_BYTES`` and
-``LOCAL_IR_EXTRACT_BYTES`` for the extractions). At or under it the
-archive decodes in the calling process, as ``clp x``'s FileDecompressor
-does: pyarrow reads the sinks and the decode stage runs over 32K-row
-slices, with no Ray job. Above it the decode is a Ray Data job with the
-dictionaries broadcast via ray.put. A var dictionary over
-``CLP_DICT_BROADCAST_CAP`` always decodes on Ray, by a partitioned join.
+sink bytes through ``execution.choose`` (``LOCAL_DECODE_BYTES`` for
+decompress and IR extraction, ``LOCAL_TEXT_EXTRACT_BYTES`` for text
+extraction). At or under it the archive decodes in the calling process, as
+``clp x``'s FileDecompressor does: pyarrow reads the sinks and the decode
+stage runs over 32K-row slices, with no Ray job. Above it the decode is a
+Ray Data job with the dictionaries broadcast via ray.put. A var dictionary
+over ``CLP_DICT_BROADCAST_CAP`` always decodes on Ray, by a partitioned
+join.
+
+IR extraction decodes nothing: ``ir.ArchiveIrStage`` writes each IR event
+from the encoded columns and the dictionaries, on either side, with the
+same read → stage shape as the decode.
 """
 
 from __future__ import annotations
@@ -182,14 +186,20 @@ def _decode(archive_dir: str, columns, ordered: bool = False, prefilter=None,
                        prefilter)
 
 
+def _read_sinks(files: list[str], need: list[str]) -> pa.Table:
+    """The ``need`` columns of every sink file, read by pyarrow into one
+    table (no Ray job)."""
+    return pa.concat_tables(
+        (pq.read_table(f, columns=need, partitioning=None) for f in files),
+        promote_options="permissive").combine_chunks()
+
+
 def _decode_local(archive_dir: str, files: list[str], need: list[str],
                   columns, ordered: bool, prefilter) -> pa.Table:
     """Decode in the calling process: pyarrow reads the sinks, then
     ``prefilter`` and the decode stage run over 32K-row slices."""
     stage = ArchiveDecodeStage(load_dicts(archive_dir))
-    t = pa.concat_tables(
-        (pq.read_table(f, columns=need, partitioning=None) for f in files),
-        promote_options="permissive").combine_chunks()
+    t = _read_sinks(files, need)
     keep = [*columns, "text"]
     parts = []
     # one slice even of 0 rows: its decode gives the output schema
@@ -411,23 +421,53 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     extraction job, clo/OutputHandler.hpp IR-chunk role — the log viewer
     consumes archives as IR chunks, not text).
 
-    Composition of the two existing stages: decode the archive's encoded
-    columns back to (ts, text), then serialize with ``ir.write_ir``'s block
-    writer. An archive of at most ``execution.LOCAL_IR_EXTRACT_BYTES`` of
-    sinks is decoded and serialized in process as one block; on Ray each
-    block is one chunk, which keeps the extraction streaming (no
-    per-archive materialization). Returns the chunk paths.
+    No message is decoded: ``ir.ArchiveIrStage`` writes each event from
+    the encoded columns and the archive's dictionaries, byte for byte the
+    stream ``ir.serialize_ir_stream`` would write from the decoded text.
+    The same stage runs on either side. An archive of at most
+    ``execution.LOCAL_DECODE_BYTES`` of sinks is read by pyarrow in
+    process and written as one chunk (or ~``target_bytes`` chunks); above
+    it the extraction is ``read_parquet → map_batches(stage)`` with the
+    dictionaries broadcast, one chunk per block, which keeps it streaming.
+    A var dictionary over ``CLP_DICT_BROADCAST_CAP`` cannot be broadcast:
+    that archive takes the partitioned decode, and ``ir.write_ir``
+    serializes its text. Returns the chunk paths.
     """
-    from clp_core_ray.ir import ir_block_writer, write_ir
+    from clp_core_ray.ir import ArchiveIrStage, write_ir
 
-    dec = _decode(archive_dir, ("ts",), stage="ir_extract")
-    if not isinstance(dec, pa.Table):
-        return write_ir(dec, out_dir, four_byte=four_byte, ts_col="ts",
-                        target_bytes=target_bytes)
+    files = _sink_files(os.path.join(archive_dir, "routed"))
+    need = ["ts", "logtype_id", "encoded_vars", "var_types"]
+    if files and _vardict_uncompressed_bytes(archive_dir) > \
+            _dict_broadcast_cap():
+        # only the partitioned decode resolves an over-cap var dictionary:
+        # decode it, then serialize the text
+        return write_ir(_decode_ray(archive_dir, list(need), True, ("ts",),
+                                    False, None),
+                        out_dir, four_byte=four_byte, target_bytes=target_bytes)
     os.makedirs(out_dir, exist_ok=True)
-    write_block = ir_block_writer(out_dir, four_byte, "ts", "text",
-                                  target_bytes)
-    return sorted(write_block(dec).column("path").to_pylist())
+    if not files or choose(
+            "decode", sum(os.path.getsize(f) for f in files)) == "local":
+        # an archive without sink files gives one stream of no events
+        stage = ArchiveIrStage(load_dicts(archive_dir) if files else None,
+                               out_dir, four_byte, target_bytes)
+        t = _read_sinks(files, need) if files else pa.table({})
+        return sorted(stage(t).column("path").to_pylist())
+    import ray
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.compress import sweep_inprogress
+
+    stage = ArchiveIrStage(ray.put(load_dicts(archive_dir)), out_dir,
+                           four_byte, target_bytes)
+    acct = rd.read_parquet(os.path.join(archive_dir, "routed"), columns=need,
+                           file_extensions=["parquet"]).map_batches(
+        stage, batch_format="pyarrow", batch_size=_DECODE_BATCH)
+    paths = [p for b in acct.iter_batches(batch_format="pyarrow")
+             for p in b.column("path").to_pylist()]
+    # job complete: sweep dead attempts' .inprogress tmps (readers filter on
+    # the .clp.ir extension anyway)
+    sweep_inprogress(out_dir)
+    return sorted(paths)
 
 
 def _write_log_files(g: pa.Table, out_dir: str) -> list[str]:

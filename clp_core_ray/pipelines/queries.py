@@ -13,13 +13,17 @@ read_parquet(), generated before the SQL string is returned.
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from clp_core_ray.pipelines import aggregate as agg
 from clp_core_ray.pipelines.compress import build_encoded
-from clp_core_ray.sources.transcripts import read_transcripts, transcripts_path
+from clp_core_ray.sources.transcripts import (CACHE_DIR, read_transcripts,
+                                              transcripts_path)
 from clp_core_ray.stages.enrich import EnrichStage
 from clp_core_ray.stages.route import ROUTE_SQL_EXPR, RouteStage
 
@@ -398,13 +402,86 @@ def _archive_code_fingerprint() -> str:
     return h.hexdigest()[:12]
 
 
+#: A cached archive set under CACHE_DIR: the archive (or its ``glt_``
+#: layout) of one kind and scale, built by the code of fingerprint group 1.
+_CACHED_SET = re.compile(
+    r"(?:glt_)?(?:multi_|merged_)?archive_sf[^_]+_([0-9a-f]+)")
+
+#: Open lock files of the fingerprints this process uses, by path.
+_held_locks: dict = {}
+
+
+def _fingerprint_lock(fp: str) -> str:
+    return os.path.join(CACHE_DIR, f".lock-{fp}")
+
+
+def _hold_fingerprint(fp: str) -> None:
+    """Hold a shared lock on ``fp``'s lock file for the life of this
+    process: a sweep of another fingerprint prunes only the sets whose
+    lock it can take exclusively. A lock file unlinked by a prune between
+    open and lock is stale; take a fresh one."""
+    import fcntl
+
+    path = _fingerprint_lock(fp)
+    if path in _held_locks:
+        return
+    os.makedirs(CACHE_DIR, exist_ok=True)
+    while True:
+        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        fcntl.flock(fd, fcntl.LOCK_SH)
+        try:
+            if os.stat(path).st_ino == os.fstat(fd).st_ino:
+                _held_locks[path] = fd
+                return
+        except FileNotFoundError:
+            pass
+        os.close(fd)
+
+
+def _prune_cached_sets(keep_fp: str) -> list[str]:
+    """Remove the cached sets of every fingerprint but ``keep_fp`` whose
+    lock no live process holds → the removed dir names. Each is removed
+    under its fingerprint's exclusive lock, so a concurrent sweep's set is
+    never removed under it."""
+    import fcntl
+    import shutil
+
+    by_fp: dict = {}
+    for d in (os.listdir(CACHE_DIR) if os.path.isdir(CACHE_DIR) else ()):
+        m = _CACHED_SET.fullmatch(d)
+        if m and m.group(1) != keep_fp:
+            by_fp.setdefault(m.group(1), []).append(d)
+    removed = []
+    for fp, dirs in sorted(by_fp.items()):
+        path = _fingerprint_lock(fp)
+        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:  # a live process uses these sets
+            os.close(fd)
+            continue
+        try:
+            for d in sorted(dirs):
+                shutil.rmtree(os.path.join(CACHE_DIR, d), ignore_errors=True)
+                removed.append(d)
+            os.unlink(path)
+        finally:
+            os.close(fd)
+    return removed
+
+
 def _cached_archive(name: str, sf_dir: str) -> str:
     """Cache dir of archive ``name`` for the scale of ``sf_dir``, keyed by
-    the fingerprint of the code that builds it."""
+    the fingerprint of the code that builds it. Before a set is built, the
+    sets of other fingerprints that no live process uses are removed."""
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    return (f"/tmp/clp_core_ray_data/{name}_sf{sf_of_dir(sf_dir)}"
-            f"_{_archive_code_fingerprint()}")
+    fp = _archive_code_fingerprint()
+    _hold_fingerprint(fp)
+    out = os.path.join(CACHE_DIR, f"{name}_sf{sf_of_dir(sf_dir)}_{fp}")
+    if not os.path.exists(out):
+        _prune_cached_sets(fp)
+    return out
 
 
 def _archive_dir(sf_dir: str) -> str:
@@ -1705,14 +1782,11 @@ def clp_glt_layout(sf_dir: str):
     from clp_core_ray.pipelines.glt import write_glt
 
     arch = _archive_dir(sf_dir)
-    out = os.path.join("/tmp/clp_core_ray_data", f"glt_{os.path.basename(arch)}")
+    out = os.path.join(CACHE_DIR, f"glt_{os.path.basename(arch)}")
     shutil.rmtree(out, ignore_errors=True)
     rows = write_glt(arch, out)
     counts = sorted((int(v) for v in rows.values()), reverse=True)
     return pa.table({"n_rows": pa.array(counts, type=pa.int64())})
-
-
-import os  # noqa: E402  (used by clp_glt_layout)
 
 
 # --------------------------------------------------------------------------
@@ -2351,7 +2425,7 @@ def emb_knn_label_vote_ivf(sf_dir: str):
     )
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/knn_ivf_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/knn_ivf_index_sf{sf_of_dir(sf_dir)}"
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding", "label"])
     if not os.path.exists(f"{idx}/centroids.parquet"):
@@ -2404,7 +2478,7 @@ def emb_ann_topk_ivf_index(sf_dir: str):
     from clp_core_ray.functions.similarity import build_ivf_index, ivf_index_topk
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/ivf_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/ivf_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/centroids.parquet"):
         import ray.data as rd
 
@@ -2452,7 +2526,7 @@ def emb_ann_topk_pq(sf_dir: str):
     from clp_core_ray.functions.similarity import build_pq_codes, pq_index_topk
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/pq_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/pq_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/codebooks.parquet"):
         import ray.data as rd
 
@@ -2488,7 +2562,7 @@ def emb_ann_topk_ivfpq(sf_dir: str):
     from clp_core_ray.functions.similarity import build_ivfpq_index, ivfpq_topk
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/ivfpq_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/ivfpq_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/codebooks.parquet"):
         build_ivfpq_index(
             rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -3500,7 +3574,7 @@ def emb_radius_neighbors_ivf(sf_dir: str):
                                                    ivf_index_radius)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/ivf_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/ivf_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/centroids.parquet"):
         build_ivf_index(
             rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -3727,7 +3801,7 @@ def emb_hard_negatives_ivf(sf_dir: str):
     )
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/knn_ivf_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/knn_ivf_index_sf{sf_of_dir(sf_dir)}"
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding", "label"])
     if not os.path.exists(f"{idx}/centroids.parquet"):
@@ -4244,7 +4318,7 @@ def docs_search_all_terms(sf_dir: str):
                                              write_inverted_index)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/inv_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/inv_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/meta.json"):
         import ray.data as rd
 
@@ -4271,7 +4345,7 @@ def docs_phrase_search(sf_dir: str):
                                              write_positional_index)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/pos_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/pos_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/meta.json"):
         import ray.data as rd
 
@@ -4341,7 +4415,7 @@ def docs_near_search(sf_dir: str):
                                              write_positional_index)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/pos_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/pos_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/meta.json"):
         import ray.data as rd
 
@@ -4443,7 +4517,7 @@ def docs_bm25_indexed(sf_dir: str):
                                              write_inverted_index)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/bm25_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/bm25_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/meta.json"):
         import ray.data as rd
 
@@ -4641,7 +4715,7 @@ def docs_bm25_topk(sf_dir: str):
                                              write_inverted_index)
     from clp_core_ray.sources.transcripts import sf_of_dir
 
-    idx = f"/tmp/clp_core_ray_data/bm25_index_sf{sf_of_dir(sf_dir)}"
+    idx = f"{CACHE_DIR}/bm25_index_sf{sf_of_dir(sf_dir)}"
     if not os.path.exists(f"{idx}/meta.json"):
         import ray.data as rd
 

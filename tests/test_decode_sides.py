@@ -16,7 +16,7 @@ from clp_core_ray import execution
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "log.txt")
 KEYS = [("conv_id", "ascending"), ("turn_idx", "ascending")]
-IR_TURNS = 400  # under LOCAL_IR_EXTRACT_BYTES of sinks
+IR_TURNS = 400  # under LOCAL_DECODE_BYTES of sinks
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ def test_extract_text_logs_reproduces_fixture_ray_side(ray_session, tmp_path,
 
 
 def _check_extract_ir(archive, turns, out):
-    from clp_core_ray.ir import decode_ir_stream_to_text
+    from clp_core_ray.ir import decode_ir_stream_to_text, serialize_ir_stream
     from clp_core_ray.pipelines.decompress import extract_ir_chunks
 
     paths = extract_ir_chunks(archive, out)
@@ -169,7 +169,12 @@ def _check_extract_ir(archive, turns, out):
     back = []
     for p in paths:
         with open(p, "rb") as f:
-            back.append(decode_ir_stream_to_text(f.read()))
+            blob = f.read()
+        back.append(decode_ir_stream_to_text(blob))
+        # each chunk is the stream of its own events, as text → IR writes it
+        assert blob == serialize_ir_stream(
+            back[-1].column("ts").to_pylist(),
+            back[-1].column("text").to_pylist())
     back = pa.concat_tables(back)
     assert sorted(back.column("text").to_pylist()) == \
         sorted(turns.column("text").to_pylist())
@@ -179,9 +184,21 @@ def _check_extract_ir(archive, turns, out):
         sorted(want_ms.to_pylist())
 
 
+def _spy_ray_reads(monkeypatch) -> list:
+    """Every ``ray.data.read_parquet`` call: one per Ray Data job that
+    reads an archive's sinks."""
+    import ray.data as rd
+
+    calls = []
+    real = rd.read_parquet
+    monkeypatch.setattr(rd, "read_parquet",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
 def test_extract_ir_chunks_read_back(ray_session, archives, turns, tmp_path,
                                      monkeypatch):
-    calls = _spy_ray_side(monkeypatch)
+    calls = _spy_ray_reads(monkeypatch)
     _check_extract_ir(archives["small"], turns.slice(0, IR_TURNS),
                       str(tmp_path / "ir"))
     assert calls == []
@@ -189,8 +206,8 @@ def test_extract_ir_chunks_read_back(ray_session, archives, turns, tmp_path,
 
 def test_extract_ir_chunks_read_back_ray_side(ray_session, archives, turns,
                                               tmp_path, monkeypatch):
-    calls = _spy_ray_side(monkeypatch)
-    monkeypatch.setattr(execution, "LOCAL_IR_EXTRACT_BYTES", -1)
+    calls = _spy_ray_reads(monkeypatch)
+    monkeypatch.setattr(execution, "LOCAL_DECODE_BYTES", -1)
     _check_extract_ir(archives["small"], turns.slice(0, IR_TURNS),
                       str(tmp_path / "ir"))
     assert len(calls) == 1

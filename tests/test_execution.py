@@ -10,7 +10,6 @@ from clp_core_ray import execution
     ("finalize", "LOCAL_FINALIZE_BYTES"),
     ("decode", "LOCAL_DECODE_BYTES"),
     ("text_extract", "LOCAL_TEXT_EXTRACT_BYTES"),
-    ("ir_extract", "LOCAL_IR_EXTRACT_BYTES"),
 ])
 def test_choose_is_local_up_to_the_constant(stage, const, monkeypatch):
     limit = getattr(execution, const)

@@ -21,10 +21,10 @@ Operations (input bytes in brackets):
   bytes];
 - finalize: ``write_archive_dicts`` over the archive's dict deltas [delta
   bytes] and ``merge_archives`` of the one archive [dictionary bytes];
-- decode: ``decompress`` with every row column, consumed [sink bytes];
+- decode: ``decompress`` with every row column, consumed, and
+  ``extract_ir_chunks`` [sink bytes];
 - text_extract: ``extract_text_logs`` of the same turns written as
-  timestamped text log files [that archive's sink bytes];
-- ir_extract: ``extract_ir_chunks`` [sink bytes].
+  timestamped text log files [that archive's sink bytes].
 
 Usage:
     python tools/measure_crossover.py [--stages scan,finalize,decode,...]
@@ -50,8 +50,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 MB = 1 << 20
 CONSTANTS = {"scan": "LOCAL_SCAN_BYTES", "finalize": "LOCAL_FINALIZE_BYTES",
              "decode": "LOCAL_DECODE_BYTES",
-             "text_extract": "LOCAL_TEXT_EXTRACT_BYTES",
-             "ir_extract": "LOCAL_IR_EXTRACT_BYTES"}
+             "text_extract": "LOCAL_TEXT_EXTRACT_BYTES"}
 ROW_COLUMNS = ("conv_id", "turn_idx", "role", "tool", "ts")
 
 
@@ -150,12 +149,12 @@ def _ops(stage: str, built: dict, workdir: str) -> list:
     log_arch = built["textlog_archive"]
     return {
         "decode": [("decompress", sink, lambda: _consume(
-            decompress(arch, columns=ROW_COLUMNS)))],
+            decompress(arch, columns=ROW_COLUMNS))),
+                   ("extract_ir_chunks", sink,
+                    lambda: extract_ir_chunks(arch, fresh()))],
         "text_extract": [("extract_text_logs",
                           _tree_bytes(os.path.join(log_arch, "routed")),
                           lambda: extract_text_logs(log_arch, fresh()))],
-        "ir_extract": [("extract_ir_chunks", sink,
-                        lambda: extract_ir_chunks(arch, fresh()))],
     }[stage]
 
 
