@@ -144,154 +144,89 @@ def cmd_decompress(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    from clp_core_ray.pipelines.search import (
-        _is_archive, _search_target, regex_to_wildcard, search_count,
-        search_count_by_time,
-    )
+    """clg/clo search: ``--archive`` and every ``--also`` target resolve
+    into plans through the one search resolver, the plans run once, and
+    the matches are counted, bucketed by time, written or printed."""
+    import functools
 
+    from clp_core_ray.pipelines import search as S
+    from clp_core_ray.pipelines.aggregate import time_bucket
+
+    queries = args.query
     if getattr(args, "regex", False):
         # clg --regex role: translate BEFORE compilation; unsupported
         # constructs raise, mirroring the reference's error codes
-        args.query = [regex_to_wildcard(q) for q in args.query]
-
-    prune = {}
-    if args.path_glob:
-        prune["path_glob"] = args.path_glob
-    if args.ts_min is not None:
-        prune["ts_min"] = args.ts_min
-    if args.ts_max is not None:
-        prune["ts_max"] = args.ts_max
-    if getattr(args, "tag", None):
-        prune["tags"] = args.tag
+        queries = [S.regex_to_wildcard(q) for q in queries]
+    prune = {k: v for k, v in (("path_glob", args.path_glob),
+                               ("ts_min", args.ts_min),
+                               ("ts_max", args.ts_max),
+                               ("tags", getattr(args, "tag", None)))
+             if v is not None}
+    targets = [args.archive, *(getattr(args, "also", None) or [])]
+    multi = len(queries) > 1  # batched multi-query: one scan, one decode
+    context = getattr(args, "context", None)
     t0 = time.time()
-    if len(args.query) > 1:  # batched multi-query: one scan, one decode
-        from clp_core_ray.pipelines.search import (
-            search_archive_multi, search_archives_multi,
-        )
 
-        if args.count or args.count_by_time:
-            raise SystemExit("--count/--count-by-time apply to single-query "
-                             "searches")
-        if _is_archive(args.archive):
-            if prune:
-                raise SystemExit("prune flags apply to multi-archive targets")
-            ds = search_archive_multi(args.archive, args.query,
-                                      ignore_case=args.ignore_case)
-        else:
-            ds = search_archives_multi(args.archive, args.query,
-                                       ignore_case=args.ignore_case, **prune)
-        if args.out:
-            ds.write_parquet(args.out, compression="zstd")
-            return {"cmd": "search", "out": args.out, "rows": ds.count(),
-                    "queries": len(args.query),
-                    "sec": round(time.time() - t0, 3)}
-        shown = 0
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            for qi, t in zip(b.column("query_idx").to_pylist(),
-                             b.column("text").to_pylist()):
-                print(f"[{qi}] {t}")
-                shown += 1
-                if shown >= args.limit:
-                    break
-            if shown >= args.limit:
-                break
-        return {"cmd": "search", "rows_shown": shown,
-                "queries": len(args.query),
-                "sec": round(time.time() - t0, 3)}
-    args.query = args.query[0]
-    if getattr(args, "context", None):
-        from clp_core_ray.pipelines.search import search_context
+    def result(**kw) -> dict:
+        if context:
+            kw["context"] = context
+        if multi:
+            kw["queries"] = len(queries)
+        if len(targets) > 1:
+            kw["targets"] = len(targets)
+        return {"cmd": "search", **kw, "sec": round(time.time() - t0, 3)}
 
-        tgt = args.archive
-        if not _is_archive(tgt):
-            raise SystemExit("--context applies to a single archive target")
+    if multi and (args.count or args.count_by_time):
+        raise SystemExit("--count/--count-by-time apply to single-query "
+                         "searches")
+    if context:
+        if len(targets) > 1 or multi or not S._is_archive(args.archive):
+            raise SystemExit("--context applies to one query on a single "
+                             "archive target")
         if prune:
             raise SystemExit("--context does not combine with prune flags")
-        ds = search_context(tgt, args.query, before=args.context,
-                            after=args.context, ignore_case=args.ignore_case)
-        shown = 0
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            names = b.column_names
-            for i in range(b.num_rows):
-                mark = "*" if ("is_match" in names
-                               and b.column("is_match")[i].as_py()) else " "
-                print(f"{mark} {b.column('text')[i].as_py()}")
-                shown += 1
-                if shown >= args.limit:
-                    break
-            if shown >= args.limit:
-                break
-        return {"cmd": "search", "rows_shown": shown, "context": args.context,
-                "sec": round(time.time() - t0, 3)}
-    if getattr(args, "also", None):
-        # federated hot+cold tier search: union across all targets
-        from clp_core_ray.pipelines.search import search_federated
+        ds = S.search_context(args.archive, queries[0], before=context,
+                              after=context, ignore_case=args.ignore_case)
 
-        targets = [args.archive] + list(args.also)
-        ds = search_federated(targets, args.query,
-                              ignore_case=args.ignore_case, **prune)
+        def lines(b) -> list:
+            return [f"{'*' if m else ' '} {t}" for t, m in zip(
+                b["text"].to_pylist(), b["is_match"].to_pylist())]
+    else:
+        plans = [p for t in targets for p in S._target_plans(
+            t, queries, args.ignore_case,
+            columns=["ts"] if args.count_by_time else None,
+            query_idx=multi or args.count, **prune)]
         if args.count:
-            import pyarrow as _pa
-
-            tot = sum(
-                _pa.table(b).num_rows
-                for b in ds.iter_batches(batch_format="pyarrow"))
-            return {"cmd": "search", "count": tot,
-                    "targets": len(targets),
-                    "sec": round(time.time() - t0, 3)}
+            return result(count=S._query_counts(plans, 1)[0])
+        if args.count_by_time:
+            # reference clo takes the bucket in ms; calendar units also
+            # accepted
+            kw = ({"bucket_ms": int(args.count_by_time)}
+                  if args.count_by_time.isdigit()
+                  else {"granularity": args.count_by_time})
+            t = S._count_matches(plans, "bucket",
+                                 functools.partial(time_bucket, **kw))
+            return result(buckets=t.num_rows,
+                          total=sum(t["cnt"].to_pylist()))
+        ds = S._run_plans(plans)
         if args.out:
             ds.write_parquet(args.out, compression="zstd")
-            return {"cmd": "search", "out": args.out, "rows": ds.count(),
-                    "targets": len(targets),
-                    "sec": round(time.time() - t0, 3)}
-        shown = 0
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            for t in b.column("text").to_pylist():
-                print(t)
-                shown += 1
-                if shown >= args.limit:
-                    break
-            if shown >= args.limit:
-                break
-        return {"cmd": "search", "rows_shown": shown,
-                "targets": len(targets),
-                "sec": round(time.time() - t0, 3)}
-    if args.count:
-        tbl = search_count(args.archive, args.query,
-                           ignore_case=args.ignore_case, **prune)
-        return {"cmd": "search", "count": tbl.column("cnt")[0].as_py(),
-                "sec": round(time.time() - t0, 3)}
-    if args.count_by_time:
-        # reference clo takes the bucket in ms; calendar units also accepted
-        kw = ({"bucket_ms": int(args.count_by_time)}
-              if args.count_by_time.isdigit()
-              else {"granularity": args.count_by_time})
-        res = search_count_by_time(args.archive, args.query,
-                                   ignore_case=args.ignore_case,
-                                   **kw, **prune)
-        pdf = res.to_pandas() if hasattr(res, "to_pandas") else res
-        cnt_col = "cnt" if "cnt" in pdf.columns else "count"
-        return {"cmd": "search", "buckets": len(pdf),
-                "total": int(pdf[cnt_col].sum()),
-                "sec": round(time.time() - t0, 3)}
-    ds = _search_target(args.archive, args.query, args.ignore_case, **prune)
-    if args.out:
-        ds.write_parquet(args.out, compression="zstd")
-        rows = ds.count()
-        return {"cmd": "search", "out": args.out, "rows": rows,
-                "sec": round(time.time() - t0, 3)}
+            return result(out=args.out, rows=ds.count())
+
+        def lines(b) -> list:
+            if not multi:
+                return b["text"].to_pylist()
+            return [f"[{qi}] {t}" for qi, t in zip(
+                b["query_idx"].to_pylist(), b["text"].to_pylist())]
     # print up to --limit matches to stdout (clg's default sink)
     shown = 0
     for b in ds.iter_batches(batch_format="pyarrow"):
-        for t in b.column("text").to_pylist():
-            print(t)
+        for line in lines(b)[:args.limit - shown]:
+            print(line)
             shown += 1
-            if shown >= args.limit:
-                break
         if shown >= args.limit:
             break
-    return {"cmd": "search", "rows_shown": shown,
-            "sec": round(time.time() - t0, 3)}
+    return result(rows_shown=shown)
 
 
 def cmd_stats(args) -> dict:
@@ -855,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(grep -C over CLP results)")
     s.add_argument("--also", action="append",
                    help="additional search targets (repeatable) — "
-                        "federates one query across storage tiers, e.g. "
+                        "federates the search across storage tiers, e.g. "
                         "the hot fragment base plus the compacted cold "
                         "archive dir")
     s.set_defaults(fn=cmd_search)

@@ -333,25 +333,32 @@ def _to_small_table(ds) -> "pa.Table":
     return _pa.concat_tables(out) if out else _pa.table({})
 
 
-def add_time_bucket(ds, ts_col: str = "ts", granularity: str = "hour",
-                    out_col: str = "bucket", bucket_ms: int | None = None):
-    """Append a truncated-timestamp bucket column (A2: bucket = ts/size*size).
+def time_bucket(batch: pa.Table, ts_col: str = "ts",
+                granularity: str = "hour", out_col: str = "bucket",
+                bucket_ms: int | None = None) -> pa.Table:
+    """``batch`` with a truncated-timestamp bucket column appended (A2:
+    bucket = ts/size*size).
 
     ``granularity`` takes a calendar unit; ``bucket_ms`` instead takes the
     reference CLI's arbitrary millisecond bucket (clo --count-by-time
     BUCKET_MS, OutputHandler.hpp:255-286) and emits int64 epoch-ms buckets.
     """
+    if bucket_ms:
+        us = pc.cast(batch.column(ts_col), pa.int64())
+        b = pc.multiply(pc.divide(pc.divide(us, 1000), bucket_ms), bucket_ms)
+    else:
+        b = pc.floor_temporal(batch.column(ts_col), unit=granularity)
+    return batch.append_column(out_col, b)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        if bucket_ms:
-            us = pc.cast(batch.column(ts_col), pa.int64())
-            b = pc.multiply(
-                pc.divide(pc.divide(us, 1000), bucket_ms), bucket_ms)
-        else:
-            b = pc.floor_temporal(batch.column(ts_col), unit=granularity)
-        return batch.append_column(out_col, b)
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+def add_time_bucket(ds, ts_col: str = "ts", granularity: str = "hour",
+                    out_col: str = "bucket", bucket_ms: int | None = None):
+    """:func:`time_bucket` over every batch of ``ds``."""
+    import functools
+
+    return ds.map_batches(functools.partial(
+        time_bucket, ts_col=ts_col, granularity=granularity, out_col=out_col,
+        bucket_ms=bucket_ms), batch_format="pyarrow")
 
 
 def stats_by(ds, keys: list[str] | str, ts_col: str = "ts", size_col: str | None = None):

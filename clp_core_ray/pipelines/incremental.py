@@ -252,42 +252,47 @@ def _write_owner(base_dir: str, owner_ds) -> None:
     os.replace(tmp, final)
 
 
-def decompress_incremental(base_dir: str, columns=("conv_id", "turn_idx")):
-    """Reconstruct the CURRENT snapshot from all generations.
-
-    Each generation decompresses with a prefilter keeping only conversations
-    it still owns (per state/conv_owner.parquet); superseded and removed
-    conversations never reach the decode stage. Owner sets ship once per
-    generation via ray.put. Returns the union Dataset.
+def _owned_by_generation(base_dir: str) -> list[tuple[str, pa.Array]]:
+    """``(generation dir, the conv_ids it still owns)`` for every
+    generation that owns any, per state/conv_owner.parquet; the conv_ids
+    are a large_string array (:func:`search.owned_rows`).
 
     Scale note: the owner table (one row per live conversation) is read on
     the driver to split it by generation — fine to ~10^8 convs (a few GB);
     beyond that, split it with a Dataset filter per generation instead (the
     archives and the decode path never materialize either way)."""
-    import ray
-
-    from clp_core_ray.pipelines.decompress import decompress
-
     gens = _gen_dirs(base_dir)
     if not gens:
         raise ValueError(f"no generations under {base_dir}")
-    owner = pq.read_table(_owner_path(base_dir),
-                          columns=["conv_id", "owner"])
+    owner = pq.read_table(_owner_path(base_dir), columns=["conv_id", "owner"])
     own = np.asarray(owner.column("owner"), dtype=np.int64)
-    parts = []
+    out = []
     for g, gen_dir in enumerate(gens):
-        if os.path.exists(os.path.join(gen_dir, "EMPTY")):
-            continue
         mine = owner.column("conv_id").filter(pa.array(own == g))
-        if len(mine) == 0:
-            continue
-        keep_ref = ray.put(mine.combine_chunks().cast(pa.large_string()))
+        if len(mine) and not os.path.exists(os.path.join(gen_dir, "EMPTY")):
+            out.append((gen_dir,
+                        mine.combine_chunks().cast(pa.large_string())))
+    return out
+
+
+def decompress_incremental(base_dir: str, columns=("conv_id", "turn_idx")):
+    """Reconstruct the CURRENT snapshot from all generations.
+
+    Each generation decompresses with a prefilter keeping only conversations
+    it still owns (:func:`_owned_by_generation`); superseded and removed
+    conversations never reach the decode stage. Owner sets ship once per
+    generation via ray.put. Returns the union Dataset."""
+    import ray
+
+    from clp_core_ray.pipelines.decompress import decompress
+    from clp_core_ray.pipelines.search import owned_rows
+
+    parts = []
+    for gen_dir, mine in _owned_by_generation(base_dir):
+        keep_ref = ray.put(mine)
 
         def prefilter(b: pa.Table, _ref=keep_ref) -> pa.Table:
-            keep = ray.get(_ref)
-            return b.filter(pc.is_valid(pc.index_in(
-                b.column("conv_id").combine_chunks().cast(pa.large_string()),
-                keep)))
+            return owned_rows(b, ray.get(_ref))
 
         parts.append(decompress(gen_dir, columns=columns,
                                 prefilter=prefilter))
@@ -311,47 +316,17 @@ def incremental_stats(base_dir: str) -> dict:
 def search_incremental(base_dir: str, query: str, ignore_case: bool = False):
     """Wildcard search across all generations with ownership masking.
 
-    Each generation's archive is searched independently (the normal
-    dictionary-pruned two-phase scan); hits from conversations the
-    generation no longer owns — superseded by a later generation or removed
-    from the snapshot — are filtered out with a broadcast owner set, so
-    results are exactly what searching the current snapshot would return.
-    """
-    import ray
+    Each generation's archive is planned as a search target
+    (``search._target_plans``) whose scan keeps only the conversations the
+    generation still owns — hits superseded by a later generation or
+    removed from the snapshot never reach decode — and all plans run once,
+    so results are exactly what searching the current snapshot would
+    return."""
+    from clp_core_ray.pipelines.search import _run_plans, _target_plans
 
-    from clp_core_ray.pipelines.search import search_archive
-
-    gens = _gen_dirs(base_dir)
-    if not gens:
-        raise ValueError(f"no generations under {base_dir}")
-    owner = pq.read_table(_owner_path(base_dir), columns=["conv_id", "owner"])
-    own = np.asarray(owner.column("owner"), dtype=np.int64)
-    parts = []
-    for g, gen_dir in enumerate(gens):
-        if os.path.exists(os.path.join(gen_dir, "EMPTY")):
-            continue
-        mine = owner.column("conv_id").filter(pa.array(own == g))
-        if len(mine) == 0:
-            continue
-        keep_ref = ray.put(mine.combine_chunks().cast(pa.large_string()))
-
-        def owned_only(b: pa.Table, _ref=keep_ref) -> pa.Table:
-            keep = ray.get(_ref)
-            return b.filter(pc.is_valid(pc.index_in(
-                b.column("conv_id").combine_chunks().cast(pa.large_string()),
-                keep)))
-
-        parts.append(
-            search_archive(gen_dir, query, ignore_case=ignore_case)
-            .map_batches(owned_only, batch_format="pyarrow"))
-    if not parts:
-        import ray.data as rd
-
-        return rd.from_arrow(pa.table(
-            {"conv_id": pa.array([], type=pa.string()),
-             "turn_idx": pa.array([], type=pa.int32()),
-             "text": pa.array([], type=pa.large_string())}))
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return _run_plans([p for gen_dir, mine in _owned_by_generation(base_dir)
+                       for p in _target_plans(gen_dir, [query], ignore_case,
+                                              owned=mine)])
 
 
 def rebase_incremental(base_dir: str, new_base_dir: str) -> dict:

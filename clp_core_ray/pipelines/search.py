@@ -159,60 +159,6 @@ def regex_to_wildcard(rx: str) -> str:
     return body
 
 
-def compile_var_conditions(query: str) -> list[int]:
-    """Extract the *precise* typed-variable requirements of a wildcard query.
-
-    Mirrors Grep's query compilation (Grep.cpp:499-628) restricted to the
-    precise cases: each wildcard-free variable token inside the query encodes
-    to exactly one int64 (int value, packed float, or dict-var content hash) a
-    matching message must contain — in order, not necessarily contiguously
-    (Query.cpp:150-172). Tokens touching a ``*`` (partial tokens) are
-    ambiguous in CLP (cartesian subqueries); here they are simply left
-    imprecise — the decode-and-wildcard-verify pass keeps results exact.
-    """
-    from clp_core_ray import encoding as E
-
-    required: list[int] = []
-    segs = query.split("*")
-    for si, seg in enumerate(segs):
-        if not seg or "?" in seg:
-            continue
-        logtype, evs, vts, dvs = E.encode_message(seg)
-        bounds = list(E.token_bounds(seg))
-        for (b, e), ev in zip(bounds, evs):
-            partial_left = si > 0 and b == 0
-            partial_right = si < len(segs) - 1 and e == len(seg)
-            if partial_left or partial_right:
-                continue
-            required.append(ev)
-    return required
-
-
-def rows_matching_var_subsequence(encoded_vars, required: list[int]) -> np.ndarray:
-    """Vectorized in-order (gaps allowed) subsequence test per row."""
-    if isinstance(encoded_vars, pa.ChunkedArray):
-        encoded_vars = encoded_vars.combine_chunks()
-    offsets = np.asarray(encoded_vars.offsets, dtype=np.int64)
-    offsets = offsets - offsets[0]
-    flat = np.asarray(encoded_vars.flatten(), dtype=np.int64)
-    nrows = len(offsets) - 1
-    ok = np.ones(nrows, dtype=bool)
-    if not required:
-        return ok
-    BIG = np.iinfo(np.int64).max
-    pos = np.zeros(nrows, dtype=np.int64)
-    for v in required:
-        cand = np.flatnonzero(flat == v)
-        rows_of = np.searchsorted(offsets, cand, side="right") - 1
-        rel = cand - offsets[rows_of]
-        valid = rel >= pos[rows_of]
-        best = np.full(nrows, BIG, dtype=np.int64)
-        np.minimum.at(best, rows_of[valid], rel[valid])
-        ok &= best < BIG
-        pos = np.where(best < BIG, best + 1, pos)
-    return ok
-
-
 def _probe_var_dict(vfiles: list, query: str, ignore_case: bool):
     """Distributed variable-dictionary probe: scan the dict with Ray and
     return only entries the query's tokens could select (exact needles +
@@ -490,13 +436,24 @@ def _class_paths(routed: str, keep):
     ]
 
 
-def _empty_matches(fields=(), query_idx: bool = False) -> pa.Table:
+def _passthrough(columns) -> list:
+    """The requested columns a match carries besides (conv_id, turn_idx,
+    text)."""
+    return [c for c in (columns or [])
+            if c not in ("conv_id", "turn_idx", "text")]
+
+
+def _empty_matches(columns=None, query_idx: bool = False) -> pa.Table:
     """The empty match table: ``(conv_id, turn_idx, text)`` plus the
-    passthrough ``fields``, led by ``query_idx`` for batched searches."""
+    passthrough ``columns``, typed as decompress types them, led by
+    ``query_idx`` for batched searches."""
+    from clp_core_ray.pipelines.decompress import _ROW_TYPES
+
     head = [("query_idx", pa.int64())] if query_idx else []
     return pa.schema(head + [("conv_id", pa.string()), ("turn_idx", pa.int32()),
                              ("text", pa.large_string())]
-                     + list(fields)).empty_table()
+                     + [(c, _ROW_TYPES.get(c, pa.null()))
+                        for c in _passthrough(columns)]).empty_table()
 
 
 def _union(parts: list, empty: pa.Table):
@@ -531,6 +488,15 @@ def _subquery_mask(batch: pa.Table, cq) -> np.ndarray:
     return keep
 
 
+def owned_rows(batch: pa.Table, conv_ids: pa.Array) -> pa.Table:
+    """The rows of ``batch`` whose ``conv_id`` is in ``conv_ids`` (a
+    large_string array): the generation ownership mask of
+    ``pipelines.incremental``, applied before decode."""
+    return batch.filter(pc.is_in(
+        batch.column("conv_id").combine_chunks().cast(pa.large_string()),
+        value_set=conv_ids))
+
+
 def _archive_root(target: str) -> str:
     """An archive's dir, given it or its ``routed/`` sink dir."""
     import os
@@ -554,15 +520,16 @@ class _ArchiveScan:
     against the decoded text.
 
     ``dicts`` are the decode dictionaries ``(lt_ids, lt_values, var_ids,
-    var_values)``, or a Ray ref to them. A ref resolves lazily per task
-    (zero-copy plasma get): an eager get in the driver-side constructor
-    would pickle the full dict tables into every task's closure instead of
-    shipping the ref."""
+    var_values)``, and ``owned`` the conv_ids the scan keeps (None: all,
+    see :func:`owned_rows`); either may be a Ray ref. A ref resolves lazily
+    per task (zero-copy plasma get): an eager get in the driver-side
+    constructor would pickle the full tables into every task's closure
+    instead of shipping the ref."""
 
-    def __init__(self, queries, dicts, extra, empty, query_idx):
+    def __init__(self, queries, dicts, extra, empty, query_idx, owned=None):
         self.queries = queries  # [(query_idx, cq, regex)]
         self.dicts, self.extra, self.empty = dicts, extra, empty
-        self.query_idx = query_idx
+        self.query_idx, self.owned = query_idx, owned
         self._loaded = False
 
     def _load(self):
@@ -570,15 +537,20 @@ class _ArchiveScan:
 
         from clp_core_ray.vec.decoder import decode_batch
 
+        def get(x):
+            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
+
         self.decode = decode_batch
-        d = self.dicts
         (self.lt_ids, self.lt_values, self.var_ids,
-         self.var_values) = ray.get(d) if isinstance(d, ray.ObjectRef) else d
+         self.var_values) = get(self.dicts)
+        self.keep = get(self.owned)
         self._loaded = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if not self._loaded:
             self._load()
+        if self.keep is not None:
+            batch = owned_rows(batch, self.keep)
         masks = [_subquery_mask(batch, cq) for _qi, cq, _rx in self.queries]
         union = np.logical_or.reduce(masks)
         if not union.any():
@@ -621,7 +593,7 @@ class _Plan(NamedTuple):
 
 
 def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
-                 columns=None, query_idx: bool = False) -> _Plan:
+                 columns=None, query_idx: bool = False, owned=None) -> _Plan:
     """Plan the one archive scan for a batch of queries (matches are led
     by ``query_idx`` when asked for).
 
@@ -631,30 +603,26 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     each query keeps the sink classes its subqueries can match
     (:func:`_prune_keep_classes`), the scan reads the union of kept classes
     once, and one unprunable query forces the full scan. Scan: see
-    :class:`_ArchiveScan`; it decodes through the archive's dictionaries.
-    ``columns`` are sink columns passed through to the matches.
-    :func:`_run_plans` runs the plans.
+    :class:`_ArchiveScan`; it decodes through the archive's dictionaries
+    the rows of the ``owned`` conv_ids (all when None). ``columns`` are
+    sink columns passed through to the matches. :func:`_run_plans` runs
+    the plans.
     """
     import os
 
-    from clp_core_ray.pipelines.decompress import (_ROW_TYPES, first_parquet,
-                                                   load_dicts)
+    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
 
     archive_dir = _archive_root(archive_dir)
     # passthrough columns (e.g. ts for count-by-time over results)
-    extra = [c for c in (columns or [])
-             if c not in ("conv_id", "turn_idx", "text")]
+    extra = _passthrough(columns)
+    empty = _empty_matches(columns, query_idx)
     if first_parquet(os.path.join(archive_dir, "routed")) is None:
-        # no sink file (empty input, or routed/ not yet written): typed
-        # like decompress's result for the same archive
-        return _Plan([], 0, [], None, _empty_matches(
-            [pa.field(c, _ROW_TYPES.get(c, pa.null())) for c in extra],
-            query_idx))
+        # no sink file (empty input, or routed/ not yet written)
+        return _Plan([], 0, [], None, empty)
     st = _archive_state(archive_dir)
     missing = [c for c in extra if c not in st.sink_schema.names]
     if missing:
         raise KeyError(f"columns not in archive sinks: {missing}")
-    empty = _empty_matches([st.sink_schema.field(c) for c in extra], query_idx)
 
     compiled = []  # (query_idx, cq, regex) per query that can match
     keeps = []     # its sorted keep classes, or None (no prune)
@@ -686,7 +654,8 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
                  np.asarray(vdict.column("var_id"), dtype=np.int64),
                  vdict.column("value").combine_chunks())
     return _Plan(files, sum(os.path.getsize(f) for f in files), cols,
-                 _ArchiveScan(compiled, dicts, extra, empty, query_idx), empty)
+                 _ArchiveScan(compiled, dicts, extra, empty, query_idx, owned),
+                 empty)
 
 
 def _scan_local(plan: _Plan) -> list:
@@ -707,9 +676,10 @@ def _scan_ray(plan: _Plan):
     import ray.data as rd
 
     scan = plan.scan
-    # broadcast the dicts once, not pickled per task
+    # broadcast the dicts and the owned conv_ids once, not pickled per task
     scan = _ArchiveScan(scan.queries, ray.put(scan.dicts), scan.extra,
-                        scan.empty, scan.query_idx)
+                        scan.empty, scan.query_idx,
+                        None if scan.owned is None else ray.put(scan.owned))
     ds = rd.read_parquet(plan.files, columns=plan.cols,
                          file_extensions=["parquet"])
     # task-based: the scan's state (broadcast dicts) is a cheap zero-copy
@@ -720,67 +690,71 @@ def _scan_ray(plan: _Plan):
     return ds.map_batches(scan, batch_format="pyarrow", batch_size=_SCAN_BATCH)
 
 
-def _run_plans(plans: list, empty: pa.Table):
+def _run_plans(plans: list, partial=None):
     """Run search plans → one match Dataset, in plan order. The choice of
     side is made once, on the plans' summed kept bytes: at most
     ``execution.LOCAL_SCAN_BYTES`` scans in this process, more fans out to
-    Ray Data (so many small archives still scan in parallel)."""
+    Ray Data (so many small archives still scan in parallel). With no
+    match the result is the first plan's typed empty table.
+
+    ``partial`` (match table → table), when given, runs on each match
+    batch on the side the scan ran, so a count ships partial counts, not
+    matches."""
     import ray.data as rd
 
+    empty = plans[0].empty if plans else _empty_matches()
     plans = [p for p in plans if p.files]
     if choose("scan", sum(p.nbytes for p in plans)) == "ray":
-        return _union([_scan_ray(p) for p in plans], empty)
-    parts = [t for p in plans for t in _scan_local(p)]
-    return rd.from_arrow(pa.concat_tables(parts, promote_options="permissive")
-                         if parts else empty)
+        ds = _union([_scan_ray(p) for p in plans], empty)
+        return (ds if partial is None
+                else ds.map_batches(partial, batch_format="pyarrow"))
+    parts = [t for p in plans for t in _scan_local(p)] or [empty]
+    if partial is not None:
+        parts = [partial(t) for t in parts]
+    return rd.from_arrow(pa.concat_tables(parts, promote_options="permissive"))
 
 
-def search_archive(archive_dir: str, query: str, columns=None,
-                   ignore_case: bool = False):
-    """Search a compressed archive → Dataset[(conv_id, turn_idx, text)].
+def _count_matches(plans: list, key: str, bucket=None) -> pa.Table:
+    """``(key, cnt)``: the plans' matches per value of ``key``, which is
+    ``query_idx`` or the column ``bucket`` (match table → table) appends.
+    Each match batch is counted where the scan runs and the partial counts
+    are summed here (the reducer CountOperator merge,
+    reducer/CountOperator.cpp:4-31), so a Ray-side scan sends the driver
+    counts, not matches."""
+    def partial(t: pa.Table) -> pa.Table:
+        if bucket is not None:
+            t = bucket(t)
+        out = t.group_by(key).aggregate([([], "count_all")])
+        return pa.table({key: out.column(key),
+                         "cnt": out.column("count_all")})
 
-    Compile (driver): the Grep subquery compiler (pipelines.grep) enumerates
-    interpretations of ambiguous tokens against the archive's logtype and
-    variable dictionaries — possible-logtype sets plus in-order var
-    conditions per subquery (Grep.cpp:499-628). Prune: sink partitions
-    are skipped via the class→logtype index (J4). Scan (vectorized): rows
-    matching any subquery are decoded and wildcard-verified (the verify
-    keeps results exact even where subqueries are imprecise,
-    Grep.cpp:900-959). ``ignore_case`` mirrors wildcard_match_unsafe's
-    lowercase-both mode (string_utils.hpp:88-94). ``columns`` names sink
-    columns (e.g. ``ts``) carried into the matches. This is the one-query
-    case of :func:`search_archive_multi`.
-    """
-    plan = _search_plan(archive_dir, [query], ignore_case, columns=columns)
-    return _run_plans([plan], plan.empty)
+    parts = [pa.table(b) for b in _run_plans(plans, partial)
+             .iter_batches(batch_format="pyarrow")]
+    out = (pa.concat_tables([partial(plans[0].empty), *parts],
+                            promote_options="permissive")
+           .group_by(key).aggregate([("cnt", "sum")]))
+    return pa.table({key: out.column(key),
+                     "cnt": out.column("cnt_sum")}).sort_by(key)
 
 
-def search_archive_multi(archive_dir: str, queries: list[str],
-                         ignore_case: bool = False):
-    """Batched multi-query search: N wildcard queries, ONE archive scan.
-
-    The reference executes one query per clg invocation (clg.cpp main loop);
-    at fleet scale the dominant cost of a query batch is re-reading and
-    re-decoding the same sink files N times. Here every query compiles
-    against the dictionaries on the driver (cheap — dictionaries are small),
-    the scan reads the UNION of the queries' pruned partitions once, each
-    batch computes every query's candidate mask, and decode — the expensive
-    kernel — runs once over the union of candidates; per-query wildcard
-    verify then fans the decoded text back out. Returns
-    Dataset[(query_idx int64, conv_id, turn_idx, text)]; query_idx is the
-    position in ``queries``.
-    """
-    plan = _search_plan(archive_dir, queries, ignore_case, query_idx=True)
-    return _run_plans([plan], plan.empty)
+def _query_counts(plans: list, n_queries: int) -> list[int]:
+    """Matches per query of plans made with ``query_idx``, 0 for a query
+    without matches."""
+    got = _count_matches(plans, "query_idx")
+    per = dict(zip(got.column("query_idx").to_pylist(),
+                   got.column("cnt").to_pylist()))
+    return [per.get(i, 0) for i in range(n_queries)]
 
 
 # ---------------------------------------------------------------------------
-# Multi-archive search (clg's archive iteration): a base dir holds many
-# self-contained archives (own dicts + sinks + manifests), the query driver
-# selects archives from their manifests by path glob and time range before
-# opening any archive data (clg.cpp:132-145 archive selection;
-# query_scheduler.py:369-398 metadata filtering), searches each, and unions
-# the match Datasets. Archives are visited newest-first (end-timestamp
+# Target resolution (clg's archive iteration): a search target is one
+# archive, a base dir of self-contained archives (own dicts + sinks +
+# manifests), or the ingest scheduler's fragment base, whose fragments are
+# archives too. The query driver selects archives from their manifests by
+# path glob, time range and tags before opening any archive data
+# (clg.cpp:132-145 archive selection; query_scheduler.py:369-398 metadata
+# filtering), compiles against each one's own dictionaries, and runs the
+# plans once. Archives are visited newest-first (end-timestamp
 # descending, query_scheduler.py:389 ordering) so a limit consumer sees
 # recent matches first.
 # ---------------------------------------------------------------------------
@@ -790,19 +764,31 @@ def _archive_selected(a: dict, path_glob: str | None = None,
                       ts_min: int | None = None, ts_max: int | None = None,
                       tags: list | None = None) -> bool:
     """Does archive ``a`` (its ``manifest.fold_manifests`` attributes) pass
-    the path/time/tag predicates? Conservative: an unknown time range or input label keeps the archive;
-    tag filtering requires an actual tag match."""
+    the path/time/tag predicates? Conservative: an unknown time range or
+    input label keeps the archive; an input that lists several files
+    matches when any does; tag filtering requires an actual tag match."""
     import fnmatch
 
     if tags and not (set(tags) & a["tags"]):
         return False
-    if path_glob and a["input"] and not fnmatch.fnmatch(a["input"], path_glob):
+    inputs = a["input"] if isinstance(a["input"], list) else [a["input"]]
+    if path_glob and a["input"] and not any(
+            fnmatch.fnmatch(str(i), path_glob) for i in inputs):
         return False
     if ts_min is not None and a["ts_max"] is not None and a["ts_max"] < ts_min:
         return False
     if ts_max is not None and a["ts_min"] is not None and a["ts_min"] > ts_max:
         return False
     return True
+
+
+def _select(found: list[dict], **prune) -> list[str]:
+    """The dirs of the archives in ``found`` that pass
+    :func:`_archive_selected`, newest-first."""
+    keep = [a for a in found if _archive_selected(a, **prune)]
+    keep.sort(key=lambda a: (a["ts_max"] is not None, a["ts_max"] or 0),
+              reverse=True)
+    return [a["dir"] for a in keep]
 
 
 def list_archives(base_dir: str) -> list[dict]:
@@ -843,11 +829,111 @@ def select_archives(base_dir: str, path_glob: str | None = None,
     ``ts_min``/``ts_max`` are epoch microseconds (the manifest unit).
     ``tags``: keep archives carrying ANY of the given tags (the package
     scheduler's tag-filtered archive selection)."""
-    keep = [a for a in list_archives(base_dir)
-            if _archive_selected(a, path_glob, ts_min, ts_max, tags)]
-    keep.sort(key=lambda a: (a["ts_max"] is not None, a["ts_max"] or 0),
-              reverse=True)
-    return [a["dir"] for a in keep]
+    return _select(list_archives(base_dir), path_glob=path_glob,
+                   ts_min=ts_min, ts_max=ts_max, tags=tags)
+
+
+def _is_fragment_base(target: str) -> bool:
+    import os
+
+    return (os.path.isdir(os.path.join(target, "_manifests"))
+            and any(n.startswith("fragment=")
+                    for n in os.listdir(target)))
+
+
+def _fragment_archives(out_dir: str) -> list[dict]:
+    """The unretired fragments of the ingest scheduler's fragment base
+    (pipelines/ingest.py) as archives: each is a dictionary archive
+    (``"format": "clp"``) whose selection attributes are its manifest's.
+    Fragment manifests carry no tags. A fragment of another format raises
+    ``ValueError``: one without a ``format`` holds inline rows, which
+    ``compact_fragments`` turns into an archive."""
+    from clp_core_ray.state import manifest as mf
+
+    found = []
+    for f in mf.select_fragments(out_dir):
+        if not f.get("sink"):
+            continue
+        if f.get("format") != "clp":
+            raise ValueError(
+                f"{out_dir}: fragment {f.get('fragment_id')} is not a "
+                f"dictionary archive (format {f.get('format') or 'inline'}); "
+                f"compact the fragment base (compact_fragments) to search it")
+        found.append({"dir": f["sink"], "input": f.get("input"),
+                      "ts_min": f.get("ts_min"), "ts_max": f.get("ts_max"),
+                      "tags": set(f.get("tags") or [])})
+    return found
+
+
+def _target_plans(target: str, queries: list[str], ignore_case: bool = False,
+                  columns=None, query_idx: bool = False, owned=None,
+                  **prune) -> list[_Plan]:
+    """Resolve a search target into its plans, one per selected archive.
+
+    ``target`` is one archive (or its ``routed/`` dir), a fragment base
+    (``_manifests/`` beside ``fragment=`` archives) or a base dir of
+    archives. Every kind's archives are selected by
+    :func:`_archive_selected` over their manifests with the ``prune``
+    predicates (path_glob, ts_min, ts_max, tags), newest-first, and each is
+    planned by :func:`_search_plan`; ``owned`` restricts the scan to those
+    conv_ids. When nothing is selected the one plan is empty, so a result
+    is always typed by :func:`_empty_matches`."""
+    from clp_core_ray.state import manifest as mf
+
+    if _is_archive(target):
+        root = _archive_root(target)
+        if any(v is not None for v in prune.values()):
+            dirs = _select([{"dir": root, **mf.fold_manifests(root)}],
+                           **prune)
+        else:  # nothing to prune on: the manifests need not be read
+            dirs = [root]
+    elif _is_fragment_base(target):
+        dirs = _select(_fragment_archives(target), **prune)
+    else:
+        dirs = select_archives(target, **prune)
+    return ([_search_plan(d, queries, ignore_case, columns, query_idx, owned)
+             for d in dirs]
+            or [_Plan([], 0, [], None, _empty_matches(columns, query_idx))])
+
+
+def search_archive(archive_dir: str, query: str, columns=None,
+                   ignore_case: bool = False):
+    """Search a compressed archive → Dataset[(conv_id, turn_idx, text)].
+
+    Compile (driver): the Grep subquery compiler (pipelines.grep) enumerates
+    interpretations of ambiguous tokens against the archive's logtype and
+    variable dictionaries — possible-logtype sets plus in-order var
+    conditions per subquery (Grep.cpp:499-628). Prune: sink partitions
+    are skipped via the class→logtype index (J4). Scan (vectorized): rows
+    matching any subquery are decoded and wildcard-verified (the verify
+    keeps results exact even where subqueries are imprecise,
+    Grep.cpp:900-959). ``ignore_case`` mirrors wildcard_match_unsafe's
+    lowercase-both mode (string_utils.hpp:88-94). ``columns`` names sink
+    columns (e.g. ``ts``) carried into the matches. Like every search
+    entry point, ``archive_dir`` may be any target :func:`_target_plans`
+    resolves.
+    """
+    return _run_plans(_target_plans(archive_dir, [query], ignore_case,
+                                    columns))
+
+
+def search_archive_multi(archive_dir: str, queries: list[str],
+                         ignore_case: bool = False):
+    """Batched multi-query search: N wildcard queries, ONE archive scan.
+
+    The reference executes one query per clg invocation (clg.cpp main loop);
+    at fleet scale the dominant cost of a query batch is re-reading and
+    re-decoding the same sink files N times. Here every query compiles
+    against the dictionaries on the driver (cheap — dictionaries are small),
+    the scan reads the UNION of the queries' pruned partitions once, each
+    batch computes every query's candidate mask, and decode — the expensive
+    kernel — runs once over the union of candidates; per-query wildcard
+    verify then fans the decoded text back out. Returns
+    Dataset[(query_idx int64, conv_id, turn_idx, text)]; query_idx is the
+    position in ``queries``.
+    """
+    return _run_plans(_target_plans(archive_dir, queries, ignore_case,
+                                    query_idx=True))
 
 
 def search_archives(base_dir: str, query: str, ignore_case: bool = False,
@@ -861,9 +947,9 @@ def search_archives(base_dir: str, query: str, ignore_case: bool = False,
     before any is run, and their summed kept bytes pick the scan side once
     (:func:`_run_plans`), so a catalog of many small archives still fans
     out to Ray Data."""
-    dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    return _run_plans([_search_plan(d, [query], ignore_case, columns=columns)
-                       for d in dirs], _empty_matches())
+    return _run_plans(_target_plans(
+        base_dir, [query], ignore_case, columns, path_glob=path_glob,
+        ts_min=ts_min, ts_max=ts_max, tags=tags))
 
 
 def search_archives_multi(base_dir: str, queries: list[str],
@@ -877,87 +963,33 @@ def search_archives_multi(base_dir: str, queries: list[str],
     scan plan (see :func:`search_archive_multi`), and the plans run as in
     :func:`search_archives`. Manifest time/path/tag pruning applies before
     any archive is read."""
-    dirs = select_archives(base_dir, path_glob, ts_min, ts_max, tags=tags)
-    return _run_plans([_search_plan(d, queries, ignore_case, query_idx=True)
-                       for d in dirs], _empty_matches(query_idx=True))
+    return _run_plans(_target_plans(
+        base_dir, queries, ignore_case, query_idx=True, path_glob=path_glob,
+        ts_min=ts_min, ts_max=ts_max, tags=tags))
 
 
 def search_fragments(out_dir: str, query: str, ignore_case: bool = False,
                      columns=None, path_glob: str | None = None,
                      ts_min: int | None = None, ts_max: int | None = None,
-                     **_ignored):
+                     tags: list | None = None):
     """Search the ingest scheduler's fragment base (pipelines/ingest.py):
-    every fragment is a dictionary archive (``"format": "clp"``).
-
-    Manifest-pruned fragment selection first (select_fragments — the same
-    metadata-DB time/path narrowing clg does before opening archives);
-    the kept fragments are then one list of archives, planned and run as
-    in :func:`search_archives`. A fragment of another format raises
-    ``ValueError``: one without a ``format`` holds inline rows, which
-    ``compact_fragments`` turns into an archive."""
-    from clp_core_ray.state import manifest as mf
-
-    ts_range = None
-    if ts_min is not None or ts_max is not None:
-        lo = ts_min if ts_min is not None else -(1 << 62)
-        hi = ts_max if ts_max is not None else (1 << 62)
-        ts_range = (lo, hi)
-    frags = [f for f in mf.select_fragments(out_dir, path_glob=path_glob,
-                                            ts_range=ts_range)
-             if f.get("sink")]
-    for f in frags:
-        if f.get("format") != "clp":
-            raise ValueError(
-                f"{out_dir}: fragment {f.get('fragment_id')} is not a "
-                f"dictionary archive (format {f.get('format') or 'inline'}); "
-                f"compact the fragment base (compact_fragments) to search it")
-    extra = [c for c in (columns or [])
-             if c not in ("conv_id", "turn_idx", "text")]
-    plans = [_search_plan(f["sink"], [query], ignore_case, columns=columns)
-             for f in frags]
-    return _run_plans(plans, plans[0].empty if plans else _empty_matches(
-        [pa.field(c, pa.null()) for c in extra]))
-
-
-def _is_fragment_base(target: str) -> bool:
-    import os
-
-    return (os.path.isdir(os.path.join(target, "_manifests"))
-            and any(n.startswith("fragment=")
-                    for n in os.listdir(target)))
-
-
-def _search_target(target: str, query: str, ignore_case: bool, columns=None,
-                   **prune):
-    """Dispatch: a dir containing routed/ is one archive; a dir of
-    ``fragment=`` sinks + manifests is an ingest-scheduler fragment base;
-    otherwise treat it as a base dir of archives. Prune kwargs
-    (ts_min/ts_max/path_glob/tags) apply to a single archive too via its
-    manifest (r2 ADVICE: they were silently dropped)."""
-    from clp_core_ray.state import manifest as mf
-
-    if _is_archive(target):
-        if prune and not _archive_selected(
-                mf.fold_manifests(_archive_root(target)), **prune):
-            import ray.data as rd
-
-            return rd.from_arrow(_empty_matches())
-        return search_archive(target, query, columns=columns,
-                              ignore_case=ignore_case)
-    if _is_fragment_base(target):
-        return search_fragments(target, query, ignore_case=ignore_case,
-                                columns=columns, **prune)
-    return search_archives(target, query, ignore_case=ignore_case,
-                           columns=columns, **prune)
+    the unretired fragments that pass the manifest predicates (the same
+    metadata-DB time/path/tag narrowing clg does before opening archives;
+    fragments carry no tags) are one list of archives, planned and run as
+    in :func:`search_archives`. A fragment that is not a dictionary
+    archive raises ``ValueError`` (:func:`_fragment_archives`)."""
+    return _run_plans(_target_plans(
+        out_dir, [query], ignore_case, columns, path_glob=path_glob,
+        ts_min=ts_min, ts_max=ts_max, tags=tags))
 
 
 def search_federated(targets: list[str], query: str,
                      ignore_case: bool = False, columns=None, **prune):
     """One query across MULTIPLE storage tiers — e.g. the ingest
     scheduler's hot fragment base plus the catalog of compacted cold
-    archives: each target resolves through the normal dispatcher (archive /
-    fragment base / archive base, with its own pruning stack) and the lazy
-    Datasets union.
+    archives: every target resolves through :func:`_target_plans` (with
+    its own manifest pruning) and all their plans run once, so the scan
+    side is chosen on the summed bytes of every tier.
 
     Consistency note: compaction retires fragments only after its archive
     commits, so steady-state federated results are exact; in the crash
@@ -966,26 +998,17 @@ def search_federated(targets: list[str], query: str,
     compaction re-run finishes retirement."""
     if not targets:
         raise ValueError("search_federated needs at least one target")
-    return _union([_search_target(t, query, ignore_case, columns=columns,
-                                  **prune) for t in targets],
-                  _empty_matches())
+    return _run_plans([p for t in targets for p in _target_plans(
+        t, [query], ignore_case, columns, **prune)])
 
 
 def search_count(target: str, query: str, ignore_case: bool = False,
                  **prune) -> pa.Table:
     """clg --count: total number of matching messages (reducer CountOperator
-    role, reducer/CountOperator.cpp:4-31 — the cross-task merge is a sum of
-    per-block partial counts, not a row materialization)."""
-    ds = _search_target(target, query, ignore_case, **prune)
-
-    def partial(b: pa.Table) -> pa.Table:
-        return pa.table({"cnt": pa.array([len(b)], type=pa.int64())})
-
-    tot = 0
-    for b in ds.map_batches(partial, batch_format="pyarrow") \
-               .iter_batches(batch_format="pyarrow"):
-        tot += sum(pa.table(b).column("cnt").to_pylist())
-    return pa.table({"cnt": pa.array([tot], type=pa.int64())})
+    role, see :func:`_count_matches`) → pa.Table[(cnt)]."""
+    n = _query_counts(_target_plans(target, [query], ignore_case,
+                                    query_idx=True, **prune), 1)
+    return pa.table({"cnt": pa.array(n, type=pa.int64())})
 
 
 def search_count_multi(archive_dir: str, queries: list[str],
@@ -994,35 +1017,32 @@ def search_count_multi(archive_dir: str, queries: list[str],
     without re-reading the archive N times). Queries with no matches —
     including dictionary misses that never reach the scan — report 0.
     Returns pa.Table[(query_idx, cnt)], one row per input query."""
-    ds = search_archive_multi(archive_dir, queries, ignore_case=ignore_case)
-    got = {}
-    for b in (ds.groupby("query_idx").count()
-              .iter_batches(batch_format="pyarrow")):
-        if "query_idx" not in b.column_names:
-            continue
-        for qi, c in zip(b.column("query_idx").to_pylist(),
-                         b.column("count()").to_pylist()):
-            got[int(qi)] = int(c)
+    n = _query_counts(_target_plans(archive_dir, queries, ignore_case,
+                                    query_idx=True), len(queries))
     return pa.table({
         "query_idx": pa.array(range(len(queries)), type=pa.int64()),
-        "cnt": pa.array([got.get(i, 0) for i in range(len(queries))],
-                        type=pa.int64())})
+        "cnt": pa.array(n, type=pa.int64())})
 
 
 def search_count_by_time(target: str, query: str, granularity: str = "hour",
                          ignore_case: bool = False, ts_col: str = "ts",
                          bucket_ms: int | None = None, **prune):
     """clo count-by-time: matches bucketed by truncated event timestamp
-    (OutputHandler.hpp:255-286 bucket = ts/size*size; the reducer merge is
-    the groupby shuffle over per-batch partials). ``bucket_ms`` mirrors the
-    CLI's arbitrary millisecond bucket; ``granularity`` the calendar units."""
-    from clp_core_ray.pipelines.aggregate import add_time_bucket, count_by
+    (OutputHandler.hpp:255-286 bucket = ts/size*size), counted as in
+    :func:`_count_matches` → Dataset[(bucket, cnt)], empty but typed when
+    nothing matches. ``bucket_ms`` mirrors the CLI's arbitrary millisecond
+    bucket; ``granularity`` the calendar units."""
+    import functools
 
-    ds = _search_target(target, query, ignore_case, columns=[ts_col], **prune)
-    return count_by(
-        add_time_bucket(ds, ts_col=ts_col, granularity=granularity,
-                        bucket_ms=bucket_ms), "bucket"
-    )
+    import ray.data as rd
+
+    from clp_core_ray.pipelines.aggregate import time_bucket
+
+    plans = _target_plans(target, [query], ignore_case, columns=[ts_col],
+                          **prune)
+    return rd.from_arrow(_count_matches(plans, "bucket", functools.partial(
+        time_bucket, ts_col=ts_col, granularity=granularity,
+        bucket_ms=bucket_ms)))
 
 
 def search_context(archive_dir: str, query: str, before: int = 1,

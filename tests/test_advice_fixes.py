@@ -169,7 +169,8 @@ def test_search_empty_routed_dir(ray_session, tmp_path):
 def test_single_archive_ts_prune(ray_session, tmp_path):
     """ts_min/ts_max apply to a single-archive target via its manifest."""
     from clp_core_ray.pipelines.compress import compress
-    from clp_core_ray.pipelines.search import _search_target, search_count
+    from clp_core_ray.pipelines.search import (_run_plans, _target_plans,
+                                               search_count)
     from clp_core_ray.state.manifest import read_manifests
 
     out = str(tmp_path / "arch")
@@ -184,8 +185,8 @@ def test_single_archive_ts_prune(ray_session, tmp_path):
     n2 = search_count(out, "ERROR*timeout", ts_max=hi)
     assert n2.column("cnt")[0].as_py() > 0
     # count-by-time path carries the prune kwargs too
-    got = _search_target(out, "ERROR*timeout", False,
-                         ts_min=hi + 10_000_000).to_pandas()
+    got = _run_plans(_target_plans(out, ["ERROR*timeout"], False,
+                                   ts_min=hi + 10_000_000)).to_pandas()
     assert len(got) == 0
 
 

@@ -245,6 +245,28 @@ def test_cli_search_prune_flags_single_archive(ray_session, tiny_sf_dir,
     res, _ = _run(capsys, search + ["--ts-min", past,
                                     "--out", str(tmp_path / "hits")])
     assert res["rows"] == 0
+    # a query batch takes the prune flags too, on one archive or a base
+    for target in (arch, str(tmp_path)):
+        res, _ = _run(capsys, ["search", "--archive", target,
+                               "--query", "*ERROR*", "--query", "*WARN*"])
+        assert res["rows_shown"] > 0
+        res, lines = _run(capsys, ["search", "--archive", target,
+                                   "--query", "*ERROR*", "--query", "*WARN*",
+                                   "--ts-min", past])
+        assert res["rows_shown"] == 0 and lines == []
+
+
+def test_cli_count_by_time_no_matches(ray_session, tiny_sf_dir, tmp_path,
+                                      capsys):
+    """--count-by-time over a query that matches nothing reports zero
+    buckets and a zero total."""
+    arch = str(tmp_path / "arch")
+    _run(capsys, ["compress", "--input", tiny_sf_dir, "--out", arch])
+    for bucket in ("hour", "3600000"):
+        res, _ = _run(capsys, ["search", "--archive", arch,
+                               "--query", "*zz_no_such_token_zz*",
+                               "--count-by-time", bucket])
+        assert (res["buckets"], res["total"]) == (0, 0)
 
 
 def test_cli_incremental(ray_session, tiny_sf_dir, tmp_path, capsys):
