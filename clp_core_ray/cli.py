@@ -37,6 +37,19 @@ def _emit(obj) -> None:
     print(json.dumps(obj, default=str))
 
 
+def _print_limited(ds, lines, limit: int) -> int:
+    """Print the ``lines`` (batch → list of str) of ``ds`` up to ``limit``,
+    clg's default sink, stopping the one execution there → lines printed."""
+    shown = 0
+    for b in ds.iter_batches(batch_format="pyarrow"):
+        for line in lines(b)[:limit - shown]:
+            print(line)
+            shown += 1
+        if shown >= limit:
+            break
+    return shown
+
+
 def cmd_compress(args) -> dict:
     import os
 
@@ -210,6 +223,8 @@ def cmd_search(args) -> dict:
                           total=sum(t["cnt"].to_pylist()))
         ds = S._run_plans(plans)
         if args.out:
+            # one execution for the write and the count
+            ds = ds.materialize()
             ds.write_parquet(args.out, compression="zstd")
             return result(out=args.out, rows=ds.count())
 
@@ -218,15 +233,7 @@ def cmd_search(args) -> dict:
                 return b["text"].to_pylist()
             return [f"[{qi}] {t}" for qi, t in zip(
                 b["query_idx"].to_pylist(), b["text"].to_pylist())]
-    # print up to --limit matches to stdout (clg's default sink)
-    shown = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        for line in lines(b)[:args.limit - shown]:
-            print(line)
-            shown += 1
-        if shown >= args.limit:
-            break
-    return result(rows_shown=shown)
+    return result(rows_shown=_print_limited(ds, lines, args.limit))
 
 
 def cmd_stats(args) -> dict:
@@ -589,13 +596,7 @@ def cmd_incr_search(args) -> dict:
     t0 = time.time()
     ds = search_incremental(args.base, args.query,
                             ignore_case=args.ignore_case)
-    rows = ds.count()
-    shown = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        for line in b.column("text").to_pylist():
-            if shown < args.limit:
-                print(line)
-                shown += 1
+    rows = _print_limited(ds, lambda b: b["text"].to_pylist(), args.limit)
     return {"cmd": "incr-search", "rows": rows,
             "sec": round(time.time() - t0, 3)}
 
@@ -605,11 +606,7 @@ def cmd_dictdump(args) -> dict:
     parity: make-dictionaries-readable.cpp:60-121 — logtype placeholders
     render as \\i \\f \\d, escaped bytes appear literally, newlines as \\n;
     plus the segment-index .hr files)."""
-    import glob
-    import json
     import os
-
-    import pyarrow.parquet as pq
 
     from clp_core_ray.encoding import (
         PLACEHOLDER_DICT,
@@ -617,6 +614,7 @@ def cmd_dictdump(args) -> dict:
         PLACEHOLDER_FLOAT,
         PLACEHOLDER_INT,
     )
+    from clp_core_ray.pipelines import decompress
 
     renders = {PLACEHOLDER_INT: "\\i", PLACEHOLDER_FLOAT: "\\f",
                PLACEHOLDER_DICT: "\\d"}
@@ -634,38 +632,27 @@ def cmd_dictdump(args) -> dict:
         return "".join(out).replace("\n", "\\n")
 
     os.makedirs(args.output_dir, exist_ok=True)
-    lt = pq.read_table(os.path.join(args.archive, "logtype.dict.parquet"))
-    lt = lt.sort_by("logtype_id")
+    d = decompress.load_dicts(args.archive,
+                              var_columns=("var_id", "value", "classes"))
     with open(os.path.join(args.output_dir, "logtype.dict.hr"), "w") as f:
-        for lid, v in zip(lt.column("logtype_id").to_pylist(),
-                          lt.column("logtype").to_pylist()):
+        for lid, v in zip(d.lt_ids.tolist(), d.lt_values.to_pylist()):
             f.write(f"{lid}\t{human(v)}\n")
 
-    n_vars = 0
-    vfiles = sorted(glob.glob(os.path.join(args.archive, "var.dict",
-                                           "*.parquet")))
     with open(os.path.join(args.output_dir, "var.dict.hr"), "w") as f, \
          open(os.path.join(args.output_dir, "var.segindex.hr"), "w") as g:
-        for vf in vfiles:
-            vt = pq.read_table(vf).sort_by("var_id")
-            for vid, v, cls in zip(vt.column("var_id").to_pylist(),
-                                   vt.column("value").to_pylist(),
-                                   vt.column("classes").to_pylist()):
-                f.write(f"{vid}\t{v.replace(chr(10), chr(92) + 'n')}\n")
-                g.write(f"{vid}\t{','.join(sorted(cls or []))}\n")
-                n_vars += 1
+        for vid, v, cls in zip(d.var_ids.tolist(), d.var_values.to_pylist(),
+                               d.var_classes.to_pylist()):
+            f.write(f"{vid}\t{v.replace(chr(10), chr(92) + 'n')}\n")
+            g.write(f"{vid}\t{','.join(sorted(cls or []))}\n")
 
-    seg = os.path.join(args.archive, "class_logtypes.json")
-    if os.path.exists(seg):
-        with open(seg) as f:
-            by_class = json.load(f)
+    if d.by_class is not None:
         with open(os.path.join(args.output_dir,
                                "logtype.segindex.hr"), "w") as f:
-            for cls in sorted(by_class):
-                ids = ",".join(map(str, sorted(by_class[cls])))
+            for cls in sorted(d.by_class):
+                ids = ",".join(map(str, sorted(d.by_class[cls])))
                 f.write(f"{cls}\t{ids}\n")
-    return {"cmd": "dictdump", "logtypes": lt.num_rows, "vars": n_vars,
-            "output_dir": args.output_dir}
+    return {"cmd": "dictdump", "logtypes": len(d.lt_ids),
+            "vars": len(d.var_ids), "output_dir": args.output_dir}
 
 
 

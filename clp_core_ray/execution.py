@@ -17,8 +17,10 @@ local seconds at equal input, "local" the slope of the local seconds per
 MB, and the crossover ``fixed / local``, the largest input at which
 ``var <= fixed``.
 
-This module also holds :func:`cluster_cpus`, the one place the package asks
-Ray for the cluster's CPU count.
+This module also holds the two dictionary size rules
+(``DICT_BROADCAST_BYTES``, ``VAR_DICT_DRIVER_BYTES``), read at call time,
+and :func:`cluster_cpus`, the one place the package asks Ray for the
+cluster's CPU count.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ LOCAL_DECODE_BYTES = 1 << 20
 #: crossover 0.24 MB; sweep A: fixed 0.43 s, local 1.21 s/MB, crossover
 #: 0.36 MB. 192 KB sits under both.
 LOCAL_TEXT_EXTRACT_BYTES = 3 << 16
+
+#: Var dictionaries whose uncompressed size (the parquet footers' row-group
+#: byte sizes) exceeds this are not broadcast to decode tasks; the decode
+#: flips to the hash-partitioned join (SURVEY §2.4 J2). CLP always loads
+#: full dicts (clg.cpp:176-199) because per-archive epoch caps bound them;
+#: the join is for archives built with a raised CLP_DICT_CAP_ENTRIES, whose
+#: var dict would not fit a worker heap.
+DICT_BROADCAST_BYTES = 256 << 20
+
+#: Driver memory for search's dictionaries. A var dict whose parts are
+#: larger on disk is probed per query instead of held
+#: (``search._probe_var_dict``), and the cached archive states' summed
+#: ``nbytes`` stays under it (a state over it is not kept).
+VAR_DICT_DRIVER_BYTES = 64 << 20
 
 
 def choose(stage: str, input_bytes: int) -> str:

@@ -408,8 +408,8 @@ class ArchiveIrStage:
     deltas, as ``serialize_ir_stream`` writes them. The streams are byte
     for byte those of ``serialize_ir_stream`` over the decoded text.
 
-    ``dicts`` is the ``load_dicts`` pair when the stage runs in the calling
-    process, or a ref to it inside a Ray task, as for
+    ``dicts`` is the ``load_dicts`` result when the stage runs in the
+    calling process, or a ref to it inside a Ray task, as for
     ``ArchiveDecodeStage``. Called on a batch, the stage writes its events
     as one stream (or ~``target_bytes`` streams) under ``out_dir`` and
     returns their (path, n_events) rows.
@@ -424,34 +424,17 @@ class ArchiveIrStage:
         self._loaded = False
 
     def _load(self):
+        from clp_core_ray.pipelines.decompress import resolve
         from clp_core_ray.vec.tokenizer import _string_buffers
 
-        if isinstance(self.dicts, tuple):
-            ldict, vdict = self.dicts
-        else:
-            import ray
-
-            ldict, vdict = ray.get(self.dicts)
-        lt_ids = np.asarray(ldict.column("logtype_id"), dtype=np.int64)
-        order = np.argsort(lt_ids, kind="stable")
-        self.lt_ids = lt_ids[order]
-        self.lt_off, self.lt_data = _string_buffers(
-            ldict.column("logtype").combine_chunks().take(pa.array(order)))
-        self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
-        self.var_off, self.var_data = _string_buffers(
-            vdict.column("value").combine_chunks())
+        self.dicts = resolve(self.dicts)
+        self.lt_off, self.lt_data = _string_buffers(self.dicts.lt_values)
+        self.var_off, self.var_data = _string_buffers(self.dicts.var_values)
         self._loaded = True
-
-    @staticmethod
-    def _lookup(sorted_ids: np.ndarray, need: np.ndarray, what: str):
-        pos = np.searchsorted(sorted_ids, need)
-        pos[pos >= len(sorted_ids)] = 0
-        if len(need) and not np.array_equal(sorted_ids[pos], need):
-            raise KeyError(f"{what} id missing from the archive dictionary")
-        return pos
 
     def streams(self, batch: pa.Table) -> list[tuple[bytes, int]]:
         """The batch's events as (stream bytes, n_events) chunks."""
+        from clp_core_ray.pipelines.decompress import lookup
         from clp_core_ray.vec.decoder import _list_flat
 
         n = batch.num_rows
@@ -460,8 +443,8 @@ class ArchiveIrStage:
         if not self._loaded:
             self._load()
         ts = _ts_ms(batch.column("ts"))
-        lt_pos = self._lookup(self.lt_ids, np.asarray(
-            batch.column("logtype_id"), dtype=np.int64), "logtype")
+        d = self.dicts
+        lt_pos = lookup(d.lt_ids, batch.column("logtype_id"), "logtype")
         var_off, ev_arr = _list_flat(batch.column("encoded_vars"))
         _, vt_arr = _list_flat(batch.column("var_types"))
         ev = np.asarray(ev_arr, dtype=np.int64)
@@ -477,7 +460,7 @@ class ArchiveIrStage:
         items = _WireItems(len(ev) + 2 * n)
         is_dict = vt == E.VT_DICT
         items.put_strings(var_item[is_dict], self.var_off, self.var_data,
-                          self._lookup(self.var_ids, ev[is_dict], "var"),
+                          lookup(d.var_ids, ev[is_dict], "var"),
                           _VARSTR_TAGS)
         if self.four_byte:
             self._four_byte_items(items, ev, vt, var_item, lt_item, var_off,

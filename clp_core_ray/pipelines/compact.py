@@ -32,13 +32,11 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from clp_core_ray.execution import choose
 from clp_core_ray.state.atomic import inprogress_path
 from clp_core_ray.state.dictionaries import (
     N_FINALIZE_BUCKETS,
-    UNIFIED_SCHEMA,
     _bucket_split,
     _finalize_dicts_parallel,
     _finalize_local,
@@ -52,50 +50,33 @@ def _archive_unified_rows(archive_dir: str) -> pa.Table:
     (kind, id, value, n_vars, logtype_class — one row per (entry, class)),
     the input format of the compress finalize path, so merge reuses its
     dedup + collision-check + bucket-write machinery verbatim."""
-    parts = []
+    from clp_core_ray.pipelines import decompress
 
+    d = decompress.load_dicts(archive_dir,
+                              var_columns=("var_id", "value", "classes"))
     # var dict: explode the per-entry classes segment index back to rows
-    vdir = os.path.join(archive_dir, "var.dict")
-    for f in sorted(os.listdir(vdir)):
-        if not f.endswith(".parquet"):
-            continue
-        t = pq.read_table(os.path.join(vdir, f)).combine_chunks()
-        cls = t.column("classes").combine_chunks()
-        if isinstance(cls, pa.ChunkedArray):
-            cls = cls.combine_chunks()
-        parent = pc.list_parent_indices(cls)
-        n = len(parent)
-        parts.append(pa.table({
-            "kind": pa.array(np.ones(n, dtype=np.int8)),
-            "id": t.column("var_id").take(parent).cast(pa.int64()),
-            "value": t.column("value").take(parent).cast(pa.large_string()),
-            "n_vars": pa.array(np.zeros(n, dtype=np.int32)),
-            "logtype_class": pc.list_flatten(cls).cast(pa.string()),
-        }))
+    parent = pc.list_parent_indices(d.var_classes)
+    n = len(parent)
+    parts = [pa.table({
+        "kind": pa.array(np.ones(n, dtype=np.int8)),
+        "id": pa.array(d.var_ids).take(parent),
+        "value": d.var_values.take(parent).cast(pa.large_string()),
+        "n_vars": pa.array(np.zeros(n, dtype=np.int32)),
+        "logtype_class": pc.list_flatten(d.var_classes).cast(pa.string()),
+    })]
 
-    # logtype dict + class_logtypes.json → one row per (logtype, class)
-    lt = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"))
-    with open(os.path.join(archive_dir, "class_logtypes.json")) as fh:
-        by_class = json.load(fh)
-    lt_ids = lt.column("logtype_id").combine_chunks()
-    for cls_name, ids in sorted(by_class.items()):
-        ids_arr = pa.array(ids, type=pa.int64())
-        pos = pc.index_in(ids_arr, lt_ids)
-        if pc.any(pc.is_null(pos)).as_py():
-            raise ValueError(
-                f"{archive_dir}: class_logtypes.json references logtype ids "
-                f"missing from logtype.dict.parquet"
-            )
-        n = len(ids_arr)
+    # logtype dict + class index → one row per (logtype, class)
+    for cls_name, ids in sorted(d.by_class.items()):
+        pos = decompress.lookup(d.lt_ids, ids, "logtype")
+        n = len(ids)
         parts.append(pa.table({
             "kind": pa.array(np.zeros(n, dtype=np.int8)),
-            "id": ids_arr,
-            "value": lt.column("logtype").take(pos).cast(pa.large_string()),
-            "n_vars": lt.column("n_vars").take(pos).cast(pa.int32()),
+            "id": pa.array(ids, type=pa.int64()),
+            "value": d.lt_values.take(pos).cast(pa.large_string()),
+            "n_vars": d.lt_n_vars.take(pos).cast(pa.int32()),
             "logtype_class": pa.array([cls_name] * n, type=pa.string()),
         }))
-
-    return pa.concat_tables(parts) if parts else UNIFIED_SCHEMA.empty_table()
+    return pa.concat_tables(parts)
 
 
 def _dict_buckets(archive_dir: str):

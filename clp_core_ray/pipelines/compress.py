@@ -722,38 +722,3 @@ def completed_inputs(out_dir: str) -> set[str]:
         elif inp:
             done.add(inp)
     return done
-
-
-def ingest_once(input_dir: str, out_dir: str, *,
-                pattern: str = "*.parquet",
-                target_bytes: int | None = None) -> list[str]:
-    """One poll of a continuous-ingestion loop: compress exactly the input
-    files no completed fragment owns yet.
-
-    The reference package runs this as a daemon — its compression scheduler
-    polls for new work, partitions it, and dispatches tasks
-    (job-orchestration/.../compression_scheduler.py:149,355-396
-    search_and_schedule_new_tasks + the poll loop); here one call is one
-    poll, and cron/driver recurrence supplies the loop. Semantics that make
-    repeated calls safe:
-
-    - discovery − completed-inputs anti-join (manifests are the metadata-DB
-      role), so an interrupted poll re-ingests only its unfinished files;
-    - size packing (``target_bytes``) groups only the NEW files — earlier
-      fragment groupings never re-bind, so a late-arriving file can't shift
-      an old group's id and cause recompression;
-    - fragments land under the same ``out_dir`` and are immediately visible
-      to fragment-aware readers/search (manifest order is commit order).
-
-    Returns the fragment ids processed by THIS call ([] = nothing new).
-
-    Since round 5 this delegates to the scheduler's ``ingest.poll`` —
-    claims in ``_jobs/`` additionally make CONCURRENT pollers safe (two
-    never double-compress an input) and failed fragments retryable; see
-    pipelines/ingest.py for the daemon loop (``ingest --watch``).
-    """
-    from clp_core_ray.pipelines.ingest import poll
-
-    s = poll(input_dir, out_dir, pattern=pattern,
-             target_bytes=target_bytes)
-    return s["done"]

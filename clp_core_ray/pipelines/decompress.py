@@ -5,16 +5,18 @@ columns, decode each message through the dictionaries, and emit text; ordered
 reconstruction is a sort by (conv_id, turn_idx) — the rebuild's analogue of
 clp_s's k-way merge by log_event_idx (JsonConstructor.cpp:63-160).
 
-Dictionaries are loaded once per call, as CLP loads them once per process
-(clg.cpp:176-199). An archive decodes on one of two sides, chosen by its
+``load_dicts`` is the one reader of an archive's dictionaries (the
+DictionaryReader role, clg.cpp:176-199): decode, search, IR extraction,
+merge and ``dictdump`` all take its ``ArchiveDicts``, loaded once per call.
+An archive decodes on one of two sides, chosen by its
 sink bytes through ``execution.choose`` (``LOCAL_DECODE_BYTES`` for
 decompress and IR extraction, ``LOCAL_TEXT_EXTRACT_BYTES`` for text
 extraction). At or under it the archive decodes in the calling process, as
 ``clp x``'s FileDecompressor does: pyarrow reads the sinks and the decode
 stage runs over 32K-row slices, with no Ray job. Above it the decode is a
 Ray Data job with the dictionaries broadcast via ray.put. A var dictionary
-over ``CLP_DICT_BROADCAST_CAP`` always decodes on Ray, by a partitioned
-join.
+over ``execution.DICT_BROADCAST_BYTES`` always decodes on Ray, by a
+partitioned join.
 
 IR extraction decodes nothing: ``ir.ArchiveIrStage`` writes each IR event
 from the encoded columns and the dictionaries, on either side, with the
@@ -23,51 +25,111 @@ same read → stage shape as the decode.
 
 from __future__ import annotations
 
+import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray import execution
 from clp_core_ray.execution import choose
 from clp_core_ray.vec.decoder import decode_batch
 
 _DECODE_BATCH = 32 * 1024  # rows per decode stage call, either side
 
 
-def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
-    """(logtype table, var table) from a compressed archive.
+def lookup(sorted_ids: np.ndarray, need, what: str) -> np.ndarray:
+    """Positions of the ids ``need`` in ``sorted_ids``; ``KeyError`` when
+    one is missing (a row the dictionary cannot decode)."""
+    need = np.asarray(need, dtype=np.int64)
+    pos = np.searchsorted(sorted_ids, need)
+    pos[pos >= len(sorted_ids)] = 0
+    if len(need) and (not len(sorted_ids)
+                      or not np.array_equal(sorted_ids[pos], need)):
+        raise KeyError(f"{what} id missing from the archive dictionary")
+    return pos
 
-    The var table holds ``var_columns`` (every column when None; search
-    also reads the ``classes`` segment index), or is None when
-    ``var_columns`` is empty."""
+
+class ArchiveDicts(NamedTuple):
+    """An archive's dictionaries as :func:`load_dicts` reads them: each
+    side's ids sorted (int64) with its columns aligned to them."""
+    lt_ids: np.ndarray
+    lt_values: pa.Array            # templates
+    lt_n_vars: pa.Array
+    var_ids: np.ndarray | None     # var side None when not read
+    var_values: pa.Array | None
+    var_classes: pa.Array | None   # the ``classes`` segment index, if read
+    by_class: dict | None          # class → logtype ids; None when absent
+    var_files: list                # the var.dict parts
+    nbytes: int
+
+    def templates(self, logtype_ids) -> pa.Array:
+        """The logtype template of each id (``KeyError`` on a miss)."""
+        return self.lt_values.take(lookup(self.lt_ids, logtype_ids,
+                                          "logtype"))
+
+
+def var_dict_files(archive_dir: str) -> list[str]:
+    """The archive's var.dict parts, sorted."""
+    vdir = os.path.join(archive_dir, "var.dict")
+    return [os.path.join(vdir, f) for f in sorted(os.listdir(vdir))
+            if f.endswith(".parquet")]
+
+
+def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
+    """The one reader of ``logtype.dict.parquet``, ``var.dict/`` and
+    ``class_logtypes.json`` → :class:`ArchiveDicts`.
+
+    The var side reads ``var_columns`` (every column when None; ask for
+    ``classes`` to get the segment index), and is not read when
+    ``var_columns`` is empty. Ids are sorted so every consumer resolves
+    them with one binary search (:func:`lookup`)."""
     ldict = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"))
-    if var_columns is not None and not var_columns:
-        return ldict, None
-    var_dir = os.path.join(archive_dir, "var.dict")
-    vfiles = [
-        os.path.join(var_dir, f) for f in sorted(os.listdir(var_dir))
-        if f.endswith(".parquet")
-    ]
-    # column-pruned: the classes segment-index column is search-only state,
-    # not worth broadcasting to decoders. Sorted by var_id so decode_batch
-    # resolves ids with a binary search instead of a per-batch hash build.
-    vdict = pa.concat_tables(
-        pq.read_table(f, columns=None if var_columns is None
-                      else list(var_columns)) for f in vfiles
-    )
-    vdict = vdict.sort_by("var_id")
-    return ldict, vdict
+    order = pa.array(np.argsort(np.asarray(ldict.column("logtype_id"),
+                                           dtype=np.int64), kind="stable"))
+    ldict = ldict.take(order)
+    lt_ids = np.asarray(ldict.column("logtype_id"), dtype=np.int64)
+    idx_path = os.path.join(archive_dir, "class_logtypes.json")
+    by_class = None
+    if os.path.exists(idx_path):
+        with open(idx_path) as f:
+            by_class = json.load(f)
+    vfiles = var_dict_files(archive_dir)
+    var = (None, None, None)
+    nbytes = ldict.nbytes
+    if var_columns is None or var_columns:
+        vdict = pa.concat_tables(
+            pq.read_table(f, columns=None if var_columns is None
+                          else list(var_columns)) for f in vfiles
+        ).sort_by("var_id")
+        var = (np.asarray(vdict.column("var_id"), dtype=np.int64),
+               vdict.column("value").combine_chunks(),
+               vdict.column("classes").combine_chunks()
+               if "classes" in vdict.column_names else None)
+        nbytes += vdict.nbytes
+    return ArchiveDicts(lt_ids, ldict.column("logtype").combine_chunks(),
+                        ldict.column("n_vars").combine_chunks(), *var,
+                        by_class, vfiles, nbytes)
+
+
+def resolve(x):
+    """``x`` itself, or the object it points to when it is a Ray ref (a
+    zero-copy plasma get inside a task)."""
+    import ray
+
+    return ray.get(x) if isinstance(x, ray.ObjectRef) else x
 
 
 class ArchiveDecodeStage:
     """Decode for compact archives (T3): resolves logtype templates by id,
     then decodes encoded_vars through the var dictionary.
 
-    ``dicts`` is the ``load_dicts`` pair itself when the stage runs in the
+    ``dicts`` is the ``load_dicts`` result itself when the stage runs in the
     calling process, or a plasma ref to it inside a Ray task, resolved
-    lazily on the first batch — a zero-copy ``ray.get`` of Arrow tables.
+    lazily on the first batch (:func:`resolve`).
     Stateless tasks let the streaming executor fuse read → decode into ONE
     task per block; an actor pool here would de-fuse the chain and ship
     every encoded block through the object store to reach the actor
@@ -77,57 +139,33 @@ class ArchiveDecodeStage:
     def __init__(self, dicts, out_col: str = "text"):
         self.dicts = dicts
         self.out_col = out_col
-        self._loaded = False
-
-    def _load(self):
-        if isinstance(self.dicts, tuple):
-            ldict, vdict = self.dicts
-        else:
-            import ray
-
-            ldict, vdict = ray.get(self.dicts)
-        self.lt_ids = ldict.column("logtype_id").combine_chunks()
-        self.lt_values = ldict.column("logtype").combine_chunks()
-        self.var_ids = np.asarray(vdict.column("var_id"), dtype=np.int64)
-        self.var_values = vdict.column("value").combine_chunks()
-        self._loaded = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self._loaded:
-            self._load()
-        pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
-        logtype = pc.take(self.lt_values, pos)
+        d = self.dicts = resolve(self.dicts)
         decoded = decode_batch(
-            logtype,
+            d.templates(batch.column("logtype_id")),
             batch.column("encoded_vars"),
             batch.column("var_types"),
-            dict_ids=self.var_ids,
-            dict_values=self.var_values,
+            dict_ids=d.var_ids,
+            dict_values=d.var_values,
         )
         return batch.append_column(self.out_col, decoded)
 
 
-#: Var dictionaries whose UNCOMPRESSED size (parquet footer estimate)
-#: exceeds this are not broadcast; decode flips to the hash-partitioned
-#: join fallback (SURVEY §2.4 J2). CLP itself always loads full dicts
-#: (clg.cpp:176-199) because per-archive epoch caps bound them; the
-#: fallback exists for archives built with a raised CLP_DICT_CAP_ENTRIES
-#: where a broadcast would not fit a worker heap.
-def _dict_broadcast_cap() -> int:
-    return int(os.environ.get("CLP_DICT_BROADCAST_CAP", 256 << 20))
-
-
 def _vardict_uncompressed_bytes(archive_dir: str) -> int:
-    """Footer-only estimate of the var dict's in-memory size (no data read)."""
-    var_dir = os.path.join(archive_dir, "var.dict")
+    """Footer-only estimate of the var dict's in-memory size (no data read),
+    measured against ``execution.DICT_BROADCAST_BYTES``."""
     total = 0
-    for f in sorted(os.listdir(var_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        md = pq.ParquetFile(os.path.join(var_dir, f)).metadata
+    for f in var_dict_files(archive_dir):
+        md = pq.ParquetFile(f).metadata
         for rg in range(md.num_row_groups):
             total += md.row_group(rg).total_byte_size
     return total
+
+
+def _over_broadcast_cap(archive_dir: str) -> bool:
+    return (_vardict_uncompressed_bytes(archive_dir)
+            > execution.DICT_BROADCAST_BYTES)
 
 
 def _sink_files(routed: str) -> list[str]:
@@ -177,7 +215,7 @@ def _decode(archive_dir: str, columns, ordered: bool = False, prefilter=None,
             [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
         ).empty_table()
     need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
-    over_cap = _vardict_uncompressed_bytes(archive_dir) > _dict_broadcast_cap()
+    over_cap = _over_broadcast_cap(archive_dir)
     if not over_cap and choose(
             stage, sum(os.path.getsize(f) for f in files)) == "local":
         return _decode_local(archive_dir, files, need, columns, ordered,
@@ -228,7 +266,7 @@ def _decode_ray(archive_dir: str, need: list[str], over_cap: bool, columns,
         ds = ds.map_batches(prefilter, batch_format="pyarrow")
 
     if over_cap:
-        out = _decode_partitioned(ds, archive_dir)
+        out = _decode_partitioned(ds, load_dicts(archive_dir, var_columns=()))
     else:
         out = ds.map_batches(
             ArchiveDecodeStage(ray.put(load_dicts(archive_dir))),
@@ -243,7 +281,7 @@ def _decode_ray(archive_dir: str, need: list[str], over_cap: bool, columns,
     return out
 
 
-def _decode_partitioned(ds, archive_dir: str):
+def _decode_partitioned(ds, dicts: ArchiveDicts):
     """Over-cap decode (SURVEY §2.4 J2 fallback): resolve dictionary
     variables by a HASH-PARTITIONED join of encoded rows against the
     var-dict Dataset instead of a plasma broadcast — the path for var
@@ -262,10 +300,11 @@ def _decode_partitioned(ds, archive_dir: str):
 
     Relies on the flagship archive invariant that (conv_id, turn_idx) is
     unique per row (the same stable ordering key the reconstruction sort
-    uses). The logtype dict (templates only, always small) still
-    broadcasts. Costs one extra read of the encoded columns plus two
-    shuffles — the price of not broadcasting; activated only above
-    CLP_DICT_BROADCAST_CAP."""
+    uses). ``dicts`` is ``load_dicts`` without the var side: the logtype
+    dict (templates only, always small) still broadcasts, and the var-dict
+    Dataset reads its ``var_files``. Costs one extra read of the encoded
+    columns plus two shuffles — the price of not broadcasting; activated
+    only above ``execution.DICT_BROADCAST_BYTES``."""
     import ray
     import ray.data as rd
 
@@ -274,9 +313,7 @@ def _decode_partitioned(ds, archive_dir: str):
     from clp_core_ray.vec.decoder import _cumsum0, _list_flat
 
     nb = scaled_buckets()
-    ldict = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"))
-    lt_ref = ray.put((ldict.column("logtype_id").combine_chunks(),
-                      ldict.column("logtype").combine_chunks()))
+    lt_ref = ray.put(dicts)
     schema = ds.schema()
     row_cols = list(schema.names)
     row_types = dict(zip(schema.names, schema.types))
@@ -321,21 +358,15 @@ def _decode_partitioned(ds, archive_dir: str):
         _, jb = _key_and_bucket(t.column("var_id"), nb)
         return t.append_column("_jb", jb)
 
-    var_dir = os.path.join(archive_dir, "var.dict")
-    vds = rd.read_parquet(var_dir, columns=["var_id", "value"],
-                          file_extensions=["parquet"])
+    vds = rd.read_parquet(dicts.var_files, columns=["var_id", "value"])
 
-    def resolve(g: pa.Table) -> pa.Table:
+    def resolve_slots(g: pa.Table) -> pa.Table:
         side = np.asarray(g.column("_side"), dtype=np.int8)
         dic = g.filter(pa.array(side == 0))
         slot = g.filter(pa.array(side == 1))
         ids = np.asarray(dic.column("var_id"), dtype=np.int64)
         order = np.argsort(ids, kind="stable")
-        need = np.asarray(slot.column("var_id"), dtype=np.int64)
-        pos = np.searchsorted(ids[order], need)
-        pos[pos >= len(ids)] = 0
-        if len(need) and not np.array_equal(ids[order][pos], need):
-            raise KeyError("var id missing from partitioned dictionary")
+        pos = lookup(ids[order], slot.column("var_id"), "var")
         vals = pc.take(dic.column("value").combine_chunks(),
                        pa.array(order[pos]))
         return pa.table({
@@ -348,7 +379,7 @@ def _decode_partitioned(ds, archive_dir: str):
         ds.map_batches(explode, batch_format="pyarrow")
         .union(vds.map_batches(dict_side, batch_format="pyarrow"))
         .groupby("_jb")
-        .map_groups(resolve, batch_format="pyarrow")
+        .map_groups(resolve_slots, batch_format="pyarrow")
     )
 
     # ---- stage 2: fold values back per row + decode per conv bucket ------
@@ -396,13 +427,11 @@ def _decode_partitioned(ds, archive_dir: str):
         dict_vars = pa.LargeListArray.from_arrays(
             pa.array(_cumsum0(cnts)),
             res.column("value").combine_chunks())
-        lt_ids, lt_values = ray.get(_lt)
-        pos = pc.index_in(rows.column("logtype_id"), lt_ids)
-        logtype = pc.take(lt_values, pos)
         from clp_core_ray.vec.decoder import decode_batch
 
         text = decode_batch(
-            logtype, rows.column("encoded_vars").combine_chunks(),
+            resolve(_lt).templates(rows.column("logtype_id")),
+            rows.column("encoded_vars").combine_chunks(),
             vt, dict_vars=dict_vars)
         return rows.select(row_cols).append_column("text", text)
 
@@ -429,16 +458,15 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     process and written as one chunk (or ~``target_bytes`` chunks); above
     it the extraction is ``read_parquet → map_batches(stage)`` with the
     dictionaries broadcast, one chunk per block, which keeps it streaming.
-    A var dictionary over ``CLP_DICT_BROADCAST_CAP`` cannot be broadcast:
-    that archive takes the partitioned decode, and ``ir.write_ir``
-    serializes its text. Returns the chunk paths.
+    A var dictionary over ``execution.DICT_BROADCAST_BYTES`` cannot be
+    broadcast: that archive takes the partitioned decode, and
+    ``ir.write_ir`` serializes its text. Returns the chunk paths.
     """
     from clp_core_ray.ir import ArchiveIrStage, write_ir
 
     files = _sink_files(os.path.join(archive_dir, "routed"))
     need = ["ts", "logtype_id", "encoded_vars", "var_types"]
-    if files and _vardict_uncompressed_bytes(archive_dir) > \
-            _dict_broadcast_cap():
+    if files and _over_broadcast_cap(archive_dir):
         # only the partitioned decode resolves an over-cap var dictionary:
         # decode it, then serialize the text
         return write_ir(_decode_ray(archive_dir, list(need), True, ("ts",),

@@ -322,7 +322,7 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     from clp_core_ray.vec.decoder import decode_batch
 
     glt_dir = glt_dir or os.path.join(archive_dir, "glt")
-    cq, ldict, var_ids, var_values, var_classes = compile_for_archive(
+    cq, dicts, var_ids, var_values, var_classes = compile_for_archive(
         archive_dir, query, ignore_case
     )
     # per-variable segment index pruning (same index the row engine consults,
@@ -337,11 +337,10 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     if not cq.match_all and not cq.subqueries:
         return _empty()
 
-    lt_ids = np.asarray(ldict.column("logtype_id"), dtype=np.int64)
-    lt_values = ldict.column("logtype").to_pylist()
-    template_of = dict(zip(lt_ids.tolist(), lt_values))
+    template_of = dict(zip(dicts.lt_ids.tolist(),
+                           dicts.lt_values.to_pylist()))
     if cq.match_all:
-        cand = set(lt_ids.tolist())
+        cand = set(template_of)
     else:
         cand = set()
         for sq, ok in zip(cq.subqueries, lt_allowed):

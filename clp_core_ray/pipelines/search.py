@@ -28,7 +28,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from clp_core_ray import execution
 from clp_core_ray.execution import choose
+from clp_core_ray.pipelines.decompress import ArchiveDicts, resolve
 
 
 def wildcard_to_regex(pattern: str, full_match: bool = True) -> str:
@@ -169,7 +171,10 @@ def _probe_var_dict(vfiles: list, query: str, ignore_case: bool):
     driver memory stays bounded by the number of MATCHING entries — not by
     dictionary size, which at 100-TB archives can exceed driver RAM (the
     reference's clg holds dicts in memory, DictionaryReader.hpp:19 role).
-    Returns None when the query performs no dict lookups.
+    This bounds the compile only: a query that reaches the scan still
+    loads the whole var dict to decode (:func:`_search_plan`). ``vfiles``
+    are the ``load_dicts`` result's ``var_files``. Returns None when the
+    query performs no dict lookups.
     """
     import ray.data as rd
 
@@ -207,21 +212,14 @@ _SCAN_BATCH = 32 * 1024  # rows per _ArchiveScan call, either side
 
 
 class _ArchiveState(NamedTuple):
-    """What search reads of one archive besides its sinks: the logtype
-    dict, the var dict sorted by var_id with its ``classes`` segment index
-    (all None above the var-dict cap, see ``probe_files``), the class →
-    logtype index (None when absent) and the sink schema (None when the
-    archive holds no sink file)."""
-    ldict: pa.Table
-    lt_ids: pa.Array
-    lt_values: pa.Array
-    var_ids: np.ndarray | None
-    var_values: pa.Array | None
-    var_classes: pa.Array | None
-    probe_files: list | None  # var-dict files probed per query
-    by_class: dict | None
+    """What search reads of one archive besides its sinks: its
+    ``load_dicts`` result with the ``classes`` segment index (no var side
+    when ``probe``: the var dict is over ``execution.VAR_DICT_DRIVER_BYTES``
+    and probed per query) and the sink schema (None when the archive holds
+    no sink file)."""
+    dicts: ArchiveDicts
+    probe: bool
     sink_schema: pa.Schema | None
-    nbytes: int
 
 
 _STATES: OrderedDict = OrderedDict()  # key → _ArchiveState, LRU order
@@ -241,57 +239,39 @@ def _state_key(archive_dir: str) -> tuple:
 
 
 def _load_state(archive_dir: str, cap: int) -> _ArchiveState:
-    import json
     import os
 
     import pyarrow.parquet as pq
 
-    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
+    from clp_core_ray.pipelines import decompress
 
-    vdir = os.path.join(archive_dir, "var.dict")
-    vfiles = [os.path.join(vdir, f) for f in sorted(os.listdir(vdir))
-              if f.endswith(".parquet")]
-    probe = sum(os.path.getsize(f) for f in vfiles) > cap
-    ldict, vdict = load_dicts(archive_dir, var_columns=() if probe else None)
-    var = (None, None, None)
-    if vdict is not None:
-        vdict = vdict.combine_chunks()
-        var = (np.asarray(vdict.column("var_id"), dtype=np.int64),
-               vdict.column("value").combine_chunks(),
-               vdict.column("classes").combine_chunks()
-               if "classes" in vdict.column_names else None)
-    idx_path = os.path.join(archive_dir, "class_logtypes.json")
-    by_class = None
-    if os.path.exists(idx_path):
-        with open(idx_path) as f:
-            by_class = json.load(f)
-    first = first_parquet(os.path.join(archive_dir, "routed"))
-    return _ArchiveState(
-        ldict, ldict.column("logtype_id").combine_chunks(),
-        ldict.column("logtype").combine_chunks(), *var,
-        vfiles if probe else None, by_class,
-        pq.ParquetFile(first).schema_arrow if first else None,
-        ldict.nbytes + (vdict.nbytes if vdict is not None else 0))
+    probe = sum(os.path.getsize(f) for f in
+                decompress.var_dict_files(archive_dir)) > cap
+    dicts = decompress.load_dicts(
+        archive_dir, var_columns=() if probe else ("var_id", "value",
+                                                   "classes"))
+    first = decompress.first_parquet(os.path.join(archive_dir, "routed"))
+    return _ArchiveState(dicts, probe,
+                         pq.ParquetFile(first).schema_arrow if first else None)
 
 
 def _archive_state(archive_dir: str) -> _ArchiveState:
     """The archive's search state, read once per process.
 
-    The cache is LRU and thread-safe, and holds Arrow tables only, so an
-    entry outlives a Ray restart. ``CLP_VAR_DICT_DRIVER_BYTES`` bounds it
-    twice: a var dict larger on disk is probed per query instead of held
-    (:func:`_probe_var_dict`), and the entries' summed size stays under it
-    (an entry over it is not kept)."""
-    import os
-
+    The cache is LRU and thread-safe, and holds Arrow and numpy arrays
+    only, so an entry outlives a Ray restart.
+    ``execution.VAR_DICT_DRIVER_BYTES`` bounds it twice: a var dict larger
+    on disk is probed per query instead of held (:func:`_probe_var_dict`),
+    and the entries' summed size stays under it (an entry over it is not
+    kept)."""
     archive_dir = _archive_root(archive_dir)
-    cap = int(os.environ.get("CLP_VAR_DICT_DRIVER_BYTES", 64 << 20))
+    cap = execution.VAR_DICT_DRIVER_BYTES
     key = _state_key(archive_dir)
 
     def evict(budget: int) -> None:
-        total = sum(v.nbytes for v in _STATES.values())
+        total = sum(v.dicts.nbytes for v in _STATES.values())
         while _STATES and total > budget:
-            total -= _STATES.popitem(last=False)[1].nbytes
+            total -= _STATES.popitem(last=False)[1].dicts.nbytes
 
     with _STATES_LOCK:
         evict(cap)
@@ -300,7 +280,7 @@ def _archive_state(archive_dir: str) -> _ArchiveState:
             _STATES.move_to_end(key)
             return state
     state = _load_state(archive_dir, cap)
-    if state.nbytes <= cap:
+    if state.dicts.nbytes <= cap:
         with _STATES_LOCK:
             for k in [k for k in _STATES if k[0] == key[0]]:
                 del _STATES[k]  # a rebuilt archive's old state
@@ -315,32 +295,33 @@ def compile_for_archive(archive_dir: str, query: str, ignore_case: bool = False)
 
     Shared by row-oriented search (:func:`search_archive`) and the GLT
     column-oriented search (:func:`clp_core_ray.pipelines.glt.glt_search`).
-    Returns ``(cq, ldict, var_ids, var_values, var_classes)`` where ``ldict``
-    is the logtype dictionary table and ``var_classes`` the per-variable
-    segment index column (DictionaryWriter.hpp:179-202), if persisted.
+    Returns ``(cq, dicts, var_ids, var_values, var_classes)``: ``dicts`` is
+    the archive's :class:`ArchiveDicts` as the compile saw it, its var side
+    the entries the query's probe selected when the var dict is probed,
+    and the last three are that var side (``var_classes`` the per-variable
+    segment index, DictionaryWriter.hpp:179-202).
     """
     from clp_core_ray.pipelines.grep import compile_query
 
     st = _archive_state(archive_dir)
-    var_ids, var_values, var_classes = st.var_ids, st.var_values, st.var_classes
-    if st.probe_files:
+    d = st.dicts
+    if st.probe:
         # a dict too big for the driver is probed distributedly — only
         # entries the query's tokens could select come back (bounded by
         # matches, not dict size), and compile_query sees identical lookups
-        vtbl = _probe_var_dict(st.probe_files, query, ignore_case)
+        vtbl = _probe_var_dict(d.var_files, query, ignore_case)
         if vtbl is not None:
-            # sorted by var_id → decode_batch takes its binary-search path
             vtbl = vtbl.sort_by("var_id")
-            var_ids = np.asarray(vtbl.column("var_id"), dtype=np.int64)
-            var_values = vtbl.column("value").combine_chunks()
-            if "classes" in vtbl.column_names:
-                var_classes = vtbl.column("classes").combine_chunks()
+            d = d._replace(
+                var_ids=np.asarray(vtbl.column("var_id"), dtype=np.int64),
+                var_values=vtbl.column("value").combine_chunks(),
+                var_classes=vtbl.column("classes").combine_chunks())
 
     cq = compile_query(
-        query, st.lt_ids, st.lt_values,
-        var_ids=var_ids, var_values=var_values, ignore_case=ignore_case,
+        query, d.lt_ids, d.lt_values,
+        var_ids=d.var_ids, var_values=d.var_values, ignore_case=ignore_case,
     )
-    return cq, st.ldict, var_ids, var_values, var_classes
+    return cq, d, d.var_ids, d.var_values, d.var_classes
 
 
 def _subquery_classes(archive_dir: str, cq, var_ids, var_classes):
@@ -356,7 +337,7 @@ def _subquery_classes(archive_dir: str, cq, var_ids, var_classes):
     unavailable (match_all query, or no index on disk)."""
     if cq.match_all:
         return None
-    by_class = _archive_state(archive_dir).by_class
+    by_class = _archive_state(archive_dir).dicts.by_class
     if by_class is None:
         return None
 
@@ -519,49 +500,34 @@ class _ArchiveScan:
     → one decode of the union of candidates → each query's wildcard verify
     against the decoded text.
 
-    ``dicts`` are the decode dictionaries ``(lt_ids, lt_values, var_ids,
-    var_values)``, and ``owned`` the conv_ids the scan keeps (None: all,
-    see :func:`owned_rows`); either may be a Ray ref. A ref resolves lazily
-    per task (zero-copy plasma get): an eager get in the driver-side
-    constructor would pickle the full tables into every task's closure
-    instead of shipping the ref."""
+    ``dicts`` is the archive's :class:`ArchiveDicts`, and ``owned`` the
+    conv_ids the scan keeps (None: all, see :func:`owned_rows`); either may
+    be a Ray ref. A ref resolves lazily per task (:func:`resolve`): an
+    eager get in the driver-side constructor would pickle the full tables
+    into every task's closure instead of shipping the ref."""
 
     def __init__(self, queries, dicts, extra, empty, query_idx, owned=None):
         self.queries = queries  # [(query_idx, cq, regex)]
         self.dicts, self.extra, self.empty = dicts, extra, empty
         self.query_idx, self.owned = query_idx, owned
-        self._loaded = False
-
-    def _load(self):
-        import ray
-
-        from clp_core_ray.vec.decoder import decode_batch
-
-        def get(x):
-            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
-        self.decode = decode_batch
-        (self.lt_ids, self.lt_values, self.var_ids,
-         self.var_values) = get(self.dicts)
-        self.keep = get(self.owned)
-        self._loaded = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self._loaded:
-            self._load()
-        if self.keep is not None:
-            batch = owned_rows(batch, self.keep)
+        from clp_core_ray.vec.decoder import decode_batch
+
+        d = self.dicts = resolve(self.dicts)
+        self.owned = resolve(self.owned)
+        if self.owned is not None:
+            batch = owned_rows(batch, self.owned)
         masks = [_subquery_mask(batch, cq) for _qi, cq, _rx in self.queries]
         union = np.logical_or.reduce(masks)
         if not union.any():
             return self.empty
         if not union.all():
             batch = batch.filter(pa.array(union))
-        pos = pc.index_in(batch.column("logtype_id"), self.lt_ids)
-        text = self.decode(
-            pc.take(self.lt_values, pos), batch.column("encoded_vars"),
-            batch.column("var_types"), dict_ids=self.var_ids,
-            dict_values=self.var_values)
+        text = decode_batch(
+            d.templates(batch.column("logtype_id")),
+            batch.column("encoded_vars"), batch.column("var_types"),
+            dict_ids=d.var_ids, dict_values=d.var_values)
         cols = {"conv_id": batch.column("conv_id").combine_chunks(),
                 "turn_idx": batch.column("turn_idx").combine_chunks(),
                 "text": text}
@@ -610,13 +576,13 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     """
     import os
 
-    from clp_core_ray.pipelines.decompress import first_parquet, load_dicts
+    from clp_core_ray.pipelines import decompress
 
     archive_dir = _archive_root(archive_dir)
     # passthrough columns (e.g. ts for count-by-time over results)
     extra = _passthrough(columns)
     empty = _empty_matches(columns, query_idx)
-    if first_parquet(os.path.join(archive_dir, "routed")) is None:
+    if decompress.first_parquet(os.path.join(archive_dir, "routed")) is None:
         # no sink file (empty input, or routed/ not yet written)
         return _Plan([], 0, [], None, empty)
     st = _archive_state(archive_dir)
@@ -627,7 +593,7 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
     compiled = []  # (query_idx, cq, regex) per query that can match
     keeps = []     # its sorted keep classes, or None (no prune)
     for qi, q in enumerate(queries):
-        cq, _ldict, var_ids, _var_values, var_classes = compile_for_archive(
+        cq, _dicts, var_ids, _var_values, var_classes = compile_for_archive(
             archive_dir, q, ignore_case)
         if not cq.match_all and not cq.subqueries:
             continue  # dictionary miss: this query can't match anything
@@ -645,14 +611,8 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
 
     cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
     cols += [c for c in extra if c not in cols]
-    if st.var_ids is not None:
-        dicts = (st.lt_ids, st.lt_values, st.var_ids, st.var_values)
-    else:  # var dict over the cap: read for this scan only, uncached
-        ldict, vdict = load_dicts(archive_dir)
-        dicts = (ldict.column("logtype_id").combine_chunks(),
-                 ldict.column("logtype").combine_chunks(),
-                 np.asarray(vdict.column("var_id"), dtype=np.int64),
-                 vdict.column("value").combine_chunks())
+    # a probed var dict is read whole for the scan, uncached
+    dicts = decompress.load_dicts(archive_dir) if st.probe else st.dicts
     return _Plan(files, sum(os.path.getsize(f) for f in files), cols,
                  _ArchiveScan(compiled, dicts, extra, empty, query_idx, owned),
                  empty)
@@ -676,8 +636,11 @@ def _scan_ray(plan: _Plan):
     import ray.data as rd
 
     scan = plan.scan
-    # broadcast the dicts and the owned conv_ids once, not pickled per task
-    scan = _ArchiveScan(scan.queries, ray.put(scan.dicts), scan.extra,
+    # broadcast the dicts and the owned conv_ids once, not pickled per task;
+    # the segment index is compile-side state, decode needs none of it
+    scan = _ArchiveScan(scan.queries,
+                        ray.put(scan.dicts._replace(var_classes=None)),
+                        scan.extra,
                         scan.empty, scan.query_idx,
                         None if scan.owned is None else ray.put(scan.owned))
     ds = rd.read_parquet(plan.files, columns=plan.cols,

@@ -395,3 +395,49 @@ def test_cli_search_regex(ray_session, tiny_sf_dir, tmp_path, capsys):
     with _pytest.raises(ValueError):
         main(["search", "--archive", arch,
               "--query", "ERROR [0-9]+", "--regex", "--count"])
+
+
+def test_cli_search_executes_ray_scan_once(ray_session, tiny_sf_dir, tmp_path,
+                                           capsys, monkeypatch):
+    """``search --out`` and ``incr-search`` execute a Ray-side scan once:
+    the rows the scan's batches carry sum to the rows written, and an
+    incremental search stops at ``--limit``."""
+    from clp_core_ray import execution
+    from clp_core_ray.pipelines import search as S
+
+    arch, base = str(tmp_path / "arch"), str(tmp_path / "layers")
+    _run(capsys, ["compress", "--input", tiny_sf_dir, "--out", arch])
+    _run(capsys, ["incr-compress", "--input", tiny_sf_dir, "--base", base])
+
+    marks = tmp_path / "scanned.txt"
+    real = S._scan_ray
+
+    def counted_scan(plan):
+        path = str(marks)
+
+        def mark(b):
+            with open(path, "a") as f:
+                f.write(f"{b.num_rows}\n")
+            return b
+
+        return real(plan).map_batches(mark, batch_format="pyarrow")
+
+    def scanned() -> int:
+        n = sum(map(int, marks.read_text().split())) if marks.exists() else 0
+        marks.unlink(missing_ok=True)
+        return n
+
+    monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", -1)
+    monkeypatch.setattr(S, "_scan_ray", counted_scan)
+
+    out = str(tmp_path / "hits")
+    res, _ = _run(capsys, ["search", "--archive", arch, "--query", "*ERROR*",
+                           "--out", out])
+    total = res["rows"]
+    assert total > 2 and pq.read_table(out).num_rows == total
+    assert scanned() == total
+
+    res, lines = _run(capsys, ["incr-search", "--base", base,
+                               "--query", "*ERROR*", "--limit", "2"])
+    assert res["rows"] == 2 and all("ERROR" in ln for ln in lines[-2:])
+    assert 0 < scanned() <= total

@@ -234,3 +234,41 @@ def test_local_decode_submits_no_ray_job(ray_session, archives, tmp_path,
     decompress(archives["compact"], columns=("conv_id", "turn_idx", "ts"),
                ordered=True, prefilter=_even_turns_filter())
     assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("side", ["local", "ray"])
+def test_logtype_id_missing_from_dictionary_raises(ray_session, turns,
+                                                   tmp_path, monkeypatch,
+                                                   side):
+    """A row whose logtype id the dictionary lacks raises ``KeyError`` in
+    decompress, search and IR extraction, on either side; it never decodes
+    to an empty message."""
+    import pyarrow.parquet as pq
+
+    from clp_core_ray.pipelines.decompress import decompress, extract_ir_chunks
+    from clp_core_ray.pipelines.search import search_archive
+
+    texts = ["hello world", "service started", "id 42 done"]
+    t = turns.slice(0, len(texts))
+    t = t.set_column(t.schema.get_field_index("text"), "text",
+                     pa.array(texts, t.schema.field("text").type))
+    arch = _compress(t, str(tmp_path / "arch"))
+    lt_path = os.path.join(arch, "logtype.dict.parquet")
+    ldict = pq.read_table(lt_path)
+    pq.write_table(ldict.filter(pc.not_equal(ldict.column("logtype"),
+                                             "hello world")), lt_path)
+    if side == "ray":
+        import ray.data as rd
+
+        monkeypatch.setattr(execution, "LOCAL_DECODE_BYTES", -1)
+        monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", -1)
+        # a task's own error, not Ray Data's UserCodeException wrapper
+        monkeypatch.setattr(rd.DataContext.get_current(),
+                            "raise_original_map_exception", True)
+
+    with pytest.raises(KeyError):
+        _table(decompress(arch))
+    with pytest.raises(KeyError):
+        _table(search_archive(arch, "*"))
+    with pytest.raises(KeyError):
+        extract_ir_chunks(arch, str(tmp_path / "ir"))

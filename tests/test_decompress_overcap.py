@@ -1,13 +1,13 @@
 """Over-cap dictionary decode (SURVEY §2.4 J2 fallback): when the var dict
-exceeds CLP_DICT_BROADCAST_CAP, decompression flips from a plasma broadcast
+exceeds execution.DICT_BROADCAST_BYTES, decompression flips from a plasma broadcast
 to a hash-partitioned join of encoded rows against the var-dict Dataset.
 Pinned byte-identical to the broadcast path on a real archive."""
-
-import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+
+from clp_core_ray import execution
 
 SF = 0.0005
 
@@ -26,15 +26,13 @@ def archive(ray_session, tmp_path_factory):
     return out
 
 
-def test_overcap_decode_matches_broadcast(ray_session, archive):
+def test_overcap_decode_matches_broadcast(ray_session, archive, monkeypatch):
     from clp_core_ray.pipelines import decompress as dc
 
     a = _table(dc.decompress(archive, ordered=True)).combine_chunks()
-    os.environ["CLP_DICT_BROADCAST_CAP"] = "1"  # force the partitioned path
-    try:
-        b = _table(dc.decompress(archive, ordered=True)).combine_chunks()
-    finally:
-        del os.environ["CLP_DICT_BROADCAST_CAP"]
+    # force the partitioned path
+    monkeypatch.setattr(execution, "DICT_BROADCAST_BYTES", 1)
+    b = _table(dc.decompress(archive, ordered=True)).combine_chunks()
     assert a.num_rows == b.num_rows > 0
     for c in a.column_names:
         assert pc.all(pc.equal(
@@ -42,7 +40,7 @@ def test_overcap_decode_matches_broadcast(ray_session, archive):
 
 
 def test_overcap_decode_with_prefilter_and_extra_columns(
-        ray_session, archive):
+        ray_session, archive, monkeypatch):
     """The partitioned path honors prefilter (row pruning BEFORE resolve —
     only surviving rows' slots ride the join) and extra output columns."""
     from clp_core_ray.pipelines import decompress as dc
@@ -54,12 +52,9 @@ def test_overcap_decode_with_prefilter_and_extra_columns(
     cols = ("conv_id", "turn_idx", "ts")
     a = _table(dc.decompress(archive, columns=cols, ordered=True,
                              prefilter=keep_even)).combine_chunks()
-    os.environ["CLP_DICT_BROADCAST_CAP"] = "1"
-    try:
-        b = _table(dc.decompress(archive, columns=cols, ordered=True,
-                                 prefilter=keep_even)).combine_chunks()
-    finally:
-        del os.environ["CLP_DICT_BROADCAST_CAP"]
+    monkeypatch.setattr(execution, "DICT_BROADCAST_BYTES", 1)
+    b = _table(dc.decompress(archive, columns=cols, ordered=True,
+                             prefilter=keep_even)).combine_chunks()
     assert a.num_rows == b.num_rows > 0
     for c in a.column_names:
         assert pc.all(pc.equal(

@@ -152,8 +152,9 @@ def test_empty_input_archive(ray_session, tmp_path, turns):
     assert pq.read_table(os.path.join(out, "logtype.dict.parquet")).num_rows == 0
     with open(os.path.join(out, "class_logtypes.json")) as f:
         assert json.load(f) == {}
-    ldict, vdict = load_dicts(out)
-    assert vdict.num_rows == 0 and vdict.column_names == ["var_id", "value"]
+    dicts = load_dicts(out)
+    assert len(dicts.var_ids) == len(dicts.var_values) == 0
+    assert dicts.var_classes is None  # only var_id and value were read
     assert not os.path.exists(os.path.join(out, "dict.deltas"))
 
 

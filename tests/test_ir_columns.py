@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clp_core_ray import encoding as E
-from clp_core_ray import ir
+from clp_core_ray import execution, ir
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "log.txt")
 
@@ -82,7 +82,7 @@ def test_extract_empty_and_over_cap_archives(ray_session, tmp_path,
     with open(paths[0], "rb") as f:
         assert f.read() == ir.serialize_ir_stream([], [])
 
-    monkeypatch.setenv("CLP_DICT_BROADCAST_CAP", "1")
+    monkeypatch.setattr(execution, "DICT_BROADCAST_BYTES", 1)
     text = []
     for p in extract_ir_chunks(full, str(tmp_path / "ir_full")):
         with open(p, "rb") as f:
@@ -120,28 +120,31 @@ def test_extract_neither_decodes_nor_retokenizes(ray_session, tmp_path,
 # ---- the stage over random messages, without Ray ---------------------------
 
 def _stage_inputs(messages, ts):
-    """An archive batch and its ``load_dicts`` pair for ``messages``,
+    """An archive batch and its ``load_dicts`` result for ``messages``,
     encoded by the archive's vectorized encoder."""
+    from clp_core_ray.pipelines.decompress import ArchiveDicts
     from clp_core_ray.vec.tokenizer import encode_batch
 
     enc = encode_batch(pa.array(messages, type=pa.large_string()))
     logtypes = enc["logtype"].to_pylist()
-    distinct = sorted(set(logtypes))
-    lt_id = {lt: E.fnv1a64(lt.encode()) for lt in distinct}
+    lt_id = {lt: E.fnv1a64(lt.encode()) for lt in set(logtypes)}
+    templates = {i: lt for lt, i in lt_id.items()}
     values = {E.fnv1a64(v.encode()): v
               for row in enc["dict_vars"].to_pylist() for v in row}
-    ids = sorted(values)
-    ldict = pa.table({
-        "logtype_id": pa.array([lt_id[lt] for lt in distinct], pa.int64()),
-        "logtype": pa.array(distinct, pa.string())})
-    vdict = pa.table({"var_id": pa.array(ids, pa.int64()),
-                      "value": pa.array([values[i] for i in ids], pa.string())})
+    lt_ids, ids = sorted(templates), sorted(values)
+    dicts = ArchiveDicts(
+        np.array(lt_ids, np.int64),
+        pa.array([templates[i] for i in lt_ids], pa.string()),
+        pa.array([0] * len(lt_ids), pa.int32()),
+        np.array(ids, np.int64),
+        pa.array([values[i] for i in ids], pa.string()),
+        None, None, [], 0)
     batch = pa.table({
         "ts": pa.array(ts, pa.int64()),
         "logtype_id": pa.array([lt_id[lt] for lt in logtypes], pa.int64()),
         "encoded_vars": enc["encoded_vars"],
         "var_types": enc["var_types"]})
-    return batch, (ldict, vdict)
+    return batch, dicts
 
 
 _digits = st.text("0123456789", max_size=12)

@@ -191,7 +191,7 @@ def test_var_dict_distributed_probe(ray_session, tiny_transcripts, tmp_path,
         return res
 
     base = run_all()
-    monkeypatch.setenv("CLP_VAR_DICT_DRIVER_BYTES", "0")
+    monkeypatch.setattr(execution, "VAR_DICT_DRIVER_BYTES", 0)
     probed = run_all()
     assert len(base["ERROR*timeout"]) > 0
     assert len(base["zz_no_such_token_zz"]) == 0
@@ -923,7 +923,8 @@ def test_ingest_once_two_waves(ray_session, tmp_path):
     sinks holds exactly all ingested rows."""
     import pyarrow.parquet as pq
 
-    from clp_core_ray.pipelines.compress import completed_inputs, ingest_once
+    from clp_core_ray.pipelines.compress import completed_inputs
+    from clp_core_ray.pipelines.ingest import poll
     from clp_core_ray.state.manifest import read_manifests
 
     indir = tmp_path / "in"
@@ -948,11 +949,11 @@ def test_ingest_once_two_waves(ray_session, tmp_path):
     out = str(tmp_path / "arch")
     wave1 = [shard(i) for i in range(6)]
     target = sum(os.path.getsize(f) for f in wave1) // 2  # pack ~2-3 groups
-    done1 = ingest_once(str(indir), out, target_bytes=target)
+    done1 = poll(str(indir), out, target_bytes=target)["done"]
     assert done1 and set(completed_inputs(out)) == set(wave1)
 
     wave2 = [shard(i) for i in range(6, 9)]
-    done2 = ingest_once(str(indir), out, target_bytes=target)
+    done2 = poll(str(indir), out, target_bytes=target)["done"]
     assert done2 and not set(done2) & set(done1)  # only NEW fragments ran
     assert set(completed_inputs(out)) == set(wave1 + wave2)
     # wave-1 manifests untouched: their ids are still all present
@@ -960,7 +961,7 @@ def test_ingest_once_two_waves(ray_session, tmp_path):
            for m in read_manifests(out)}
     assert len(read_manifests(out)) == len(done1) + len(done2)
 
-    assert ingest_once(str(indir), out, target_bytes=target) == []  # no-op
+    assert poll(str(indir), out, target_bytes=target)["done"] == []  # no-op
 
     sink_files = [os.path.join(r, f) for r, _, fs in os.walk(out)
                   for f in fs if f.endswith(".parquet")
