@@ -50,6 +50,27 @@ def _print_limited(ds, lines, limit: int) -> int:
     return shown
 
 
+def _write_out(ds, out: str) -> int:
+    """Write ``ds`` as parquet under ``out`` → its row count, from one
+    execution of ``ds``."""
+    ds = ds.materialize()
+    ds.write_parquet(out, compression="zstd")
+    return ds.count()
+
+
+def _print_counted(ds, col: str, limit: int) -> dict:
+    """Print the ``col`` values of ``ds`` up to ``limit`` and count every
+    row → ``{"rows": rows, "rows_shown": printed}``."""
+    shown = total = 0
+    for b in ds.iter_batches(batch_format="pyarrow"):
+        head = b.column(col).slice(0, max(0, limit - shown)).to_pylist()
+        for v in head:
+            print(v)
+        shown += len(head)
+        total += b.num_rows
+    return {"rows": total, "rows_shown": shown}
+
+
 def cmd_compress(args) -> dict:
     import os
 
@@ -150,8 +171,7 @@ def cmd_decompress(args) -> dict:
                 ray.get(keep_ref))))
 
     ds = decompress(args.archive, ordered=args.ordered, prefilter=prefilter)
-    ds.write_parquet(args.out, compression="zstd")
-    rows = ds.count()
+    rows = _write_out(ds, args.out)
     return {"cmd": "decompress", "out": args.out, "rows": rows,
             "sec": round(time.time() - t0, 3)}
 
@@ -223,10 +243,7 @@ def cmd_search(args) -> dict:
                           total=sum(t["cnt"].to_pylist()))
         ds = S._run_plans(plans)
         if args.out:
-            # one execution for the write and the count
-            ds = ds.materialize()
-            ds.write_parquet(args.out, compression="zstd")
-            return result(out=args.out, rows=ds.count())
+            return result(out=args.out, rows=_write_out(ds, args.out))
 
         def lines(b) -> list:
             if not multi:
@@ -362,19 +379,10 @@ def cmd_ir_search(args) -> dict:
     ds = search_ir(args.input, args.query, ignore_case=args.ignore_case,
                    ts_min=args.ts_min, ts_max=args.ts_max)
     if args.out:
-        ds.write_parquet(args.out, compression="zstd")
-        rows = ds.count()
-        return {"cmd": "ir-search", "out": args.out, "rows": rows,
+        return {"cmd": "ir-search", "out": args.out,
+                "rows": _write_out(ds, args.out),
                 "sec": round(_t.time() - t0, 3)}
-    shown = 0
-    total = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        for t in b.column("text").to_pylist():
-            if shown < args.limit:
-                print(t)
-                shown += 1
-            total += 1
-    return {"cmd": "ir-search", "rows": total, "rows_shown": shown,
+    return {"cmd": "ir-search", **_print_counted(ds, "text", args.limit),
             "sec": round(_t.time() - t0, 3)}
 
 
@@ -407,19 +415,10 @@ def cmd_glt_search(args) -> dict:
     ds = glt_search(args.archive, args.query, ignore_case=args.ignore_case,
                     glt_dir=args.glt_dir)
     if args.out:
-        ds.write_parquet(args.out, compression="zstd")
-        rows = ds.count()
-        return {"cmd": "glt-search", "out": args.out, "rows": rows,
+        return {"cmd": "glt-search", "out": args.out,
+                "rows": _write_out(ds, args.out),
                 "sec": round(_t.time() - t0, 3)}
-    shown = 0
-    total = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        for t in b.column("text").to_pylist():
-            if shown < args.limit:
-                print(t)
-                shown += 1
-            total += 1
-    return {"cmd": "glt-search", "rows": total, "rows_shown": shown,
+    return {"cmd": "glt-search", **_print_counted(ds, "text", args.limit),
             "sec": round(_t.time() - t0, 3)}
 
 
@@ -504,8 +503,7 @@ def cmd_json_extract(args) -> dict:
                     f.write("\n")
                     rows += 1
     else:
-        ds.write_parquet(args.out, compression="zstd")
-        rows = ds.count()
+        rows = _write_out(ds, args.out)
     return {"cmd": "json-extract", "out": args.out, "rows": rows,
             "sec": round(_t.time() - t0, 3)}
 
@@ -530,19 +528,10 @@ def cmd_json_search(args) -> dict:
         ds = clps_search(args.archive, args.query, ts_range=ts_range,
                          projection=proj)
     if args.out:
-        ds.write_parquet(args.out, compression="zstd")
-        rows = ds.count()
-        return {"cmd": "json-search", "out": args.out, "rows": rows,
+        return {"cmd": "json-search", "out": args.out,
+                "rows": _write_out(ds, args.out),
                 "sec": round(_t.time() - t0, 3)}
-    shown = 0
-    total = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        for line in b.column("json").to_pylist():
-            if shown < args.limit:
-                print(line)
-                shown += 1
-            total += 1
-    return {"cmd": "json-search", "rows": total, "rows_shown": shown,
+    return {"cmd": "json-search", **_print_counted(ds, "json", args.limit),
             "sec": round(_t.time() - t0, 3)}
 
 
@@ -584,9 +573,8 @@ def cmd_incr_extract(args) -> dict:
 
     t0 = time.time()
     ds = decompress_incremental(args.base)
-    ds.write_parquet(args.out, compression="zstd")
-    rows = ds.count()
-    return {"cmd": "incr-extract", "out": args.out, "rows": rows,
+    return {"cmd": "incr-extract", "out": args.out,
+            "rows": _write_out(ds, args.out),
             "sec": round(time.time() - t0, 3)}
 
 

@@ -34,7 +34,7 @@ PLACEHOLDER_DICT = "\x12"
 PLACEHOLDER_FLOAT = "\x13"
 PLACEHOLDER_ESCAPE = "\\"
 
-# var_types codes used across the engine
+# variable kind codes, one per placeholder byte (PLACEHOLDER_*)
 VT_INT = 0
 VT_FLOAT = 1
 VT_DICT = 2
@@ -48,7 +48,33 @@ _ALLOWED.update(chr(c) for c in range(ord("A"), ord("Z") + 1))
 _ALLOWED.update(chr(c) for c in range(ord("a"), ord("z") + 1))
 
 _HEX_CHARS = set("0123456789abcdefABCDEF")
-_PLACEHOLDERS = {PLACEHOLDER_INT, PLACEHOLDER_DICT, PLACEHOLDER_FLOAT}
+_PLACEHOLDER_KIND = {PLACEHOLDER_INT: VT_INT, PLACEHOLDER_FLOAT: VT_FLOAT,
+                     PLACEHOLDER_DICT: VT_DICT}
+
+
+def placeholder_positions(logtype) -> list[int]:
+    """Indexes of the variable placeholders of ``logtype`` (a str or a list
+    of its characters). '\\' escapes the next character, so an escaped
+    placeholder byte is literal text (parsing.inc:12-33)."""
+    out = []
+    i = 0
+    n = len(logtype)
+    while i < n:
+        c = logtype[i]
+        if c == PLACEHOLDER_ESCAPE:
+            i += 2
+            continue
+        if c in _PLACEHOLDER_KIND:
+            out.append(i)
+        i += 1
+    return out
+
+
+def placeholder_kinds(logtype: str) -> list[int]:
+    """Each variable's kind in order (VT_INT / VT_FLOAT / VT_DICT): the
+    logtype's placeholder bytes are the only record of it (ir/types.hpp:11-16)."""
+    return [_PLACEHOLDER_KIND[logtype[i]]
+            for i in placeholder_positions(logtype)]
 
 
 def is_delim(c: str) -> bool:
@@ -200,7 +226,7 @@ def fnv1a64(data: bytes) -> int:
 def _append_escaped(constant: str, out: list[str]) -> None:
     """Escape placeholder/escape bytes in a logtype constant (parsing.inc:12-33)."""
     for c in constant:
-        if c == PLACEHOLDER_ESCAPE or c in _PLACEHOLDERS:
+        if c == PLACEHOLDER_ESCAPE or c in _PLACEHOLDER_KIND:
             out.append(PLACEHOLDER_ESCAPE)
         out.append(c)
 

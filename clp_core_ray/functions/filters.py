@@ -540,14 +540,14 @@ def conj_required_paths(conj: list[Pred]) -> set[str]:
 
 def _storage_columns(file_cols: set, meta: dict, leaf_paths) -> list[str]:
     """Leaf paths → the physical parquet columns that materialize them
-    (ClpString leaves fan out to their 5 encoded columns)."""
+    (ClpString leaves fan out to their 4 encoded columns)."""
     enc = set(json.loads(meta.get("clp_encoded", "[]")))
     cols: list[str] = []
     for p in leaf_paths:
         safe = p.replace("/", "_")
         if safe in enc:
             cols += [f"{safe}\x00{s}"
-                     for s in ("logtype", "vars", "vartypes", "dictvars", "isnull")]
+                     for s in ("logtype", "vars", "dictvars", "isnull")]
         elif safe in file_cols:
             cols.append(safe)
     return cols

@@ -394,8 +394,8 @@ def _ts_ms(ts) -> np.ndarray:
 
 class ArchiveIrStage:
     """Archive rows → IR streams, straight from the encoded columns
-    (``logtype_id``, ``encoded_vars``, ``var_types``, ``ts``): no text
-    decode, no re-tokenize.
+    (``logtype_id``, ``encoded_vars``, ``ts``): no text decode, no
+    re-tokenize. Each var's kind is its placeholder in the template.
 
     The eight-byte event is the archive encoding on the wire: ``0x19`` +
     int64 per encoded var, the dictionary vars' strings and the logtype,
@@ -425,10 +425,12 @@ class ArchiveIrStage:
 
     def _load(self):
         from clp_core_ray.pipelines.decompress import resolve
+        from clp_core_ray.vec.decoder import placeholder_kinds
         from clp_core_ray.vec.tokenizer import _string_buffers
 
         self.dicts = resolve(self.dicts)
         self.lt_off, self.lt_data = _string_buffers(self.dicts.lt_values)
+        self.kind_off, self.kinds = placeholder_kinds(self.dicts.lt_values)
         self.var_off, self.var_data = _string_buffers(self.dicts.var_values)
         self._loaded = True
 
@@ -446,10 +448,13 @@ class ArchiveIrStage:
         d = self.dicts
         lt_pos = lookup(d.lt_ids, batch.column("logtype_id"), "logtype")
         var_off, ev_arr = _list_flat(batch.column("encoded_vars"))
-        _, vt_arr = _list_flat(batch.column("var_types"))
         ev = np.asarray(ev_arr, dtype=np.int64)
-        vt = np.asarray(vt_arr, dtype=np.int8)
         nv = np.diff(var_off)
+        # each var's kind: its placeholder in the row's template
+        if not np.array_equal(np.diff(self.kind_off)[lt_pos], nv):
+            raise ValueError("placeholder/var count mismatch")
+        vt = np.empty(len(ev), dtype=np.int8)
+        _ragged_copy(vt, var_off[:-1], self.kinds, self.kind_off[lt_pos], nv)
 
         # wire items in event order: each var, the logtype, the timestamp
         rows = np.arange(n, dtype=np.int64)
@@ -560,7 +565,7 @@ class ArchiveIrStage:
             at = int(np.frombuffer(k[:8], "<i8")[0])
             lt = list(self.lt_data[self.lt_off[at]:self.lt_off[at + 1]]
                       .tobytes().decode())
-            for i, m in zip(_placeholder_positions(lt), k[8:]):
+            for i, m in zip(E.placeholder_positions(lt), k[8:]):
                 if m:
                     lt[i] = E.PLACEHOLDER_DICT
             rewritten.append("".join(lt))
@@ -644,7 +649,7 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
 
     The table uses the archive representation (logtype:large_string with
     placeholders, encoded_vars:list<int64> promoted to eight-byte,
-    var_types:list<int8>, dict_vars:list<string>, ts:int64 epoch ms) — i.e.
+    dict_vars:list<string>, ts:int64 epoch ms) — i.e.
     exactly what vec.decoder.decode_batch consumes, so text reconstruction
     stays vectorized."""
     r = _Reader(data)
@@ -718,11 +723,11 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
         else:
             raise IrCorrupted(f"unknown tag 0x{tag:02x} at {r.pos - 1}")
 
-    # resolve non-dict var kinds from the logtype placeholders (the wire
-    # doesn't distinguish int/float tags — the placeholder byte does), and
-    # promote four-byte vars to the eight-byte archive representation
+    # the logtype placeholders give each var its kind (the wire doesn't
+    # distinguish int/float tags): check the dict vars against them and
+    # promote four-byte floats to the eight-byte archive representation
     for i, lt in enumerate(logtypes):
-        kinds = _placeholder_kinds(lt)
+        kinds = E.placeholder_kinds(lt)
         ev, vt, dv = row_evs[i], row_vts[i], row_dvs[i]
         if len(kinds) != len(ev):
             raise IrCorrupted(
@@ -735,12 +740,8 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
                     raise IrCorrupted(f"event {i}: var {j} should be a dict var")
                 ev[j] = E.fnv1a64(dv[di].encode())
                 di += 1
-            elif k == E.VT_FLOAT:
-                if vt[j] == -4:
-                    ev[j] = four_byte_float_to_eight(ev[j])
-                vt[j] = E.VT_FLOAT
-            else:
-                vt[j] = E.VT_INT
+            elif k == E.VT_FLOAT and vt[j] == -4:
+                ev[j] = four_byte_float_to_eight(ev[j])
         if di != len(dv):
             raise IrCorrupted(f"event {i}: unconsumed dictionary vars")
 
@@ -752,7 +753,6 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
     if n:
         doff[1:] = np.cumsum([len(d) for d in row_dvs], dtype=np.int32)
     flat_ev = [v for e in row_evs for v in e]
-    flat_vt = [v for e in row_vts for v in e]
     flat_dv = [s for d in row_dvs for s in d]
     tbl = pa.table(
         {
@@ -761,44 +761,12 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
             "encoded_vars": pa.ListArray.from_arrays(
                 pa.array(off), pa.array(flat_ev, type=pa.int64())
             ),
-            "var_types": pa.ListArray.from_arrays(
-                pa.array(off), pa.array(flat_vt, type=pa.int8())
-            ),
             "dict_vars": pa.ListArray.from_arrays(
                 pa.array(doff), pa.array(flat_dv, type=pa.string())
             ),
         }
     )
     return meta, tbl
-
-
-_PLACEHOLDER_KIND = {E.PLACEHOLDER_INT: E.VT_INT,
-                     E.PLACEHOLDER_FLOAT: E.VT_FLOAT,
-                     E.PLACEHOLDER_DICT: E.VT_DICT}
-
-
-def _placeholder_positions(logtype) -> list[int]:
-    """Indexes of the placeholder characters of ``logtype`` (a str or a
-    list of its characters), honoring '\\' escapes
-    (LogTypeDictionaryEntry.cpp placeholder walk)."""
-    out = []
-    i = 0
-    n = len(logtype)
-    while i < n:
-        c = logtype[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c in _PLACEHOLDER_KIND:
-            out.append(i)
-        i += 1
-    return out
-
-
-def _placeholder_kinds(logtype: str) -> list[int]:
-    """Placeholder kinds in order (VT_INT / VT_FLOAT / VT_DICT)."""
-    return [_PLACEHOLDER_KIND[logtype[i]]
-            for i in _placeholder_positions(logtype)]
 
 
 def decode_ir_stream_to_text(data: bytes) -> pa.Table:
@@ -809,10 +777,8 @@ def decode_ir_stream_to_text(data: bytes) -> pa.Table:
     if len(tbl) == 0:
         return pa.table({"ts": pa.array([], type=pa.int64()),
                          "text": pa.array([], type=pa.large_string())})
-    text = decode_batch(
-        tbl.column("logtype"), tbl.column("encoded_vars"),
-        tbl.column("var_types"), dict_vars=tbl.column("dict_vars"),
-    )
+    text = decode_batch(tbl.column("logtype"), tbl.column("encoded_vars"),
+                        dict_vars=tbl.column("dict_vars"))
     return pa.table({"ts": tbl.column("ts"), "text": text})
 
 
@@ -853,7 +819,7 @@ def search_ir_stream(data: bytes, query: str, ignore_case: bool = False,
         return empty
     tbl = tbl.filter(pa.array(cand[np.asarray(enc.indices, dtype=np.int64)]))
     text = decode_batch(tbl.column("logtype"), tbl.column("encoded_vars"),
-                        tbl.column("var_types"), dict_vars=tbl.column("dict_vars"))
+                        dict_vars=tbl.column("dict_vars"))
     rx = wildcard_to_regex(wq)
     if ignore_case:
         rx = "(?i)" + rx

@@ -372,7 +372,7 @@ def _read_clp_message(r: _Reader, four: bool) -> str:
             break
         else:
             raise IrCorrupted(f"bad clp-string unit tag 0x{tag:02x}")
-    kinds = unstructured_ir._placeholder_kinds(logtype)
+    kinds = E.placeholder_kinds(logtype)
     if len(kinds) != len(evs):
         raise IrCorrupted("clp-string var count != placeholder count")
     di = 0

@@ -416,7 +416,6 @@ def clps_compress(source, out_dir: str, timestamp_key: str | None = None,
                     enc = encode_batch(arr)
                     cols[f"{safe}\x00logtype"] = enc["logtype"]
                     cols[f"{safe}\x00vars"] = enc["encoded_vars"]
-                    cols[f"{safe}\x00vartypes"] = enc["var_types"]
                     cols[f"{safe}\x00dictvars"] = enc["dict_vars"]
                     cols[f"{safe}\x00isnull"] = pc.is_null(arr)
                     clp_encoded.append(safe)
@@ -513,7 +512,7 @@ def _decoded_view(t: pa.Table, meta: dict) -> pa.Table:
             continue  # column-pruned read (projection): leaf not materialized
         text = decode_batch(
             t.column(f"{safe}\x00logtype"), t.column(f"{safe}\x00vars"),
-            t.column(f"{safe}\x00vartypes"), dict_vars=t.column(f"{safe}\x00dictvars"),
+            dict_vars=t.column(f"{safe}\x00dictvars"),
         )
         isnull = t.column(f"{safe}\x00isnull")
         cols[safe] = pc.if_else(isnull, pa.nulls(len(t), pa.large_string()), text)

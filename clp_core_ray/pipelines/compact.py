@@ -51,6 +51,7 @@ def _archive_unified_rows(archive_dir: str) -> pa.Table:
     the input format of the compress finalize path, so merge reuses its
     dedup + collision-check + bucket-write machinery verbatim."""
     from clp_core_ray.pipelines import decompress
+    from clp_core_ray.vec.decoder import placeholder_kinds
 
     d = decompress.load_dicts(archive_dir,
                               var_columns=("var_id", "value", "classes"))
@@ -65,7 +66,9 @@ def _archive_unified_rows(archive_dir: str) -> pa.Table:
         "logtype_class": pc.list_flatten(d.var_classes).cast(pa.string()),
     })]
 
-    # logtype dict + class index → one row per (logtype, class)
+    # logtype dict + class index → one row per (logtype, class); a
+    # logtype's var count is its placeholder count
+    n_vars = np.diff(placeholder_kinds(d.lt_values)[0]).astype(np.int32)
     for cls_name, ids in sorted(d.by_class.items()):
         pos = decompress.lookup(d.lt_ids, ids, "logtype")
         n = len(ids)
@@ -73,7 +76,7 @@ def _archive_unified_rows(archive_dir: str) -> pa.Table:
             "kind": pa.array(np.zeros(n, dtype=np.int8)),
             "id": pa.array(ids, type=pa.int64()),
             "value": d.lt_values.take(pos).cast(pa.large_string()),
-            "n_vars": d.lt_n_vars.take(pos).cast(pa.int32()),
+            "n_vars": pa.array(n_vars[pos]),
             "logtype_class": pa.array([cls_name] * n, type=pa.string()),
         }))
     return pa.concat_tables(parts)
@@ -425,7 +428,7 @@ def _build_compacted(fmt: str, frags: list, frag_ids: list, cid: str,
         # perfbench/tracing.py's traced transcript ingest still does.
         sinks = [m["sink"] for m in frags]
         need = ["conv_id", "turn_idx", "role", "tool", "ts", "logtype",
-                "logtype_id", "encoded_vars", "var_types", "dict_vars"]
+                "logtype_id", "encoded_vars", "dict_vars"]
         ds = rd.read_parquet(sinks, columns=need,
                              file_extensions=["parquet"])
         decode = DecodeStage(out_col="text")

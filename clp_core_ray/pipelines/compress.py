@@ -152,10 +152,11 @@ class FullEncodeStage:
     removes cross-block duplicates.
 
     With ``compact=True`` (what ``compress`` writes) the per-row ``logtype``
-    string and inline ``dict_vars`` are dropped from the output: rows carry
-    only ``logtype_id`` and ``encoded_vars`` — CLP's storage model (three
-    columns + dictionaries, File.hpp:17-22). Decode then resolves both
-    through the archive dictionaries. ``compact=False`` keeps both inline
+    string, its var count ``n_vars`` and inline ``dict_vars`` are dropped
+    from the output: rows carry ``logtype_id`` and ``encoded_vars`` — CLP's
+    storage model (three columns + dictionaries, File.hpp:17-22). Decode
+    then resolves both through the archive dictionaries, and each var's
+    kind and count through the template's placeholders. ``compact=False`` keeps both inline
     for in-memory decode (``build_encoded``, ``roundtrip_check``); the
     traced ingest in perfbench/tracing.py also writes such rows as
     fragments.
@@ -176,7 +177,7 @@ class FullEncodeStage:
     def __call__(self, batch):
         out = self.encode(self.enrich(self.route(batch)))
         if self.compact:
-            out = out.drop_columns(["logtype"])
+            out = out.drop_columns(["logtype", "n_vars"])
         return out
 
 

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from clp_core_ray import encoding as E
 from clp_core_ray import execution
 from clp_core_ray.execution import choose
 from clp_core_ray.vec.decoder import decode_batch
@@ -58,7 +59,6 @@ class ArchiveDicts(NamedTuple):
     side's ids sorted (int64) with its columns aligned to them."""
     lt_ids: np.ndarray
     lt_values: pa.Array            # templates
-    lt_n_vars: pa.Array
     var_ids: np.ndarray | None     # var side None when not read
     var_values: pa.Array | None
     var_classes: pa.Array | None   # the ``classes`` segment index, if read
@@ -87,7 +87,8 @@ def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
     ``classes`` to get the segment index), and is not read when
     ``var_columns`` is empty. Ids are sorted so every consumer resolves
     them with one binary search (:func:`lookup`)."""
-    ldict = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"))
+    ldict = pq.read_table(os.path.join(archive_dir, "logtype.dict.parquet"),
+                          columns=["logtype_id", "logtype"])
     order = pa.array(np.argsort(np.asarray(ldict.column("logtype_id"),
                                            dtype=np.int64), kind="stable"))
     ldict = ldict.take(order)
@@ -111,8 +112,7 @@ def load_dicts(archive_dir: str, var_columns=("var_id", "value")):
                if "classes" in vdict.column_names else None)
         nbytes += vdict.nbytes
     return ArchiveDicts(lt_ids, ldict.column("logtype").combine_chunks(),
-                        ldict.column("n_vars").combine_chunks(), *var,
-                        by_class, vfiles, nbytes)
+                        *var, by_class, vfiles, nbytes)
 
 
 def resolve(x):
@@ -145,7 +145,6 @@ class ArchiveDecodeStage:
         decoded = decode_batch(
             d.templates(batch.column("logtype_id")),
             batch.column("encoded_vars"),
-            batch.column("var_types"),
             dict_ids=d.var_ids,
             dict_values=d.var_values,
         )
@@ -214,7 +213,7 @@ def _decode(archive_dir: str, columns, ordered: bool = False, prefilter=None,
         return pa.schema(
             [(c, _ROW_TYPES.get(c, pa.null())) for c in [*columns, "text"]]
         ).empty_table()
-    need = list(columns) + ["logtype_id", "encoded_vars", "var_types"]
+    need = list(columns) + ["logtype_id", "encoded_vars"]
     over_cap = _over_broadcast_cap(archive_dir)
     if not over_cap and choose(
             stage, sum(os.path.getsize(f) for f in files)) == "local":
@@ -310,7 +309,8 @@ def _decode_partitioned(ds, dicts: ArchiveDicts):
 
     from clp_core_ray.pipelines.temporal import _key_and_bucket
     from clp_core_ray.pipelines.windows import scaled_buckets
-    from clp_core_ray.vec.decoder import _cumsum0, _list_flat
+    from clp_core_ray.vec.decoder import (_cumsum0, _list_flat,
+                                          placeholder_kinds)
 
     nb = scaled_buckets()
     lt_ref = ray.put(dicts)
@@ -318,9 +318,11 @@ def _decode_partitioned(ds, dicts: ArchiveDicts):
     row_cols = list(schema.names)
     row_types = dict(zip(schema.names, schema.types))
 
-    def _dict_counts_slots(var_types: pa.Array):
-        offsets, vt_flat = _list_flat(var_types)
-        is_dict = np.asarray(vt_flat, dtype=np.int8) == 2
+    def _dict_counts_slots(templates: pa.Array):
+        """Each var's dict flag, each row's dict-var count and each dict
+        var's slot, from the placeholders of the rows' templates."""
+        offsets, kinds = placeholder_kinds(templates)
+        is_dict = kinds == E.VT_DICT
         cs = _cumsum0(is_dict.astype(np.int64))
         cnts = np.diff(cs[offsets])
         starts = _cumsum0(cnts)[:-1]
@@ -330,7 +332,8 @@ def _decode_partitioned(ds, dicts: ArchiveDicts):
 
     # ---- stage 1: slot resolution via var_id-hash buckets ----------------
     def explode(b: pa.Table) -> pa.Table:
-        is_dict, cnts, slots = _dict_counts_slots(b.column("var_types"))
+        is_dict, cnts, slots = _dict_counts_slots(
+            resolve(lt_ref).templates(b.column("logtype_id")))
         _, ev_flat = _list_flat(b.column("encoded_vars"))
         need_ids = np.asarray(ev_flat, dtype=np.int64)[is_dict]
         conv = pc.take(b.column("conv_id").combine_chunks(),
@@ -406,7 +409,7 @@ def _decode_partitioned(ds, dicts: ArchiveDicts):
         _, rb = _key_and_bucket(t.column("conv_id"), nb)
         return t.append_column("_rb", rb)
 
-    def fold_decode(g: pa.Table, _lt=lt_ref) -> pa.Table:
+    def fold_decode(g: pa.Table) -> pa.Table:
         side = np.asarray(g.column("_side"), dtype=np.int8)
         rows = g.filter(pa.array(side == 0))
         res = g.filter(pa.array(side == 1))
@@ -420,19 +423,16 @@ def _decode_partitioned(ds, dicts: ArchiveDicts):
         res = res.take(pc.sort_indices(res, sort_keys=[
             ("conv_id", "ascending"), ("turn_idx", "ascending"),
             ("_slot", "ascending")]))
-        vt = rows.column("var_types").combine_chunks()
-        _, cnts, _ = _dict_counts_slots(vt)
+        templates = resolve(lt_ref).templates(rows.column("logtype_id"))
+        _, cnts, _ = _dict_counts_slots(templates)
         if int(cnts.sum()) != res.num_rows:
             raise ValueError("resolved slot count mismatch")
         dict_vars = pa.LargeListArray.from_arrays(
             pa.array(_cumsum0(cnts)),
             res.column("value").combine_chunks())
-        from clp_core_ray.vec.decoder import decode_batch
-
-        text = decode_batch(
-            resolve(_lt).templates(rows.column("logtype_id")),
-            rows.column("encoded_vars").combine_chunks(),
-            vt, dict_vars=dict_vars)
+        text = decode_batch(templates,
+                            rows.column("encoded_vars").combine_chunks(),
+                            dict_vars=dict_vars)
         return rows.select(row_cols).append_column("text", text)
 
     return (
@@ -465,7 +465,7 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     from clp_core_ray.ir import ArchiveIrStage, write_ir
 
     files = _sink_files(os.path.join(archive_dir, "routed"))
-    need = ["ts", "logtype_id", "encoded_vars", "var_types"]
+    need = ["ts", "logtype_id", "encoded_vars"]
     if files and _over_broadcast_cap(archive_dir):
         # only the partitioned decode resolves an over-cap var dictionary:
         # decode it, then serialize the text

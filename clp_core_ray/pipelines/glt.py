@@ -30,6 +30,11 @@ COMBINE_THRESHOLD_ROWS = 1000  # groups smaller than this go to the misc sink
 TARGET_ROWS_PER_PART = 250_000
 
 
+def _lid_dir(lid: int) -> str:
+    """A dedicated logtype table's directory name."""
+    return f"logtype_id={lid & 0xFFFFFFFFFFFFFFFF:016x}"
+
+
 def explode_vars(group: pa.Table) -> pa.Table:
     """One logtype's rows → per-position var columns (vectorized reshape)."""
     ev = group.column("encoded_vars").combine_chunks()
@@ -120,10 +125,8 @@ def write_glt(archive_dir: str, out_dir: str | None = None,
             # and readers must never see the torn tmp.
             fd = os.open(_test_crash_marker, os.O_CREAT | os.O_WRONLY)
             os.close(fd)
-            torn_dir = (os.path.join(out_dir, "misc") if lid not in big_set
-                        else os.path.join(
-                            out_dir,
-                            f"logtype_id={lid & 0xFFFFFFFFFFFFFFFF:016x}"))
+            torn_dir = os.path.join(
+                out_dir, _lid_dir(lid) if lid in big_set else "misc")
             os.makedirs(torn_dir, exist_ok=True)
             with open(os.path.join(
                     torn_dir, f"part-dead.{os.getpid()}.inprogress"),
@@ -132,7 +135,7 @@ def write_glt(archive_dir: str, out_dir: str | None = None,
             os._exit(1)
         if lid in big_set:
             t = explode_vars(group)
-            pos_dir = os.path.join(out_dir, f"logtype_id={lid & 0xFFFFFFFFFFFFFFFF:016x}")
+            pos_dir = os.path.join(out_dir, _lid_dir(lid))
             os.makedirs(pos_dir, exist_ok=True)
             atomic_write_table(t, pos_dir,
                                cols=["conv_id", "turn_idx", "ts"],
@@ -168,7 +171,7 @@ def read_var_column(glt_dir: str, logtype_id: int, position: int):
     """Read exactly one variable position of one logtype — the GLT payoff."""
     import ray.data as rd
 
-    d = os.path.join(glt_dir, f"logtype_id={logtype_id & 0xFFFFFFFFFFFFFFFF:016x}")
+    d = os.path.join(glt_dir, _lid_dir(logtype_id))
     return rd.read_parquet(d, columns=["conv_id", "turn_idx", f"var_{position}"],
                            file_extensions=["parquet"])
 
@@ -179,33 +182,10 @@ def read_var_column(glt_dir: str, logtype_id: int, position: int):
 # a var condition touches one column, docs/core-unstructured/glt.md:6-7)
 # --------------------------------------------------------------------------
 
-_TYPE_CODE = {"int": 0, "float": 1, "dict": 2}
-_PH_TYPE = {"\x11": "int", "\x13": "float", "\x12": "dict"}
-
-
-def template_placeholder_types(template: str) -> list[str]:
-    """Placeholder types of a stored logtype in order ('int'|'float'|'dict').
-
-    Honors storage escapes: '\\' escapes the next byte, so an escaped
-    placeholder byte is literal text, not a variable (parsing.inc:12-33
-    escape model, same as the decoder's _active_escapes)."""
-    out: list[str] = []
-    i = 0
-    n = len(template)
-    while i < n:
-        c = template[i]
-        if c == "\\":
-            i += 2
-            continue
-        t = _PH_TYPE.get(c)
-        if t is not None:
-            out.append(t)
-        i += 1
-    return out
-
-
-def align_positions(ph_types: list[str], cond_types: list[str]):
+def align_positions(ph_types: list, cond_types: list):
     """Feasible variable positions per condition, or None if infeasible.
+    ``ph_types`` are a logtype's variable kinds, ``cond_types`` the
+    conditions' kinds (``encoding.VT_*``).
 
     Conditions are an in-order subsequence over the logtype's variables
     (Query.cpp:150-172 semantics); cond i may sit at any position of matching
@@ -236,10 +216,6 @@ def align_positions(ph_types: list[str], cond_types: list[str]):
         [p for p in range(earliest[i], latest[i] + 1) if ph_types[p] == cond_types[i]]
         for i in range(m)
     ]
-
-
-def _lid_dir(lid: int) -> str:
-    return f"logtype_id={lid & 0xFFFFFFFFFFFFFFFF:016x}"
 
 
 def _rg_can_match(meta_rg, col_index: dict, specs) -> bool:
@@ -300,127 +276,98 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                glt_dir: str | None = None):
     """Search the GLT layout → Dataset[(conv_id, turn_idx, text)].
 
-    Per candidate logtype the query's var conditions are aligned to that
-    logtype's variable *positions* (glt/Grep.cpp's
-    get_converted_logtype_query role), so the filter phase reads ONLY the
-    conditioned var columns of the dedicated tables — plus row-group
-    statistics pruning — and the remaining columns are late-materialized
-    for matching row groups only. The combined 'misc' sink falls back to
-    the row-oriented in-order var match. Results are decode-verified with
-    the effective wildcard pattern, so they equal :func:`search_archive`.
+    The row engine plans the query (``search._search_plan``): compile,
+    prune and the archive's dictionaries. Per candidate logtype the query's
+    var conditions are aligned to that logtype's variable *positions*
+    (glt/Grep.cpp's get_converted_logtype_query role), so the filter phase
+    reads ONLY the conditioned var columns of the dedicated tables — plus
+    row-group statistics pruning — and the remaining columns are
+    late-materialized for matching row groups only. The combined 'misc'
+    sink has the row sinks' columns, so it runs as that plan with the misc
+    files for its files (``search._run_plans``). Results are
+    decode-verified with the effective wildcard pattern, so they equal
+    :func:`search_archive`.
     """
     import ray
     import ray.data as rd
 
+    from clp_core_ray import encoding as E
+    from clp_core_ray.pipelines.decompress import resolve
     from clp_core_ray.pipelines.search import (
-        _empty_matches,
-        _subquery_mask,
-        compile_for_archive,
+        _run_plans,
+        _search_plan,
+        _union,
         subquery_logtype_prune,
-        wildcard_to_regex,
     )
     from clp_core_ray.vec.decoder import decode_batch
 
     glt_dir = glt_dir or os.path.join(archive_dir, "glt")
-    cq, dicts, var_ids, var_values, var_classes = compile_for_archive(
-        archive_dir, query, ignore_case
-    )
-    # per-variable segment index pruning (same index the row engine consults,
-    # search.py subquery_logtype_prune): a dict-var condition whose entries
-    # live only in certain sink classes restricts which logtypes can host a
-    # match — their GLT tables/cells are never opened.
-    lt_allowed = subquery_logtype_prune(archive_dir, cq, var_ids, var_classes)
-
-    def _empty():
-        return rd.from_arrow(_empty_matches())
-
-    if not cq.match_all and not cq.subqueries:
-        return _empty()
-
-    template_of = dict(zip(dicts.lt_ids.tolist(),
-                           dicts.lt_values.to_pylist()))
-    if cq.match_all:
-        cand = set(template_of)
-    else:
-        cand = set()
-        for sq, ok in zip(cq.subqueries, lt_allowed):
-            cand |= set(sq.logtype_ids.tolist()) if ok is None else ok
-        if not cand:
-            return _empty()
-
-    dedicated = {}
-    for name in sorted(os.listdir(glt_dir)) if os.path.isdir(glt_dir) else []:
-        if name.startswith("logtype_id="):
-            v = int(name.split("=", 1)[1], 16)
-            dedicated[v - (1 << 64) if v >= (1 << 63) else v] = os.path.join(
-                glt_dir, name
-            )
-
-    rx = wildcard_to_regex(cq.processed)
-    if ignore_case:
-        rx = "(?i)" + rx
+    plan = _search_plan(archive_dir, [query], ignore_case)
+    if plan.scan is None:  # nothing can match
+        return rd.from_arrow(plan.empty)
+    [(_qi, cq, rx)] = plan.scan.queries
+    dicts = plan.scan.dicts
+    # per-variable segment index pruning (the same index the row plan
+    # consults): a dict-var condition whose entries live only in certain
+    # sink classes restricts which logtypes can host a match — their GLT
+    # tables/cells are never opened.
+    lt_allowed = subquery_logtype_prune(archive_dir, cq, dicts.var_ids,
+                                        dicts.var_classes)
+    template_of = dict(zip(dicts.lt_ids.tolist(), dicts.lt_values.to_pylist()))
 
     # per-dedicated-logtype scan specs: lid → (template, k, specs, filter_cols)
     items = []
     spec_by_lid = {}
-    for lid, d in dedicated.items():
-        if lid not in cand:
+    names = sorted(os.listdir(glt_dir)) if os.path.isdir(glt_dir) else []
+    for name in names:
+        if not name.startswith("logtype_id="):
             continue
+        v = int(name.split("=", 1)[1], 16)
+        lid = v - (1 << 64) if v >= (1 << 63) else v
         templ = template_of.get(lid)
         if templ is None:
             continue
-        ph = template_placeholder_types(templ)
-        k = len(ph)
+        ph = E.placeholder_kinds(templ)
         specs = []
         if cq.match_all:
             specs.append(((), ()))
-        else:
-            for sq, ok in zip(cq.subqueries, lt_allowed):
-                if lid not in sq.logtype_ids:
-                    continue
-                if ok is not None and lid not in ok:
-                    continue  # segment index: this logtype's cells can't match
-                pos_sets = align_positions(ph, sq.var_cond_types)
-                if pos_sets is None:
-                    continue
-                # conds beyond the typed ones (none today) would break the
-                # parallel-list assumption; guard it
-                if len(sq.var_conds) != len(sq.var_cond_types):
-                    pos_sets = None
-                if pos_sets is None:
-                    specs.append(((), ()))
-                else:
-                    specs.append((tuple(sq.var_conds), tuple(pos_sets)))
-            if not specs:
+        for sq, ok in zip(cq.subqueries, lt_allowed):
+            if lid not in sq.logtype_ids:
                 continue
+            if ok is not None and lid not in ok:
+                continue  # segment index: this logtype's cells can't match
+            pos_sets = align_positions(ph, sq.var_cond_types)
+            if pos_sets is None:
+                continue
+            # conds beyond the typed ones (none today) would break the
+            # parallel-list assumption; guard it
+            if len(sq.var_conds) != len(sq.var_cond_types):
+                specs.append(((), ()))
+            else:
+                specs.append((tuple(sq.var_conds), tuple(pos_sets)))
+        if not specs:
+            continue
         filter_cols = sorted({
             j for conds, pos_sets in specs for ps in pos_sets for j in ps
         })
-        files = [os.path.join(d, f) for f in sorted(os.listdir(d))
-                 if f.endswith(".parquet")]
-        for f in files:
-            items.append({"path": f, "lid": lid})
-        spec_by_lid[lid] = (templ, k, specs, filter_cols)
+        d = os.path.join(glt_dir, name)
+        items += [(os.path.join(d, f), lid) for f in sorted(os.listdir(d))
+                  if f.endswith(".parquet")]
+        spec_by_lid[lid] = (templ, len(ph), specs, filter_cols)
 
     specs_ref = ray.put(spec_by_lid)
-    vdict_ref = ray.put((var_ids, var_values)) if var_ids is not None else None
-
-    out_schema = _empty_matches().schema
+    dicts_ref = ray.put(dicts._replace(var_classes=None))
 
     def scan_dedicated(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
         spec_map = ray.get(specs_ref)
-        dids, dvals = ray.get(vdict_ref) if vdict_ref is not None else (None, None)
+        d = resolve(dicts_ref)
         out = []
         for path, lid in zip(batch.column("path").to_pylist(),
                              batch.column("lid").to_pylist()):
             templ, k, specs, filter_cols = spec_map[lid]
             all_var_cols = [f"var_{j}" for j in range(k)]
-            vt = np.array(
-                [_TYPE_CODE[t] for t in template_placeholder_types(templ)],
-                dtype=np.int8,
-            )
             pf = pq.ParquetFile(path)
             col_index = {}
             if pf.metadata.num_row_groups:
@@ -457,10 +404,9 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                 nh = len(idx)
                 offs = pa.array(np.arange(nh + 1, dtype=np.int32) * k)
                 ev = pa.ListArray.from_arrays(offs, pa.array(mat.ravel()))
-                vts = pa.ListArray.from_arrays(offs, pa.array(np.tile(vt, nh)))
                 templ_arr = pa.array([templ] * nh, type=pa.large_string())
-                text = decode_batch(templ_arr, ev, vts,
-                                    dict_ids=dids, dict_values=dvals)
+                text = decode_batch(templ_arr, ev, dict_ids=d.var_ids,
+                                    dict_values=d.var_values)
                 m = pc.match_substring_regex(text, rx)
                 hit = pa.table({
                     "conv_id": t.column("conv_id").take(pa.array(idx)),
@@ -470,81 +416,29 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                 if hit.num_rows:
                     out.append(hit)
         if not out:
-            return _empty_matches()
+            return plan.empty
         return pa.concat_tables(out).cast(pa.schema(out[0].schema))
 
     pieces = []
     if items:
         dds = rd.from_arrow(pa.table({
-            "path": pa.array([i["path"] for i in items]),
-            "lid": pa.array([i["lid"] for i in items], type=pa.int64()),
+            "path": pa.array([p for p, _ in items]),
+            "lid": pa.array([lid for _, lid in items], type=pa.int64()),
         }))
         # one file per block → file-level parallelism for the scanners
         dds = dds.repartition(max(1, len(items)))
         pieces.append(dds.map_batches(scan_dedicated, batch_format="pyarrow"))
 
     misc = os.path.join(glt_dir, "misc")
-    misc_cand = sorted(c for c in cand if c not in dedicated)
-    if os.path.isdir(misc) and misc_cand:
-        cand_arr = pa.array(np.array(misc_cand, dtype=np.int64))
-        # per-lid var_types + template for decode (derived from the template,
-        # identical for every row of a logtype)
-        types_seqs = [
-            np.array([_TYPE_CODE[t]
-                      for t in template_placeholder_types(template_of[c])],
-                     dtype=np.int8)
-            for c in misc_cand
-        ]
-        type_lens = np.array([len(s) for s in types_seqs], dtype=np.int64)
-        type_starts = np.concatenate([[0], np.cumsum(type_lens)])[:-1]
-        types_flat = (np.concatenate(types_seqs) if types_seqs
-                      else np.zeros(0, dtype=np.int8))
-        templates_arr = pa.array([template_of[c] for c in misc_cand],
-                                 type=pa.large_string())
+    misc_files = ([os.path.join(misc, f) for f in sorted(os.listdir(misc))
+                   if f.endswith(".parquet")] if os.path.isdir(misc) else [])
+    if misc_files:
+        pieces.append(_run_plans([plan._replace(
+            files=misc_files,
+            nbytes=sum(os.path.getsize(f) for f in misc_files))]))
 
-        def scan_misc(b: pa.Table) -> pa.Table:
-            dids, dvals = ray.get(vdict_ref) if vdict_ref is not None else (None, None)
-            pos = pc.index_in(b.column("logtype_id"), cand_arr)
-            keep = np.asarray(pc.is_valid(pos), dtype=bool)
-            b = b.filter(pa.array(keep & _subquery_mask(b, cq)))
-            if len(b) == 0:
-                return _empty_matches()
-            pos = np.asarray(
-                pc.index_in(b.column("logtype_id"), cand_arr), dtype=np.int64
-            )
-            lens = type_lens[pos]
-            offs = np.concatenate([[0], np.cumsum(lens)])
-            flat = types_flat[
-                np.repeat(type_starts[pos], lens)
-                + (np.arange(int(offs[-1])) - np.repeat(offs[:-1], lens))
-            ]
-            vts = pa.ListArray.from_arrays(
-                pa.array(offs, type=pa.int32()), pa.array(flat)
-            )
-            templ_arr = pc.take(templates_arr, pa.array(pos))
-            text = decode_batch(
-                templ_arr.cast(pa.large_string()), b.column("encoded_vars"),
-                vts, dict_ids=dids, dict_values=dvals,
-            )
-            m = pc.match_substring_regex(text, rx)
-            return pa.table({
-                "conv_id": b.column("conv_id").combine_chunks(),
-                "turn_idx": b.column("turn_idx").combine_chunks(),
-                "text": text,
-            }).filter(m)
-
-        mds = rd.read_parquet(
-            misc, columns=["conv_id", "turn_idx", "logtype_id", "encoded_vars"],
-            file_extensions=["parquet"],
-        )
-        pieces.append(mds.map_batches(scan_misc, batch_format="pyarrow"))
-
-    if not pieces:
-        return _empty()
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = out.union(p)
-    return out.map_batches(
-        lambda t: t.cast(out_schema) if t.num_rows else _empty_matches(),
+    out_schema = plan.empty.schema
+    return _union(pieces, plan.empty).map_batches(
+        lambda t: t.cast(out_schema) if t.num_rows else plan.empty,
         batch_format="pyarrow",
     )

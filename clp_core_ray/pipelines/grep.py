@@ -216,9 +216,9 @@ class SubQuery:
     # per-variable segment index for partition pruning (clg.cpp:249-298);
     # int/float literal conds are not indexed, as in CLP
     dict_conds: list = field(default_factory=list)
-    # per-cond placeholder type ("int" | "float" | "dict"), parallel to
-    # var_conds — lets a GLT scan align each condition to the variable
-    # *positions* of a concrete logtype (glt's LogtypeTable column search)
+    # per-cond variable kind (encoding.VT_*), parallel to var_conds — lets
+    # a GLT scan align each condition to the variable *positions* of a
+    # concrete logtype (glt's LogtypeTable column search)
     var_cond_types: list = field(default_factory=list)
 
 
@@ -384,11 +384,11 @@ def compile_query(
                 if iv is not None:
                     pieces.append(re.escape(E.PLACEHOLDER_INT))
                     var_conds.append(np.array([iv], dtype=np.int64))
-                    var_cond_types.append(T_INT)
+                    var_cond_types.append(E.VT_INT)
                 elif fv is not None:
                     pieces.append(re.escape(E.PLACEHOLDER_FLOAT))
                     var_conds.append(np.array([fv], dtype=np.int64))
-                    var_cond_types.append(T_FLOAT)
+                    var_cond_types.append(E.VT_FLOAT)
                 else:
                     ids = dict_exact_ids(t.value)
                     pieces.append(re.escape(E.PLACEHOLDER_DICT))
@@ -398,7 +398,7 @@ def compile_query(
                             break
                         var_conds.append(ids.astype(np.int64))
                         dict_conds.append(ids.astype(np.int64))
-                        var_cond_types.append(T_DICT)
+                        var_cond_types.append(E.VT_DICT)
                 continue
             if t.prefix_star:
                 pieces.append(ANY)
@@ -416,7 +416,7 @@ def compile_query(
                             break
                         var_conds.append(ids.astype(np.int64))
                         dict_conds.append(ids.astype(np.int64))
-                        var_cond_types.append(T_DICT)
+                        var_cond_types.append(E.VT_DICT)
             if t.suffix_star:
                 pieces.append(ANY)
         if wont_match:

@@ -1233,7 +1233,7 @@ def clps_projection(sf_dir: str):
     """clp-s search --projection (Projection AST pass, clp-s.cpp:239): hits
     serialize ONLY the projected column paths, and each schema table is read
     with only predicate+projected columns — the record's ClpString 'note'
-    leaf (5 encoded columns) never leaves storage, its decode never runs."""
+    leaf (4 encoded columns) never leaves storage, its decode never runs."""
     import shutil
     import tempfile
 

@@ -293,8 +293,9 @@ def compile_for_archive(archive_dir: str, query: str, ignore_case: bool = False)
     """Compile ``query`` against an archive's dictionaries (read through
     the per-process archive-state cache, :func:`_archive_state`).
 
-    Shared by row-oriented search (:func:`search_archive`) and the GLT
-    column-oriented search (:func:`clp_core_ray.pipelines.glt.glt_search`).
+    Every search compiles through it in :func:`_search_plan`, the GLT
+    column-oriented search (:func:`clp_core_ray.pipelines.glt.glt_search`)
+    too.
     Returns ``(cq, dicts, var_ids, var_values, var_classes)``: ``dicts`` is
     the archive's :class:`ArchiveDicts` as the compile saw it, its var side
     the entries the query's probe selected when the var dict is probed,
@@ -526,7 +527,7 @@ class _ArchiveScan:
             batch = batch.filter(pa.array(union))
         text = decode_batch(
             d.templates(batch.column("logtype_id")),
-            batch.column("encoded_vars"), batch.column("var_types"),
+            batch.column("encoded_vars"),
             dict_ids=d.var_ids, dict_values=d.var_values)
         cols = {"conv_id": batch.column("conv_id").combine_chunks(),
                 "turn_idx": batch.column("turn_idx").combine_chunks(),
@@ -609,7 +610,7 @@ def _search_plan(archive_dir: str, queries: list[str], ignore_case: bool,
                   else sorted(set().union(*keeps)))
     files = _class_paths(os.path.join(archive_dir, "routed"), keep_union)
 
-    cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars", "var_types"]
+    cols = ["conv_id", "turn_idx", "logtype_id", "encoded_vars"]
     cols += [c for c in extra if c not in cols]
     # a probed var dict is read whole for the scan, uncached
     dicts = decompress.load_dicts(archive_dir) if st.probe else st.dicts

@@ -259,7 +259,6 @@ class DecodeStage:
         decoded = decode_batch(
             batch.column("logtype"),
             batch.column("encoded_vars"),
-            batch.column("var_types"),
             dict_vars=batch.column("dict_vars"),
         )
         return batch.append_column(self.out_col, decoded)

@@ -16,11 +16,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from clp_core_ray import encoding as E
 from clp_core_ray.vec.tokenizer import _cumsum0, _string_buffers
 
-_PLACEHOLDER = np.zeros(256, dtype=bool)
-for _c in (0x11, 0x12, 0x13):
-    _PLACEHOLDER[_c] = True
+# variable kind (VT_*) of each placeholder byte, -1 for every other byte
+_KIND = np.full(256, -1, dtype=np.int8)
+_KIND[ord(E.PLACEHOLDER_INT)] = E.VT_INT
+_KIND[ord(E.PLACEHOLDER_FLOAT)] = E.VT_FLOAT
+_KIND[ord(E.PLACEHOLDER_DICT)] = E.VT_DICT
 
 
 def _list_flat(arr: pa.Array) -> tuple[np.ndarray, pa.Array]:
@@ -54,6 +57,32 @@ def _active_escapes(data: np.ndarray, row_starts_mask: np.ndarray) -> np.ndarray
     active = np.zeros(len(data), dtype=bool)
     active[esc_pos[offset_in_run % 2 == 0]] = True
     return active
+
+
+def _scan_placeholders(offsets: np.ndarray, data: np.ndarray):
+    """The variables of concatenated logtypes (``data``, row byte
+    ``offsets``) → (active-escape mask, byte position of each placeholder,
+    its kind VT_*): the vectorized :func:`encoding.placeholder_kinds`. A
+    placeholder byte after an active escape is literal text."""
+    if not len(data):
+        return np.zeros(0, bool), np.zeros(0, np.int64), np.zeros(0, np.int8)
+    row_starts = np.zeros(len(data), dtype=bool)
+    rs = offsets[:-1]
+    row_starts[rs[rs < len(data)]] = True
+    active_esc = _active_escapes(data, row_starts)
+    escaped = np.zeros(len(data), dtype=bool)
+    esc_next = np.flatnonzero(active_esc) + 1
+    escaped[esc_next[esc_next < len(data)]] = True
+    ph_pos = np.flatnonzero((_KIND[data] >= 0) & ~escaped)
+    return active_esc, ph_pos, _KIND[data[ph_pos]]
+
+
+def placeholder_kinds(logtype: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's variable kinds, read from its logtype's placeholder
+    bytes → (row offsets into the kinds int64, kinds int8 VT_*)."""
+    offsets, data = _string_buffers(logtype)
+    _, ph_pos, kinds = _scan_placeholders(offsets, data)
+    return np.searchsorted(ph_pos, offsets), kinds
 
 
 def _render_floats(packed: np.ndarray) -> pa.Array:
@@ -102,12 +131,12 @@ def _render_floats(packed: np.ndarray) -> pa.Array:
 def decode_batch(
     logtype: pa.Array,
     encoded_vars: pa.Array,
-    var_types: pa.Array,
     dict_vars: pa.Array | None = None,
     dict_ids: np.ndarray | pa.Array | None = None,
     dict_values: pa.Array | None = None,
 ) -> pa.Array:
-    """Decode a batch → large_string array of original messages.
+    """Decode a batch → large_string array of original messages. Each
+    variable's kind is its placeholder byte in the logtype.
 
     Provide either ``dict_vars`` (inline list<string> per row) or the broadcast
     dictionary (``dict_ids`` int64 + ``dict_values`` string, aligned).
@@ -118,30 +147,16 @@ def decode_batch(
     if nbytes == 0:
         return pa.array([""] * nrows, type=pa.large_string())
 
-    row_starts_mask = np.zeros(nbytes, dtype=bool)
-    rs = offsets[:-1]
-    row_starts_mask[rs[rs < nbytes]] = True
-    active_esc = _active_escapes(data, row_starts_mask)
-    escaped_char = np.zeros(nbytes, dtype=bool)
-    esc_next = np.flatnonzero(active_esc) + 1
-    esc_next = esc_next[esc_next < nbytes]
-    escaped_char[esc_next] = True
-
-    ph_mask = _PLACEHOLDER[data] & ~escaped_char
-    ph_pos = np.flatnonzero(ph_mask)
-    ph_byte = data[ph_pos]
-
+    active_esc, ph_pos, vt = _scan_placeholders(offsets, data)
     _, ev_flat = _list_flat(encoded_vars)
-    _, vt_flat = _list_flat(var_types)
     ev = np.asarray(ev_flat, dtype=np.int64)
-    vt = np.asarray(vt_flat, dtype=np.int8)
     if len(ph_pos) != len(ev):
         raise ValueError(f"placeholder/var count mismatch: {len(ph_pos)} vs {len(ev)}")
 
     # render each var type → string pieces aligned with placeholder order
-    is_int = vt == 0
-    is_float = vt == 1
-    is_dict = vt == 2
+    is_int = vt == E.VT_INT
+    is_float = vt == E.VT_FLOAT
+    is_dict = vt == E.VT_DICT
 
     piece_len = np.zeros(len(ev), dtype=np.int64)
     int_strs = pc.cast(pa.array(ev[is_int]), pa.large_string()) if is_int.any() else None
@@ -200,7 +215,8 @@ def decode_batch(
     out = np.empty(cs[-1], dtype=np.uint8)
     out_pos = cs[:-1]
 
-    copy_mask = ~active_esc & ~ph_mask
+    copy_mask = ~active_esc
+    copy_mask[ph_pos] = False
     out[out_pos[copy_mask]] = data[copy_mask]
 
     # ragged copy of rendered pieces into their slots

@@ -399,10 +399,12 @@ def test_cli_search_regex(ray_session, tiny_sf_dir, tmp_path, capsys):
 
 def test_cli_search_executes_ray_scan_once(ray_session, tiny_sf_dir, tmp_path,
                                            capsys, monkeypatch):
-    """``search --out`` and ``incr-search`` execute a Ray-side scan once:
-    the rows the scan's batches carry sum to the rows written, and an
-    incremental search stops at ``--limit``."""
+    """``search --out``, ``decompress --out`` and ``glt-search --out``
+    execute their Ray-side result once: the rows its batches carry sum to
+    the rows written. An incremental search stops at ``--limit``."""
     from clp_core_ray import execution
+    from clp_core_ray.pipelines import decompress as D
+    from clp_core_ray.pipelines import glt as G
     from clp_core_ray.pipelines import search as S
 
     arch, base = str(tmp_path / "arch"), str(tmp_path / "layers")
@@ -410,25 +412,29 @@ def test_cli_search_executes_ray_scan_once(ray_session, tiny_sf_dir, tmp_path,
     _run(capsys, ["incr-compress", "--input", tiny_sf_dir, "--base", base])
 
     marks = tmp_path / "scanned.txt"
-    real = S._scan_ray
 
-    def counted_scan(plan):
-        path = str(marks)
+    def counted(real):
+        """``real`` (→ Dataset) with each executed batch's rows recorded."""
+        def run(*args, **kwargs):
+            path = str(marks)
 
-        def mark(b):
-            with open(path, "a") as f:
-                f.write(f"{b.num_rows}\n")
-            return b
+            def mark(b):
+                with open(path, "a") as f:
+                    f.write(f"{b.num_rows}\n")
+                return b
 
-        return real(plan).map_batches(mark, batch_format="pyarrow")
+            return real(*args, **kwargs).map_batches(mark,
+                                                     batch_format="pyarrow")
+        return run
 
     def scanned() -> int:
         n = sum(map(int, marks.read_text().split())) if marks.exists() else 0
         marks.unlink(missing_ok=True)
         return n
 
+    real_scan = S._scan_ray
     monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", -1)
-    monkeypatch.setattr(S, "_scan_ray", counted_scan)
+    monkeypatch.setattr(S, "_scan_ray", counted(real_scan))
 
     out = str(tmp_path / "hits")
     res, _ = _run(capsys, ["search", "--archive", arch, "--query", "*ERROR*",
@@ -441,3 +447,20 @@ def test_cli_search_executes_ray_scan_once(ray_session, tiny_sf_dir, tmp_path,
                                "--query", "*ERROR*", "--limit", "2"])
     assert res["rows"] == 2 and all("ERROR" in ln for ln in lines[-2:])
     assert 0 < scanned() <= total
+
+    # count the glt result once, not also its misc sink's row-plan scan
+    monkeypatch.setattr(S, "_scan_ray", real_scan)
+    monkeypatch.setattr(execution, "LOCAL_DECODE_BYTES", -1)
+    monkeypatch.setattr(D, "decompress", counted(D.decompress))
+    monkeypatch.setattr(G, "glt_search", counted(G.glt_search))
+    dec = str(tmp_path / "decoded")
+    res, _ = _run(capsys, ["decompress", "--archive", arch, "--out", dec])
+    assert res["rows"] > total and pq.read_table(dec).num_rows == res["rows"]
+    assert scanned() == res["rows"]
+
+    glt_dir, ghits = str(tmp_path / "glt"), str(tmp_path / "ghits")
+    _run(capsys, ["glt-write", "--archive", arch, "--out", glt_dir])
+    res, _ = _run(capsys, ["glt-search", "--archive", arch, "--glt-dir",
+                           glt_dir, "--query", "*ERROR*", "--out", ghits])
+    assert res["rows"] == total and pq.read_table(ghits).num_rows == total
+    assert scanned() == total

@@ -37,14 +37,15 @@ def test_glt_layout_roundtrip(ray_session, tmp_path):
 
 
 def test_template_placeholder_types():
-    from clp_core_ray.pipelines.glt import template_placeholder_types
+    from clp_core_ray.encoding import (VT_DICT, VT_FLOAT, VT_INT,
+                                       placeholder_kinds)
 
-    assert template_placeholder_types("a \x11 b \x12 c \x13") == [
-        "int", "dict", "float"
+    assert placeholder_kinds("a \x11 b \x12 c \x13") == [
+        VT_INT, VT_DICT, VT_FLOAT
     ]
     # escaped placeholder bytes are literal text, not variables
-    assert template_placeholder_types("x \\\x11 y \x12") == ["dict"]
-    assert template_placeholder_types("no vars") == []
+    assert placeholder_kinds("x \\\x11 y \x12") == [VT_DICT]
+    assert placeholder_kinds("no vars") == []
 
 
 def test_align_positions():
@@ -83,6 +84,36 @@ def test_glt_search_matches_row_search(ray_session, tmp_path):
             assert a.equals(g), f"glt_search diverges for {q!r}"
     # dictionary-miss query prunes to empty without scanning
     assert glt_search(arch, "*zzz-never-present*", glt_dir=glt_dir).count() == 0
+
+
+def test_glt_search_decodes_with_probed_var_dict(ray_session, tmp_path,
+                                                 monkeypatch):
+    """A var dict over ``execution.VAR_DICT_DRIVER_BYTES`` is probed per
+    query, so the compile sees only the probe's entries; glt_search must
+    still decode through the whole dictionary, as search_archive does."""
+    from collections import OrderedDict
+
+    import ray.data as rd
+
+    from clp_core_ray import execution
+    from clp_core_ray.pipelines import search as S
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.glt import glt_search, write_glt
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    arch = str(tmp_path / "arch")
+    compress(None, arch, ds=rd.from_arrow(synth_transcripts(3000, seed=3)))
+    glt_dir = str(tmp_path / "glt")
+    write_glt(arch, glt_dir)
+    monkeypatch.setattr(execution, "VAR_DICT_DRIVER_BYTES", 0)
+    monkeypatch.setattr(S, "_STATES", OrderedDict())
+    for q in ("*", "*ERROR*", "*user*"):
+        a = S.search_archive(arch, q).to_pandas()
+        g = glt_search(arch, q, glt_dir=glt_dir).to_pandas()
+        assert len(a) and len(a) == len(g), q
+        a = a.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
+        g = g.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
+        assert a.equals(g), q
 
 
 def test_glt_hot_logtype_salting(ray_session, tmp_path):

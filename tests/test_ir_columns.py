@@ -135,15 +135,13 @@ def _stage_inputs(messages, ts):
     dicts = ArchiveDicts(
         np.array(lt_ids, np.int64),
         pa.array([templates[i] for i in lt_ids], pa.string()),
-        pa.array([0] * len(lt_ids), pa.int32()),
         np.array(ids, np.int64),
         pa.array([values[i] for i in ids], pa.string()),
         None, None, [], 0)
     batch = pa.table({
         "ts": pa.array(ts, pa.int64()),
         "logtype_id": pa.array([lt_id[lt] for lt in logtypes], pa.int64()),
-        "encoded_vars": enc["encoded_vars"],
-        "var_types": enc["var_types"]})
+        "encoded_vars": enc["encoded_vars"]})
     return batch, dicts
 
 

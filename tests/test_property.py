@@ -42,13 +42,57 @@ def test_encode_decode_roundtrip_vectorized(msgs):
 
     arr = pa.array(msgs, type=pa.large_string())
     enc = encode_batch(arr)
-    out = decode_batch(enc["logtype"], enc["encoded_vars"], enc["var_types"],
+    out = decode_batch(enc["logtype"], enc["encoded_vars"],
                        dict_vars=enc["dict_vars"])
     assert out.to_pylist() == msgs
     for i, m in enumerate(msgs):
         lt, evs, vts, dvs = E.encode_message(m)
         assert enc["logtype"][i].as_py() == lt, m
         assert enc["encoded_vars"][i].as_py() == list(evs), m
+
+
+# numbers at the int64, int32 (four-byte IR) and packed-float edges, plus
+# text with escapes and literal placeholder bytes
+_edge_number = st.one_of(
+    st.sampled_from([str(v) for v in (
+        0, -1, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1,
+        2**63 - 1, 2**63, -(2**63), -(2**63) - 1)]),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", max_size=10),
+              st.text("0123456789", min_size=1, max_size=10))
+    .map(lambda t: f"{t[0]}{t[1]}.{t[2]}"),
+)
+_kind_message = st.lists(
+    st.one_of(_edge_number,
+              st.text(st.sampled_from("\x11\x12\x13\\ =.:-_xyzAF09é"),
+                      max_size=8)),
+    max_size=12,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_kind_message, min_size=1, max_size=30))
+def test_logtype_placeholders_are_the_var_kinds(msgs):
+    """What every reader relies on: each logtype's placeholder kinds are
+    the encoder's ``var_types``, so ``decode_batch`` needs no kinds, for
+    the tokenizer and the schema-rule encoder alike."""
+    from clp_core_ray.functions.rules import RuleEncodeStage
+    from clp_core_ray.vec.decoder import decode_batch, placeholder_kinds
+    from clp_core_ray.vec.tokenizer import encode_batch
+
+    arr = pa.array(msgs, type=pa.large_string())
+    for enc in (encode_batch(arr), RuleEncodeStage()(pa.table({"text": arr}))):
+        logtypes = enc["logtype"].to_pylist()
+        kinds = [E.placeholder_kinds(lt) for lt in logtypes]
+        assert kinds == enc["var_types"].to_pylist()
+        off, flat = placeholder_kinds(enc["logtype"])
+        assert [flat[a:b].tolist() for a, b in zip(off[:-1], off[1:])] == kinds
+        out = decode_batch(enc["logtype"], enc["encoded_vars"],
+                           dict_vars=enc["dict_vars"])
+        assert out.to_pylist() == [
+            E.decode_message(lt, ev, dict_vars=dv) for lt, ev, dv in zip(
+                logtypes, enc["encoded_vars"].to_pylist(),
+                enc["dict_vars"].to_pylist())]
 
 
 @settings(max_examples=150, deadline=None)

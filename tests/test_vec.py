@@ -53,7 +53,7 @@ def check_equivalence(msgs):
         assert dvs[i] == sdv, f"dict_vars mismatch for {m!r}"
     # vectorized decode (inline dict vars) round trips
     decoded = decode_batch(
-        batch["logtype"], batch["encoded_vars"], batch["var_types"], batch["dict_vars"]
+        batch["logtype"], batch["encoded_vars"], batch["dict_vars"]
     ).to_pylist()
     assert decoded == list(msgs)
     # broadcast-dictionary decode round trips
@@ -63,7 +63,6 @@ def check_equivalence(msgs):
     decoded2 = decode_batch(
         batch["logtype"],
         batch["encoded_vars"],
-        batch["var_types"],
         dict_ids=uniq_ids,
         dict_values=pa.array([flat_strs[i] for i in idx], type=pa.string()),
     ).to_pylist()
@@ -133,24 +132,23 @@ def test_decode_broadcast_dict_paths():
 
     lt = pa.array(["x \x12 y", "\x12"], type=pa.large_string())
     ev = pa.array([[7], [5]], type=pa.list_(pa.int64()))
-    vt = pa.array([[2], [2]], type=pa.list_(pa.int8()))
     want = ["x B y", "a"]
 
     sorted_ids = np.array([5, 7, 9])
     vals = pa.array(["a", "B", "c"])
-    assert decode_batch(lt, ev, vt, dict_ids=sorted_ids, dict_values=vals).to_pylist() == want
+    assert decode_batch(lt, ev, dict_ids=sorted_ids, dict_values=vals).to_pylist() == want
 
     # unsorted and duplicate-id dictionaries take the hash fallback
     assert decode_batch(
-        lt, ev, vt, dict_ids=np.array([9, 5, 7]), dict_values=pa.array(["c", "a", "B"])
+        lt, ev, dict_ids=np.array([9, 5, 7]), dict_values=pa.array(["c", "a", "B"])
     ).to_pylist() == want
     assert decode_batch(
-        lt, ev, vt, dict_ids=np.array([5, 7, 7, 9]),
+        lt, ev, dict_ids=np.array([5, 7, 7, 9]),
         dict_values=pa.array(["a", "B", "B", "c"]),
     ).to_pylist() == want
 
     with pytest.raises(KeyError):
-        decode_batch(lt, ev, vt, dict_ids=np.array([5, 8, 9]), dict_values=vals)
+        decode_batch(lt, ev, dict_ids=np.array([5, 8, 9]), dict_values=vals)
 
     # int64-overflow trap: np.diff of full-range hash ids wraps (a drop from
     # +9e18 to -9e18 looks positive), which must NOT be taken as "sorted" —
@@ -160,7 +158,6 @@ def test_decode_broadcast_dict_paths():
     got = decode_batch(
         pa.array(["\x12"], type=pa.large_string()),
         pa.array([[-9_100_000_000_000_000_000]], type=pa.list_(pa.int64())),
-        pa.array([[2]], type=pa.list_(pa.int8())),
         dict_ids=big, dict_values=pa.array(["x", "y", "B"]),
     ).to_pylist()
     assert got == ["y"]
