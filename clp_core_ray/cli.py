@@ -95,24 +95,25 @@ def cmd_compress(args) -> dict:
     norm = os.path.abspath(src.rstrip("/"))
     is_cache = (os.path.dirname(norm) == CACHE_DIR
                 and os.path.basename(norm).startswith("transcripts_sf"))
+    files = None
+    if synth_sf is None and not is_cache:
+        # an arbitrary transcript parquet file or dir of shards (the
+        # reference's archive-per-input-group model,
+        # clp/compression.cpp:133-163)
+        files = ([norm] if os.path.isfile(norm) else sorted(
+            os.path.join(norm, f) for f in os.listdir(norm)
+            if f.endswith(".parquet")))
+        if not files:
+            raise SystemExit(f"--input {src!r}: no parquet shards found")
     if getattr(args, "fragments", False):
         # checkpointed mode: one fragment per input shard, resume skips the
         # ones whose lineage manifest already exists (north-rule resume path)
         from clp_core_ray.pipelines.compress import run_fragments
         from clp_core_ray.state import manifest as mf
 
-        if synth_sf is not None or is_cache:
-            done = run_fragments(synth_sf if synth_sf is not None else src,
-                                 args.out,
-                                 target_bytes=args.fragment_target_bytes)
-        else:
-            files = ([norm] if os.path.isfile(norm) else sorted(
-                os.path.join(norm, f) for f in os.listdir(norm)
-                if f.endswith(".parquet")))
-            if not files:
-                raise SystemExit(f"--input {src!r}: no parquet shards found")
-            done = run_fragments(None, args.out, files=files,
-                                 target_bytes=args.fragment_target_bytes)
+        done = run_fragments(synth_sf if synth_sf is not None else src,
+                             args.out, files=files,
+                             target_bytes=args.fragment_target_bytes)
         total = len(mf.read_manifests(args.out))
         return {
             "cmd": "compress", "out": args.out, "mode": "fragments",
@@ -128,12 +129,8 @@ def cmd_compress(args) -> dict:
     elif is_cache:
         counts = compress(src, args.out, tags=tags, **codec_kw)
     else:
-        # arbitrary transcript parquet path: read it directly (the reference's
-        # archive-per-input-group model, clp/compression.cpp:133-163)
-        import ray.data as rd
-
-        counts = compress(None, args.out, ds=rd.read_parquet(src),
-                          input_label=src, tags=tags, **codec_kw)
+        counts = compress(files, args.out, input_label=src, tags=tags,
+                          **codec_kw)
     wall = time.time() - t0
     total = sum(counts.column("cnt").to_pylist())
     out = {

@@ -6,13 +6,18 @@ moving blocks through the object store, and ``var`` the work itself. The
 same work in the calling process costs ``var`` and nothing else, so it
 cannot lose on any CPU count while ``var <= fixed``. Each stage therefore
 has one input-size constant, measured on its own input: at or under it the
-stage runs in process, above it on Ray. :func:`choose` applies that rule;
+stage runs in process, above it on Ray. The stages are the search scan
+(``LOCAL_SCAN_BYTES``), the dictionary finalize (``LOCAL_FINALIZE_BYTES``),
+``decompress`` and IR extraction (``LOCAL_DECODE_BYTES``),
+``extract_text_logs`` (``LOCAL_TEXT_EXTRACT_BYTES``) and ``compress``, with
+every ingest fragment (``LOCAL_COMPRESS_BYTES``). :func:`choose` applies that rule;
 ``tools/measure_crossover.py`` re-derives every constant on the current
 host (input-size sweep, medians, fixed Ray cost against local seconds per
 MB). The sweeps cited beside the constants ran it on a VM (Intel Xeon,
 pinned to 1 CPU, Ray on 1 CPU, synthetic transcripts, archives in
 /dev/shm): sweep A over 2K-80K turns with medians of 5, sweep B over
-1K-20K turns with medians of 7. There, "fixed" is the median of Ray minus
+1K-20K turns with medians of 7; the compress sweeps C and D are described
+beside their constant. There, "fixed" is the median of Ray minus
 local seconds at equal input, "local" the slope of the local seconds per
 MB, and the crossover ``fixed / local``, the largest input at which
 ``var <= fixed``.
@@ -84,6 +89,23 @@ LOCAL_DECODE_BYTES = 1 << 20
 #: 0.36 MB. 192 KB sits under both.
 LOCAL_TEXT_EXTRACT_BYTES = 3 << 16
 
+#: Stat'd input-file bytes at or under which ``compress`` (and with it
+#: ``compress_text_logs`` and every ingest fragment) reads its path-named
+#: input with pyarrow and writes it by one ``FusedSinkStage`` call in the
+#: calling process, with no Ray Data job and no delta watcher (the
+#: dictionary finalize's own local side takes the deltas). A caller that
+#: passes a Dataset (``ds=``) stays on Ray. Measured with ``compress`` of
+#: one transcript parquet file and ``compress_text_logs`` of 8 log files
+#: (medians of 7 and 9). Sweep C, 1K-32K turns: compress Ray/local
+#: seconds at 0.04 / 0.07 / 0.14 / 0.28 / 0.55 / 1.08 MB were
+#: 0.141/0.044, 0.169/0.061, 0.189/0.091, 0.226/0.155, 0.448/0.289,
+#: 0.510/0.452: fixed 0.098 s, local 0.40 s/MB, crossover 0.25 MB; text
+#: logs of 0.08-2.59 MB: fixed 0.36 s, local 0.22 s/MB, crossover 1.62 MB.
+#: Sweep D, 1K-12K turns (0.04-0.42 MB): compress fixed 0.104 s, local
+#: 0.45 s/MB, crossover 0.23 MB; text logs (0.08-0.97 MB): fixed 0.29 s,
+#: local 0.20 s/MB, crossover 1.45 MB. 192 KB sits under both.
+LOCAL_COMPRESS_BYTES = 3 << 16
+
 #: Var dictionaries whose uncompressed size (the parquet footers' row-group
 #: byte sizes) exceeds this are not broadcast to decode tasks; the decode
 #: flips to the hash-partitioned join (SURVEY §2.4 J2). CLP always loads
@@ -101,10 +123,12 @@ VAR_DICT_DRIVER_BYTES = 64 << 20
 
 def choose(stage: str, input_bytes: int) -> str:
     """"local" when ``input_bytes`` is at most ``stage``'s constant
-    ("scan", "finalize", "decode" or "text_extract"), else "ray"."""
+    ("scan", "finalize", "decode", "text_extract" or "compress"), else
+    "ray"."""
     limit = {"scan": LOCAL_SCAN_BYTES, "finalize": LOCAL_FINALIZE_BYTES,
              "decode": LOCAL_DECODE_BYTES,
-             "text_extract": LOCAL_TEXT_EXTRACT_BYTES}[stage]
+             "text_extract": LOCAL_TEXT_EXTRACT_BYTES,
+             "compress": LOCAL_COMPRESS_BYTES}[stage]
     return "local" if input_bytes <= limit else "ray"
 
 

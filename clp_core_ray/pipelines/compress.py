@@ -31,8 +31,10 @@ import shutil
 
 import pyarrow as pa
 
-from clp_core_ray.execution import cluster_cpus
-from clp_core_ray.sources.transcripts import read_transcripts, transcripts_path
+from clp_core_ray.execution import choose, cluster_cpus
+from clp_core_ray.sources.transcripts import (read_transcripts,
+                                              transcript_files,
+                                              transcripts_path)
 from clp_core_ray.stages.encode import DecodeStage, EncodeStage
 from clp_core_ray.stages.enrich import EnrichStage
 from clp_core_ray.stages.route import RouteStage
@@ -323,6 +325,61 @@ def build_encoded(ds, keep_text: bool = False):
     )
 
 
+def input_bytes(files) -> int:
+    """Stat'd size of an input's files, the size ``compress`` chooses its
+    side by. A missing file counts 0 (its reader raises)."""
+    return sum(os.path.getsize(f) for f in files if os.path.isfile(f))
+
+
+def messages_to_transcripts(b: pa.Table) -> pa.Table:
+    """Assembled log messages → the transcript row model: conv_id = file
+    path, turn_idx = message index, with the timestamp-pattern columns
+    (pattern_id, ts_begin, eof_nl) riding through the archive so extraction
+    can re-insert timestamps byte-identically (TimestampPattern.cpp:751
+    role)."""
+    import pyarrow.compute as pc
+
+    n = b.num_rows
+    return pa.table({
+        "conv_id": b.column("path").cast(pa.large_string()),
+        "turn_idx": b.column("msg_idx").cast(pa.int32()),
+        "role": pa.array(["log"] * n, type=pa.large_string()),
+        "text": b.column("content"),
+        "tool": pa.array([""] * n, type=pa.large_string()),
+        "ts": pc.cast(b.column("ts_ms"), pa.timestamp("ms")),
+        "pattern_id": b.column("pattern_id"),
+        "ts_begin": b.column("ts_begin"),
+        "eof_nl": b.column("eof_nl"),
+    })
+
+
+def _path_input(src, fmt: str):
+    """A path-named input → (its files, an in-process reader returning one
+    transcript-shaped table, a Ray Data reader). ``fmt`` "transcripts":
+    ``src`` is a scale factor, its cache dir or a list of parquet files;
+    "textlog": raw log files, a directory of them, or one file."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    if fmt == "textlog":
+        from clp_core_ray.sources.textlog import (load_log_files, log_files,
+                                                  read_log_messages)
+
+        files = log_files(src)
+        return (files,
+                lambda: messages_to_transcripts(
+                    load_log_files(pa.table({"path": files}))),
+                lambda: read_log_messages(files).map_batches(
+                    messages_to_transcripts, batch_format="pyarrow"))
+    files = (list(src) if isinstance(src, (list, tuple))
+             else transcript_files(src))
+    return (files,
+            lambda: pa.concat_tables(
+                [pq.read_table(f, partitioning=None) for f in files]),
+            lambda: rd.read_parquet(
+                files, override_num_blocks=_sink_blocks(files)))
+
+
 def compress(
     sf_dir_or_sf,
     out_dir: str,
@@ -332,6 +389,7 @@ def compress(
     catalog_base: str | None = None,
     codec: str = "zstd",
     codec_level: int | None = None,
+    fmt: str = "transcripts",
 ):
     """Run the flagship pipeline; returns the per-class count table (small).
 
@@ -339,10 +397,18 @@ def compress(
     the archive's dictionaries and a manifest with per-class counts. Sink
     rows hold CLP's three columns (ts, logtype id, encoded vars, plus the
     row metadata); logtype templates and dictionary variables live only in
-    the dictionaries. ``ds`` overrides the input with an arbitrary
-    transcript Dataset (the archive-per-input-group model,
-    clp/compression.cpp:133-163 file grouping);
-    ``input_label`` is then recorded as the manifest's input. ``tags``
+    the dictionaries.
+
+    The input is named by paths (``sf_dir_or_sf``: a scale factor, its
+    cache dir or a list of transcript parquet files; raw log files with
+    ``fmt="textlog"``), or is an arbitrary transcript Dataset ``ds`` (the
+    archive-per-input-group model, clp/compression.cpp:133-163 file
+    grouping). A path-named input of at most
+    ``execution.LOCAL_COMPRESS_BYTES`` stat'd bytes is read and written in
+    the calling process, by one ``FusedSinkStage`` call (one file per
+    class, as CLP's ``clp c`` writes in the process that reads the
+    files); a larger one, and every ``ds``, is a Ray Data job.
+    ``input_label`` is recorded as the manifest's input. ``tags``
     are free-form archive labels persisted in the manifest; multi-archive
     search selects on them (the package metadata-DB tag column's role).
     ``catalog_base`` registers the finished archive in that base dir's
@@ -355,21 +421,21 @@ def compress(
 
     from clp_core_ray.state.dictionaries import write_archive_dicts
 
-    ds_provided = ds is not None
     if ds is None:
-        from clp_core_ray.sources.transcripts import transcript_files
-
-        ds = read_transcripts(
-            sf_dir_or_sf,
-            override_num_blocks=_sink_blocks(transcript_files(sf_dir_or_sf)))
+        files, read_local, read_ray = _path_input(sf_dir_or_sf, fmt)
+        nbytes = input_bytes(files)
+        side = choose("compress", nbytes)
+        if input_label is None:
+            input_label = (";".join(files) if fmt == "textlog"
+                           or isinstance(sf_dir_or_sf, (list, tuple))
+                           else str(transcripts_path(sf_dir_or_sf)))
+    else:
+        nbytes, side = None, "ray"
+        if input_label is None:
+            input_label = "dataset-override"
     delta_dir = os.path.join(out_dir, "dict.deltas")
     routed_dir = os.path.join(out_dir, "routed")
     t0 = time.time()
-    # pre-dedup of dictionary deltas overlaps the sink write (its ~20 cpu-s
-    # disappear into idle write slots), leaving only the fast bucket merge
-    # after the write — finalize 3.2s → 0.3s at 16 CPUs once the merge's
-    # parquet writes skip dictionary pages
-    watcher = _DeltaWatcher(delta_dir).start()
     os.makedirs(routed_dir, exist_ok=True)
     sink = FusedSinkStage(
         routed_dir=routed_dir, dict_delta_dir=delta_dir, compact=True,
@@ -377,25 +443,37 @@ def compress(
                                             4_000_000)),
         dict_cols=SINK_DICT_COLS, codec=codec, codec_level=codec_level,
     )
+    watcher = None
     try:
-        stats = _to_table(ds.map_batches(sink, batch_format="pyarrow",
-                                         batch_size=None))
+        if side == "local":
+            stats = sink(read_local())
+        else:
+            # pre-dedup of dictionary deltas overlaps the sink write (its
+            # ~20 cpu-s disappear into idle write slots), leaving only the
+            # fast bucket merge after the write — finalize 3.2s → 0.3s at
+            # 16 CPUs once the merge's parquet writes skip dictionary pages
+            watcher = _DeltaWatcher(delta_dir).start()
+            stats = _to_table((read_ray() if ds is None else ds).map_batches(
+                sink, batch_format="pyarrow", batch_size=None))
     finally:
         # a failed write must not leave the poller thread running
-        watcher.stop()
-    # the job is complete: any surviving *.inprogress is a dead attempt
-    # (task killed mid-write; its retry wrote its OWN tmp and replaced the
-    # final name, never the dead attempt's tmp). Readers also filter to
-    # *.parquet, but a stale tmp would still count toward archive_bytes and
-    # confuse directory listings — sweep it here.
-    sweep_inprogress(routed_dir)
+        if watcher is not None:
+            watcher.stop()
+        # the write is over: any surviving *.inprogress is a dead attempt
+        # (a task killed mid-write, whose retry wrote its OWN tmp and
+        # replaced the final name; or a failed in-process write). Readers
+        # also filter to *.parquet, but a stale tmp would still count
+        # toward archive_bytes and confuse directory listings — sweep it.
+        sweep_inprogress(routed_dir)
     t_write = time.time()
     counts_tbl, ts_range = fold_sink_stats(stats)
-    # a watcher that submitted no phase-1 task leaves the finalize side to
-    # the delta volume; finish() would submit the pending files to Ray
+    # a watcher that submitted no phase-1 task (and the local side, which
+    # starts none) leaves the finalize side to the delta volume; finish()
+    # would submit the pending files to Ray
     dicts = write_archive_dicts(
         out_dir, delta_dir,
-        prededup_refs=watcher.finish() if watcher.refs else None)
+        prededup_refs=(watcher.finish()
+                       if watcher is not None and watcher.refs else None))
     # the deltas are write scratch: drop them before the archive is measured
     # and committed. A crash before the manifest leaves an uncommitted
     # archive; its rerun re-encodes every row and re-flushes every delta.
@@ -406,9 +484,7 @@ def compress(
         out_dir,
         "full",
         {
-            "input": (input_label if input_label is not None
-                      else "dataset-override" if ds_provided
-                      else str(transcripts_path(sf_dir_or_sf))),
+            "input": input_label,
             "sink": routed_dir,
             "class_counts": _class_counts(counts_tbl),
             "archive_bytes": dir_bytes(out_dir),
@@ -417,6 +493,8 @@ def compress(
             # per-partition metrics alongside lineage (north-rule: manifests
             # carry both; write/finalize walls + derived throughput)
             "metrics": {
+                "compress_side": side,
+                "input_bytes": nbytes,
                 "write_sec": round(t_write - t0, 3),
                 "finalize_sec": round(t_dicts - t_write, 3),
                 "finalize_side": dicts["side"],
@@ -582,8 +660,6 @@ def run_fragments(sf_dir_or_sf, out_dir: str,
     logs) per-file fragments would mean per-archive dict/manifest overhead
     and no size balancing.
     """
-    from clp_core_ray.sources.transcripts import transcript_files
-
     if files is None:
         files = transcript_files(sf_dir_or_sf)
     groups = (group_input_files(files, target_bytes)
@@ -603,12 +679,8 @@ def run_one_fragment(frag: str, paths: list[str], out_dir: str) -> int:
     where each compression task's archive is its checkpoint, the fragment
     needs no re-encode later: compacting fragments is ``merge_archives``.
     Returns the fragment's row count."""
-    import ray.data as rd
-
-    return archive_fragment(frag, paths, out_dir, lambda sink: compress(
-        None, sink,
-        ds=rd.read_parquet(paths, override_num_blocks=_sink_blocks(paths)),
-        input_label=";".join(paths)))
+    return archive_fragment(frag, paths, out_dir,
+                            lambda sink: compress(paths, sink))
 
 
 def archive_fragment(frag: str, paths: list[str], out_dir: str,
@@ -681,35 +753,15 @@ def compress_text_logs(paths, out_dir: str, **compress_kwargs):
     """Compress raw text log files into an archive — the reference's primary
     `clp c` input shape (FileCompressor.cpp:111-194: message assembly by
     timestamp-pattern sniffing, then the same encode path as everything
-    else). One read task per file (tar/gz/zip expand recursively, S2);
-    messages map onto the transcript row model as conv_id = file path,
-    turn_idx = message index, with the timestamp-pattern columns
-    (pattern_id, ts_begin) riding through the archive so extraction can
-    re-insert timestamps byte-identically (TimestampPattern.cpp:751 role)."""
-    import pyarrow.compute as _pc
-
-    from clp_core_ray.sources.textlog import read_log_messages
-
-    def to_transcript(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "conv_id": b.column("path").cast(pa.large_string()),
-            "turn_idx": b.column("msg_idx").cast(pa.int32()),
-            "role": pa.array(["log"] * n, type=pa.large_string()),
-            "text": b.column("content"),
-            "tool": pa.array([""] * n, type=pa.large_string()),
-            "ts": _pc.cast(b.column("ts_ms"), pa.timestamp("ms")),
-            "pattern_id": b.column("pattern_id"),
-            "ts_begin": b.column("ts_begin"),
-            "eof_nl": b.column("eof_nl"),
-        })
-
-    ds = read_log_messages(paths).map_batches(
-        to_transcript, batch_format="pyarrow")
+    else): ``compress(paths, fmt="textlog")``. tar/gz/zip inputs expand
+    recursively (S2); messages map onto the transcript row model
+    (:func:`messages_to_transcripts`)."""
+    if not isinstance(paths, str):
+        paths = list(paths)
     label = compress_kwargs.pop(
         "input_label",
-        paths if isinstance(paths, str) else f"{len(list(paths))} log files")
-    return compress(None, out_dir, ds=ds, input_label=str(label),
+        paths if isinstance(paths, str) else f"{len(paths)} log files")
+    return compress(paths, out_dir, input_label=str(label), fmt="textlog",
                     **compress_kwargs)
 
 

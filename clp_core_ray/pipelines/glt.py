@@ -292,6 +292,7 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
     import ray.data as rd
 
     from clp_core_ray import encoding as E
+    from clp_core_ray.execution import choose
     from clp_core_ray.pipelines.decompress import resolve
     from clp_core_ray.pipelines.search import (
         _run_plans,
@@ -355,14 +356,21 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                   if f.endswith(".parquet")]
         spec_by_lid[lid] = (templ, len(ph), specs, filter_cols)
 
-    specs_ref = ray.put(spec_by_lid)
-    dicts_ref = ray.put(dicts._replace(var_classes=None))
+    out_schema = plan.empty.schema
+    # the dedicated tables scan in this process at most
+    # execution.LOCAL_SCAN_BYTES, as a row plan does; a Ray job gets the
+    # specs and dicts broadcast once, not pickled per task
+    local = choose("scan",
+                   sum(os.path.getsize(p) for p, _ in items)) == "local"
+    spec_src, dict_src = spec_by_lid, dicts._replace(var_classes=None)
+    if not local:
+        spec_src, dict_src = ray.put(spec_src), ray.put(dict_src)
 
     def scan_dedicated(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        spec_map = ray.get(specs_ref)
-        d = resolve(dicts_ref)
+        spec_map = resolve(spec_src)
+        d = resolve(dict_src)
         out = []
         for path, lid in zip(batch.column("path").to_pylist(),
                              batch.column("lid").to_pylist()):
@@ -417,17 +425,21 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
                     out.append(hit)
         if not out:
             return plan.empty
-        return pa.concat_tables(out).cast(pa.schema(out[0].schema))
+        return pa.concat_tables(out).cast(out_schema)
 
     pieces = []
     if items:
-        dds = rd.from_arrow(pa.table({
+        files = pa.table({
             "path": pa.array([p for p, _ in items]),
             "lid": pa.array([lid for _, lid in items], type=pa.int64()),
-        }))
-        # one file per block → file-level parallelism for the scanners
-        dds = dds.repartition(max(1, len(items)))
-        pieces.append(dds.map_batches(scan_dedicated, batch_format="pyarrow"))
+        })
+        if local:
+            pieces.append(rd.from_arrow(scan_dedicated(files)))
+        else:
+            # one file per block → file-level parallelism for the scanners
+            dds = rd.from_arrow(files).repartition(len(items))
+            pieces.append(dds.map_batches(scan_dedicated,
+                                          batch_format="pyarrow"))
 
     misc = os.path.join(glt_dir, "misc")
     misc_files = ([os.path.join(misc, f) for f in sorted(os.listdir(misc))
@@ -437,8 +449,4 @@ def glt_search(archive_dir: str, query: str, ignore_case: bool = False,
             files=misc_files,
             nbytes=sum(os.path.getsize(f) for f in misc_files))]))
 
-    out_schema = plan.empty.schema
-    return _union(pieces, plan.empty).map_batches(
-        lambda t: t.cast(out_schema) if t.num_rows else plan.empty,
-        batch_format="pyarrow",
-    )
+    return _union(pieces, plan.empty)

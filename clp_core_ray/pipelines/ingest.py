@@ -9,11 +9,12 @@ Rebuilt Ray-Data-first: each poll discovers input files not yet owned by a
 completed fragment OR an active claim, packs the remainder into
 size-bounded fragment jobs (the deterministic partitioner run_fragments
 uses), claims each job through the lock-free job table (state/jobs.py,
-O_EXCL claims) and runs it as one fused read→encode→route→sink pipeline
+O_EXCL claims) and runs it as one fused read→encode→route→sink pass
 (compress.run_one_fragment, which writes the fragment as a dictionary
-archive, so compaction is a metadata-only merge). Failed fragments are
-retried on later polls up to ``max_attempts``, then parked. Safety
-properties:
+archive, so compaction is a metadata-only merge; a small fragment is
+compressed in the polling process, a larger one as a Ray Data job).
+Failed fragments are retried on later polls up to ``max_attempts``, then
+parked. Safety properties:
 
 - **Concurrent pollers never double-compress an input** on the common
   path: files under a fresh running claim are excluded from discovery
@@ -154,16 +155,23 @@ def poll(input_dir: str, out_dir: str, *,
     ``{"done": [frag...], "failed": [frag...], "skipped_active": n,
     "parked": [frag...]}``.
 
-    ``max_parallel_fragments``: fragments claimed by THIS poll run through
-    a small driver thread pool — each fragment is its own streaming Ray
-    pipeline using every CPU, so parallelism here only overlaps pipeline
-    startup/teardown gaps (measured ~25%% on 8 fragments), it does not
-    oversubscribe workers. Claims/manifests stay per-fragment atomic."""
+    A fragment whose compress runs in process (``execution.choose``
+    "compress" on its files' bytes) runs on the calling thread. The others
+    run through a small driver thread pool of ``max_parallel_fragments``
+    threads — each is its own streaming Ray pipeline using every CPU, so
+    parallelism here only overlaps pipeline startup/teardown gaps
+    (measured ~25%% on 8 fragments), it does not oversubscribe workers.
+    In-process work stays off the pool because each pool thread's malloc
+    arena keeps its peak under the package's trim threshold
+    (``clp_core_ray._tune_malloc``). Claims/manifests stay per-fragment
+    atomic."""
     from concurrent.futures import ThreadPoolExecutor
 
+    from clp_core_ray.execution import choose
     from clp_core_ray.pipelines.compress import (_fragment_id,
                                                  completed_inputs,
                                                  group_input_files,
+                                                 input_bytes,
                                                  run_one_fragment)
 
     if fmt not in ("transcripts", "ndjson", "textlog"):
@@ -201,7 +209,11 @@ def poll(input_dir: str, out_dir: str, *,
             summary["done"].append(frag)
 
     def _run(frag: str, files: list[str], attempt: int) -> None:
-        futures.append(pool.submit(_run_sync, frag, files, attempt))
+        if fmt != "ndjson" and choose("compress",
+                                      input_bytes(files)) == "local":
+            _run_sync(frag, files, attempt)
+        else:
+            futures.append(pool.submit(_run_sync, frag, files, attempt))
 
     # -- pass 1: adopt retryable work (failed, or running past its lease) --
     claimed_files: set[str] = set()

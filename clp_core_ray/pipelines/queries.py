@@ -500,8 +500,6 @@ def _multi_archive_dir(sf_dir: str) -> str:
     """Two self-contained archives (own dicts) from the input's file halves —
     CLP's archive-per-input-group model (clp/compression.cpp:133-163) — under
     one base dir, cached per scale and archive code fingerprint."""
-    import ray.data as rd
-
     from clp_core_ray.pipelines.compress import compress
     from clp_core_ray.sources.transcripts import sf_of_dir, transcript_files
     from clp_core_ray.state.manifest import completed_fragments
@@ -513,8 +511,7 @@ def _multi_archive_dir(sf_dir: str) -> str:
     for i, part in enumerate(halves):
         out = os.path.join(base, f"archive-{i:03d}")
         if "full" not in completed_fragments(out):
-            compress(sf, out, ds=rd.read_parquet(part),
-                     input_label=";".join(part))
+            compress(part, out)
     return base
 
 

@@ -114,49 +114,55 @@ def expand_log_payload(name: str, data: bytes, out: list) -> None:
     out.append((name, data))
 
 
+def log_files(paths: list[str] | str) -> list[str]:
+    """The input files of ``paths``: a list as given, a directory's files
+    in name order, or one file."""
+    import os
+
+    if not isinstance(paths, str):
+        return list(paths)
+    if os.path.isdir(paths):
+        return [os.path.join(paths, f) for f in sorted(os.listdir(paths))]
+    return [paths]
+
+
+def load_log_files(batch: pa.Table) -> pa.Table:
+    """A table of input file paths (column ``path``) → their assembled
+    messages, file after file. Compressed inputs (.gz/.tar.*/.zip) expand
+    recursively, one assembled unit per archive entry (S2)."""
+    tables = []
+    for p in batch.column("path").to_pylist():
+        with open(p, "rb") as f:
+            raw = f.read()
+        payloads: list = []
+        expand_log_payload(p, raw, payloads)
+        for name, data in payloads:
+            text = data.decode("utf-8", errors="replace")
+            eof_nl = text.endswith("\n")
+            lines = text.split("\n")
+            if lines and lines[-1] == "":
+                lines.pop()
+            tables.append(
+                assemble_messages(pa.array(lines, type=pa.large_string()),
+                                  name, eof_nl=eof_nl)
+            )
+    return pa.concat_tables(tables) if tables else assemble_messages(
+        pa.array([], type=pa.large_string())
+    )
+
+
 def read_log_messages(paths: list[str] | str):
     """Dataset of assembled messages from raw log files.
 
     One task per file (a file is the assembly unit — CLP's FileCompressor
     works file-at-a-time too); line order within the file is preserved by
-    reading the file inside the task. Compressed inputs (.gz/.tar.*/.zip)
-    expand recursively, one assembled unit per archive entry (S2).
+    reading the file inside the task (:func:`load_log_files`).
     """
     import ray.data as rd
 
-    if isinstance(paths, str):
-        import os
-
-        if os.path.isdir(paths):
-            paths = [
-                os.path.join(paths, f) for f in sorted(os.listdir(paths))
-            ]
-        else:
-            paths = [paths]
-
-    def load(batch: pa.Table) -> pa.Table:
-        tables = []
-        for p in batch.column("path").to_pylist():
-            with open(p, "rb") as f:
-                raw = f.read()
-            payloads: list = []
-            expand_log_payload(p, raw, payloads)
-            for name, data in payloads:
-                text = data.decode("utf-8", errors="replace")
-                eof_nl = text.endswith("\n")
-                lines = text.split("\n")
-                if lines and lines[-1] == "":
-                    lines.pop()
-                tables.append(
-                    assemble_messages(pa.array(lines, type=pa.large_string()),
-                                      name, eof_nl=eof_nl)
-                )
-        return pa.concat_tables(tables) if tables else assemble_messages(
-            pa.array([], type=pa.large_string())
-        )
-
-    index = rd.from_items([{"path": p} for p in paths])
-    return index.map_batches(load, batch_format="pyarrow", batch_size=1)
+    index = rd.from_items([{"path": p} for p in log_files(paths)])
+    return index.map_batches(load_log_files, batch_format="pyarrow",
+                             batch_size=1)
 
 
 def reconstruct_file_text(msg_table: pa.Table) -> str:

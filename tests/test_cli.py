@@ -330,6 +330,33 @@ def test_cli_log_compress_extract_roundtrip(ray_session, tmp_path, capsys):
         assert got == b, name
 
 
+def test_cli_compress_small_parquet_in_process(ray_session, tmp_path,
+                                               capsys):
+    """``compress --input <parquet file>`` passes the file list, so a small
+    input compresses in process and decompresses to its rows."""
+    import pyarrow as pa
+
+    from clp_core_ray.pipelines.decompress import decompress
+    from clp_core_ray.sources.transcripts import synth_transcripts
+    from clp_core_ray.state.manifest import read_manifests
+
+    src = str(tmp_path / "in.parquet")
+    want = synth_transcripts(300, seed=4)
+    pq.write_table(want, src)
+    arch = str(tmp_path / "arch")
+    res, _ = _run(capsys, ["compress", "--input", src, "--out", arch])
+    assert res["rows"] == want.num_rows
+    (m,) = read_manifests(arch)
+    assert m["metrics"]["compress_side"] == "local" and m["input"] == src
+    cols = ("conv_id", "turn_idx", "role", "tool", "ts")
+    got = pa.concat_tables(
+        pa.table(b) for b in decompress(arch, columns=cols)
+        .iter_batches(batch_format="pyarrow"))
+    keys = [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    assert (got.select(want.column_names).cast(want.schema).sort_by(keys)
+            .equals(want.sort_by(keys)))
+
+
 def test_cli_glt_write_search(ray_session, tiny_sf_dir, tmp_path, capsys):
     """glt-write then glt-search must equal the row engine's results."""
     arch = str(tmp_path / "arch")

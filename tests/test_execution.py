@@ -10,6 +10,7 @@ from clp_core_ray import execution
     ("finalize", "LOCAL_FINALIZE_BYTES"),
     ("decode", "LOCAL_DECODE_BYTES"),
     ("text_extract", "LOCAL_TEXT_EXTRACT_BYTES"),
+    ("compress", "LOCAL_COMPRESS_BYTES"),
 ])
 def test_choose_is_local_up_to_the_constant(stage, const, monkeypatch):
     limit = getattr(execution, const)
@@ -22,7 +23,7 @@ def test_choose_is_local_up_to_the_constant(stage, const, monkeypatch):
 
 def test_choose_rejects_unknown_stage():
     with pytest.raises(KeyError):
-        execution.choose("compress", 0)
+        execution.choose("roundtrip", 0)
 
 
 def test_cluster_cpus(ray_session, monkeypatch):

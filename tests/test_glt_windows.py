@@ -116,6 +116,32 @@ def test_glt_search_decodes_with_probed_var_dict(ray_session, tmp_path,
         assert a.equals(g), q
 
 
+def test_glt_dedicated_scan_sides_agree(ray_session, tmp_path, monkeypatch):
+    """The dedicated tables scan in process at most
+    ``execution.LOCAL_SCAN_BYTES`` and as a Ray job above it, with the
+    same rows."""
+    import ray.data as rd
+
+    from clp_core_ray import execution
+    from clp_core_ray.pipelines.compress import compress
+    from clp_core_ray.pipelines.glt import glt_search, write_glt
+    from clp_core_ray.sources.transcripts import synth_transcripts
+
+    arch = str(tmp_path / "arch")
+    compress(None, arch, ds=rd.from_arrow(synth_transcripts(3000, seed=3)))
+    glt_dir = str(tmp_path / "glt")
+    write_glt(arch, glt_dir)
+    keys = [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    for q in ("*", "*ERROR*", "*user*"):
+        got = []
+        for limit in (1 << 62, -1):
+            monkeypatch.setattr(execution, "LOCAL_SCAN_BYTES", limit)
+            got.append(pa.concat_tables(
+                pa.table(b) for b in glt_search(arch, q, glt_dir=glt_dir)
+                .iter_batches(batch_format="pyarrow")).sort_by(keys))
+        assert got[0].num_rows and got[0].equals(got[1]), q
+
+
 def test_glt_hot_logtype_salting(ray_session, tmp_path):
     """A dominant logtype must split into multiple part files (no single
     map_groups task materializing the whole group)."""

@@ -24,7 +24,10 @@ Operations (input bytes in brackets):
 - decode: ``decompress`` with every row column, consumed, and
   ``extract_ir_chunks`` [sink bytes];
 - text_extract: ``extract_text_logs`` of the same turns written as
-  timestamped text log files [that archive's sink bytes].
+  timestamped text log files [that archive's sink bytes];
+- compress: ``compress(paths)`` of the turns written as one transcript
+  parquet file, and ``compress_text_logs`` of the text log files [the
+  input files' stat'd bytes].
 
 Usage:
     python tools/measure_crossover.py [--stages scan,finalize,decode,...]
@@ -50,7 +53,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 MB = 1 << 20
 CONSTANTS = {"scan": "LOCAL_SCAN_BYTES", "finalize": "LOCAL_FINALIZE_BYTES",
              "decode": "LOCAL_DECODE_BYTES",
-             "text_extract": "LOCAL_TEXT_EXTRACT_BYTES"}
+             "text_extract": "LOCAL_TEXT_EXTRACT_BYTES",
+             "compress": "LOCAL_COMPRESS_BYTES"}
 ROW_COLUMNS = ("conv_id", "turn_idx", "role", "tool", "ts")
 
 
@@ -87,7 +91,9 @@ def _write_text_logs(turns, log_dir: str, n_files: int = 8) -> list[str]:
 def _build(workdir: str, n_turns: int) -> dict:
     """Archives of ``n_turns`` synthetic turns: a transcript archive, with
     a copy of the dict deltas its compress finalized, and a text-log
-    archive."""
+    archive; and the inputs: one transcript parquet file and the text log
+    files."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from clp_core_ray.pipelines import compress as cmod
@@ -112,16 +118,21 @@ def _build(workdir: str, n_turns: int) -> dict:
                       input_label=f"crossover-{n_turns}")
     finally:
         dictionaries.write_archive_dicts = real
-    cmod.compress_text_logs(
-        _write_text_logs(turns, os.path.join(workdir, f"logs-{n_turns}")),
-        log_arch)
-    return {"archive": arch, "deltas": deltas, "textlog_archive": log_arch}
+    logs = _write_text_logs(turns, os.path.join(workdir, f"logs-{n_turns}"))
+    cmod.compress_text_logs(logs, log_arch)
+    parquet = os.path.join(workdir, f"transcripts-{n_turns}.parquet")
+    pq.write_table(turns, parquet)
+    return {"archive": arch, "deltas": deltas, "textlog_archive": log_arch,
+            "parquet": parquet, "logs": logs}
 
 
 def _ops(stage: str, built: dict, workdir: str) -> list:
     """(operation name, input bytes, zero-argument callable) per operation
     of ``stage`` on one built archive."""
     from clp_core_ray.pipelines import compact, search
+    from clp_core_ray.pipelines.compress import (compress,
+                                                 compress_text_logs,
+                                                 input_bytes)
     from clp_core_ray.pipelines.decompress import (decompress,
                                                    extract_ir_chunks,
                                                    extract_text_logs)
@@ -155,6 +166,10 @@ def _ops(stage: str, built: dict, workdir: str) -> list:
         "text_extract": [("extract_text_logs",
                           _tree_bytes(os.path.join(log_arch, "routed")),
                           lambda: extract_text_logs(log_arch, fresh()))],
+        "compress": [("compress", input_bytes([built["parquet"]]),
+                      lambda: compress([built["parquet"]], fresh())),
+                     ("compress_text_logs", input_bytes(built["logs"]),
+                      lambda: compress_text_logs(built["logs"], fresh()))],
     }[stage]
 
 
