@@ -110,8 +110,9 @@ LOCAL_COMPRESS_BYTES = 3 << 16
 #: byte sizes) exceeds this are not broadcast to decode tasks; the decode
 #: flips to the hash-partitioned join (SURVEY §2.4 J2). CLP always loads
 #: full dicts (clg.cpp:176-199) because per-archive epoch caps bound them;
-#: the join is for archives built with a raised CLP_DICT_CAP_ENTRIES, whose
-#: var dict would not fit a worker heap.
+#: here the epoch cap (``stages.encode.DICT_CAP_ENTRIES``) bounds each
+#: encode stage's seen-set, not the archive's var dict, the union over
+#: every stage. The join is for a var dict that would not fit a worker heap.
 DICT_BROADCAST_BYTES = 256 << 20
 
 #: Driver memory for search's dictionaries. A var dict whose parts are

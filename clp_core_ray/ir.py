@@ -19,14 +19,17 @@ encoding_methods.inc (encode_float_properties bit layouts, four-byte caps:
 int32 ints, ≤8-digit floats with digits < 2^25); conformance cases ported
 from tests/test-ir_encoding_methods.cpp.
 
-Two writers share the wire format. Text → IR (``serialize_ir_stream``,
-``write_ir``) tokenizes and encodes each message in Python, one at a time.
-Archive → IR (``ArchiveIrStage``) needs neither: an archive row already
-holds the eight-byte encoding, so the stage gathers logtype and dictionary
-strings by id and frames every event of a batch with numpy offsets; the
-four-byte width re-packs the vars that fit 32 bits and demotes the rest to
-dictionary vars. Ray parallelism is one stream per task (write_ir /
-read_ir below).
+One framer writes the wire format: ``ArchiveIrStage``. An archive row
+already holds the eight-byte encoding, so the stage gathers logtype and
+dictionary strings by id and frames every event of a batch with numpy
+offsets; the four-byte width re-packs the vars that fit 32 bits and demotes
+the rest to dictionary vars. Text → IR (``write_ir``) encodes a block with
+the archive's vectorized encoder, gives it its own dictionaries
+(:func:`batch_dicts`) and frames it through the same stage. IR search
+compiles its query against a stream's own dictionaries with the archive's
+subquery compiler. ``serialize_ir_stream`` is the scalar reference, one
+message at a time, that the framer is tested against. Ray parallelism is
+one stream per task (write_ir / read_ir below).
 """
 
 from __future__ import annotations
@@ -368,7 +371,7 @@ class _WireItems:
 
 def _chunk_cuts(est: np.ndarray, target_bytes: int | None) -> list[int]:
     """Event indexes splitting a block into ~``target_bytes`` streams by
-    the per-event size estimate ``est``: [0, …, len(est)]."""
+    the per-event sizes ``est``: [0, …, len(est)]."""
     cuts = [0, len(est)]
     if target_bytes and len(est):
         cum = np.cumsum(est)
@@ -390,6 +393,32 @@ def _ts_ms(ts) -> np.ndarray:
     if isinstance(ts, pa.ChunkedArray):
         ts = ts.combine_chunks()
     return np.asarray(ts, dtype=np.int64)
+
+
+def batch_dicts(logtype, dict_vars):
+    """A batch's own dictionaries, from its encoded ``logtype`` and
+    ``dict_vars`` columns → ``decompress.ArchiveDicts``: the distinct
+    logtypes under their ``stages.encode.logtype_ids`` and the distinct
+    dictionary values under the same FNV-1a 64 ids, each side sorted by
+    id as ``load_dicts`` returns an archive's. Two values sharing an id
+    raise ``ValueError``, as the archive finalize does."""
+    import pyarrow.compute as pc
+
+    from clp_core_ray.pipelines.decompress import ArchiveDicts
+    from clp_core_ray.stages.encode import logtype_ids
+
+    def side(values):
+        values = pc.unique(values)
+        ids = np.asarray(logtype_ids(values), dtype=np.int64)
+        order = np.argsort(ids)
+        if (np.diff(ids[order]) == 0).any():
+            raise ValueError("dictionary id collision (FNV-1a 64)")
+        return ids[order], values.take(pa.array(order))
+
+    lt_ids, lt_values = side(logtype)
+    var_ids, var_values = side(pc.list_flatten(dict_vars))
+    return ArchiveDicts(lt_ids, lt_values, var_ids, var_values, None, None,
+                        [], lt_values.nbytes + var_values.nbytes)
 
 
 class ArchiveIrStage:
@@ -745,28 +774,20 @@ def deserialize_ir_stream(data: bytes) -> tuple[dict, pa.Table]:
         if di != len(dv):
             raise IrCorrupted(f"event {i}: unconsumed dictionary vars")
 
-    n = len(logtypes)
-    off = np.zeros(n + 1, dtype=np.int32)
-    if n:
-        off[1:] = np.cumsum([len(e) for e in row_evs], dtype=np.int32)
-    doff = np.zeros(n + 1, dtype=np.int32)
-    if n:
-        doff[1:] = np.cumsum([len(d) for d in row_dvs], dtype=np.int32)
-    flat_ev = [v for e in row_evs for v in e]
-    flat_dv = [s for d in row_dvs for s in d]
-    tbl = pa.table(
-        {
-            "ts": pa.array(ts_out, type=pa.int64()),
-            "logtype": pa.array(logtypes, type=pa.large_string()),
-            "encoded_vars": pa.ListArray.from_arrays(
-                pa.array(off), pa.array(flat_ev, type=pa.int64())
-            ),
-            "dict_vars": pa.ListArray.from_arrays(
-                pa.array(doff), pa.array(flat_dv, type=pa.string())
-            ),
-        }
-    )
-    return meta, tbl
+    return meta, _events_table(ts_out, logtypes, row_evs, row_dvs)
+
+
+def _events_table(ts, logtypes, evs, dvs) -> pa.Table:
+    """Per-event lists → the events table of :func:`deserialize_ir_stream`."""
+    return pa.table({"ts": pa.array(ts, pa.int64()),
+                     "logtype": pa.array(logtypes, pa.large_string()),
+                     "encoded_vars": pa.array(evs, pa.list_(pa.int64())),
+                     "dict_vars": pa.array(dvs, pa.list_(pa.string()))})
+
+
+#: The typed 0-row (ts, text) table of the IR readers and searches.
+EMPTY_TEXT = pa.schema([("ts", pa.int64()),
+                        ("text", pa.large_string())]).empty_table()
 
 
 def decode_ir_stream_to_text(data: bytes) -> pa.Table:
@@ -775,11 +796,49 @@ def decode_ir_stream_to_text(data: bytes) -> pa.Table:
 
     meta, tbl = deserialize_ir_stream(data)
     if len(tbl) == 0:
-        return pa.table({"ts": pa.array([], type=pa.int64()),
-                         "text": pa.array([], type=pa.large_string())})
+        return EMPTY_TEXT
     text = decode_batch(tbl.column("logtype"), tbl.column("encoded_vars"),
                         dict_vars=tbl.column("dict_vars"))
     return pa.table({"ts": tbl.column("ts"), "text": text})
+
+
+def _promote_demoted(tbl: pa.Table) -> pa.Table:
+    """Deserialized events in the archive's eight-byte encoding: each
+    dictionary var whose text the archive encodes as an int or a float (a
+    var the four-byte width demoted) is that encoded var again, and its
+    logtype placeholder with it. Otherwise a query's precise number would
+    compile to an int or float placeholder and miss the demoted events."""
+    import pyarrow.compute as pc
+
+    from clp_core_ray.vec.tokenizer import encode_batch
+
+    dv = tbl.column("dict_vars").combine_chunks()
+    own = encode_batch(dv.flatten())  # each value as a message of its own
+    numeric = (E.PLACEHOLDER_INT, E.PLACEHOLDER_FLOAT)
+    promo = np.flatnonzero(np.asarray(pc.is_in(
+        own["logtype"], value_set=pa.array(numeric, pa.large_string())),
+        dtype=bool))
+    if not len(promo):
+        return tbl
+    off = np.asarray(dv.offsets, dtype=np.int64)
+    off -= off[0]
+    lts = tbl.column("logtype").to_pylist()
+    evs = tbl.column("encoded_vars").to_pylist()
+    dvs = dv.to_pylist()
+    own_lt = own["logtype"].to_pylist()
+    own_ev = own["encoded_vars"].to_pylist()
+    for i in np.unique(np.searchsorted(off, promo, side="right") - 1).tolist():
+        lt, k, kept = list(lts[i]), int(off[i]), []
+        for j, p in enumerate(E.placeholder_positions(lt)):
+            if lt[p] != E.PLACEHOLDER_DICT:
+                continue
+            if own_lt[k] in numeric:
+                lt[p], evs[i][j] = own_lt[k], own_ev[k][0]
+            else:
+                kept.append(dvs[i][k - off[i]])
+            k += 1
+        lts[i], dvs[i] = "".join(lt), kept
+    return _events_table(tbl.column("ts"), lts, evs, dvs)
 
 
 def search_ir_stream(data: bytes, query: str, ignore_case: bool = False,
@@ -788,69 +847,52 @@ def search_ir_stream(data: bytes, query: str, ignore_case: bool = False,
     """Two-phase wildcard search over ONE IR stream → (ts, text) hits.
 
     The clo-over-IR search shape (the package searches IR chunks before they
-    are archived): the stream's distinct logtypes act as its dictionary —
-    candidate templates are pruned exactly like archive search
-    (Grep.cpp:482-495), then only candidate rows decode and wildcard-verify.
+    are archived): the stream's distinct logtypes and dictionary vars are
+    its dictionaries (:func:`batch_dicts`), and the query compiles against
+    them through the archive's subquery compiler (``grep.compile_query``).
+    As in an archive scan, only the rows some subquery can match decode
+    and wildcard-verify, and a dictionary miss returns before any decode.
     ``ts_min``/``ts_max`` (epoch ms, inclusive) pre-filter rows before any
     decode."""
     import pyarrow.compute as pc
 
-    from clp_core_ray.pipelines.search import (
-        _candidate_templates,
-        wildcard_to_regex,
-    )
+    from clp_core_ray.pipelines.grep import compile_query
+    from clp_core_ray.pipelines.search import _subquery_mask, wildcard_to_regex
+    from clp_core_ray.stages.encode import logtype_ids
     from clp_core_ray.vec.decoder import decode_batch
 
-    empty = pa.table({"ts": pa.array([], type=pa.int64()),
-                      "text": pa.array([], type=pa.large_string())})
-    meta, tbl = deserialize_ir_stream(data)
-    if len(tbl) == 0:
-        return empty
+    _, tbl = deserialize_ir_stream(data)
     if ts_min is not None:
         tbl = tbl.filter(pc.greater_equal(tbl.column("ts"), ts_min))
     if ts_max is not None:
         tbl = tbl.filter(pc.less_equal(tbl.column("ts"), ts_max))
     if len(tbl) == 0:
-        return empty
-    wq = f"*{query.strip('*')}*" if query.strip("*") else "*"
-    enc = pc.dictionary_encode(tbl.column("logtype").combine_chunks())
-    cand = _candidate_templates(enc.dictionary, wq, ignore_case)
-    if not cand.any():
-        return empty
-    tbl = tbl.filter(pa.array(cand[np.asarray(enc.indices, dtype=np.int64)]))
+        return EMPTY_TEXT
+    tbl = _promote_demoted(tbl)
+    d = batch_dicts(tbl.column("logtype"), tbl.column("dict_vars"))
+    cq = compile_query(query, d.lt_ids, d.lt_values, var_ids=d.var_ids,
+                       var_values=d.var_values, ignore_case=ignore_case)
+    if not cq.match_all and not cq.subqueries:
+        return EMPTY_TEXT  # dictionary miss
+    tbl = tbl.append_column("logtype_id", logtype_ids(tbl.column("logtype")))
+    tbl = tbl.filter(pa.array(_subquery_mask(tbl, cq)))
     text = decode_batch(tbl.column("logtype"), tbl.column("encoded_vars"),
                         dict_vars=tbl.column("dict_vars"))
-    rx = wildcard_to_regex(wq)
-    if ignore_case:
-        rx = "(?i)" + rx
-    m = pc.match_substring_regex(text, rx)
+    rx = wildcard_to_regex(cq.processed)
+    hit = pc.match_substring_regex(text, "(?i)" + rx if ignore_case else rx)
     return pa.table({"ts": tbl.column("ts").combine_chunks(),
-                     "text": text}).filter(m)
+                     "text": text}).filter(hit)
 
 
 def search_ir(paths, query: str, ignore_case: bool = False,
               ts_min: int | None = None, ts_max: int | None = None):
     """Wildcard search across IR stream files → Dataset[(ts, text)].
 
-    One task per file; each file prunes on its own logtype set before
-    decoding (S3 source + §2.11 search semantics, no archive required)."""
-    import ray.data as rd
-
-    paths = _ir_files(paths)
-
-    def scan(batch: pa.Table) -> pa.Table:
-        tbls = []
-        for p in batch.column("path").to_pylist():
-            with open(p, "rb") as f:
-                tbls.append(search_ir_stream(f.read(), query, ignore_case,
-                                             ts_min, ts_max))
-        return pa.concat_tables(tbls) if tbls else pa.table(
-            {"ts": pa.array([], type=pa.int64()),
-             "text": pa.array([], type=pa.large_string())})
-
-    return rd.from_items([{"path": p} for p in paths]).map_batches(
-        scan, batch_format="pyarrow"
-    )
+    Each file compiles the query against its own dictionaries before
+    decoding (:func:`search_ir_stream`; S3 source + §2.11 search
+    semantics, no archive required)."""
+    return _map_ir_files(paths, lambda _p, data: search_ir_stream(
+        data, query, ignore_case, ts_min, ts_max))
 
 
 # ---- Ray integration ---------------------------------------------------------
@@ -867,51 +909,55 @@ def _ir_files(paths) -> list[str]:
             if f.endswith(".clp.ir")]
 
 
+def _map_ir_files(paths, per_file):
+    """Dataset of the tables ``per_file(path, stream bytes)`` gives for the
+    IR stream files ``paths`` (see :func:`_ir_files`), read in Ray tasks."""
+    import ray.data as rd
+
+    def read(batch: pa.Table) -> pa.Table:
+        tbls = []
+        for p in batch.column("path").to_pylist():
+            with open(p, "rb") as f:
+                tbls.append(per_file(p, f.read()))
+        return pa.concat_tables(tbls) if tbls else EMPTY_TEXT
+
+    return rd.from_items([{"path": p} for p in _ir_files(paths)]).map_batches(
+        read, batch_format="pyarrow")
+
+
 def ir_block_writer(out_dir: str, four_byte: bool = True, ts_col: str = "ts",
                     text_col: str = "text", target_bytes: int | None = None,
                     _test_crash_marker: str | None = None):
     """The per-block writer of :func:`write_ir`: a callable that writes one
     block (a table with ``ts_col`` and ``text_col``) to IR stream file(s)
-    under ``out_dir`` and returns their (path, n_events) rows."""
+    under ``out_dir`` and returns their (path, n_events) rows. The block is
+    encoded by the archive's encoder, given its own dictionaries
+    (:func:`batch_dicts`) and framed by :class:`ArchiveIrStage`."""
     import os
 
-    import pyarrow.compute as pc
-
-    from clp_core_ray.state.atomic import atomic_write_bytes
+    from clp_core_ray.stages.encode import logtype_ids
+    from clp_core_ray.vec.tokenizer import encode_batch
 
     def write_block(batch: pa.Table) -> pa.Table:
-        ts_list = _ts_ms(batch.column(ts_col)).tolist()
-        msgs = batch.column(text_col).to_pylist()
-        cuts = [0, len(msgs)]
-        if target_bytes and len(msgs):
-            est = (pc.binary_length(pc.fill_null(
-                pc.cast(batch.column(text_col), pa.large_string()), ""))
-                .combine_chunks().to_numpy(zero_copy_only=False)
-                .astype(np.int64) + 12)
-            cuts = _chunk_cuts(est, target_bytes)
-        out_paths, out_events = [], []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            blob = serialize_ir_stream(ts_list[lo:hi], msgs[lo:hi],
-                                       four_byte=four_byte)
-            if _test_crash_marker and not os.path.exists(_test_crash_marker):
-                # failure injection (tests only): die mid-write on the first
-                # chunk, leaving a torn .inprogress tmp — Ray retries the
-                # task; the content-named rename must make the retry exact
-                fd = os.open(_test_crash_marker, os.O_CREAT | os.O_WRONLY)
-                os.close(fd)
-                with open(os.path.join(
-                        out_dir, f"events-dead.{os.getpid()}.inprogress"),
-                        "wb") as f:
-                    f.write(blob[: max(1, len(blob) // 2)])
-                os._exit(1)
-            # content-named atomic write: a retried task re-serializes the
-            # same events → same name, overwrites instead of duplicating
-            path = atomic_write_bytes(blob, out_dir, prefix="events",
-                                      suffix=".clp.ir")
-            out_paths.append(path)
-            out_events.append(hi - lo)
-        return pa.table({"path": pa.array(out_paths),
-                         "n_events": pa.array(out_events, type=pa.int64())})
+        enc = encode_batch(batch.column(text_col))
+        stage = ArchiveIrStage(batch_dicts(enc["logtype"], enc["dict_vars"]),
+                               out_dir, four_byte, target_bytes)
+        events = pa.table({"ts": batch.column(ts_col),
+                           "logtype_id": logtype_ids(enc["logtype"]),
+                           "encoded_vars": enc["encoded_vars"]})
+        if _test_crash_marker and not os.path.exists(_test_crash_marker):
+            # failure injection (tests only): die mid-write on the first
+            # chunk, leaving a torn .inprogress tmp — Ray retries the
+            # task; the content-named rename must make the retry exact
+            blob = stage.streams(events)[0][0]
+            fd = os.open(_test_crash_marker, os.O_CREAT | os.O_WRONLY)
+            os.close(fd)
+            with open(os.path.join(
+                    out_dir, f"events-dead.{os.getpid()}.inprogress"),
+                    "wb") as f:
+                f.write(blob[: max(1, len(blob) // 2)])
+            os._exit(1)
+        return stage(events)
 
     return write_block
 
@@ -926,9 +972,9 @@ def write_ir(ds, out_dir: str, four_byte: bool = True, ts_col: str = "ts",
     ``--ir-target-size``, default 128 MiB at
     clo/CommandLineArguments.hpp:187) additionally splits each block into
     ~target-sized streams at event granularity (split points from the
-    serialized-size estimate: text bytes + per-event framing — each chunk is
-    a self-contained stream with its own preamble/EOF, so size parity is
-    approximate exactly like the reference's roll-after-crossing check).
+    events' framed sizes — each chunk is a self-contained stream with its
+    own preamble/EOF, so size parity is approximate exactly like the
+    reference's roll-after-crossing check).
     Returns the written paths (accounting is collected via the small
     per-block result table). ``ts_col`` may be a timestamp or int64-ms
     column."""
@@ -948,22 +994,8 @@ def write_ir(ds, out_dir: str, four_byte: bool = True, ts_col: str = "ts",
 
 def read_ir(paths) -> "object":
     """IR stream files → Dataset[(ts:int64 ms, text)] (S3 source)."""
-    import ray.data as rd
-
-    paths = _ir_files(paths)
-
-    def read_file(batch: pa.Table) -> pa.Table:
-        tbls = []
-        for p in batch.column("path").to_pylist():
-            with open(p, "rb") as f:
-                tbls.append(decode_ir_stream_to_text(f.read()))
-        return pa.concat_tables(tbls) if tbls else pa.table(
-            {"ts": pa.array([], type=pa.int64()),
-             "text": pa.array([], type=pa.large_string())})
-
-    return rd.from_items([{"path": p} for p in paths]).map_batches(
-        read_file, batch_format="pyarrow"
-    )
+    return _map_ir_files(paths,
+                         lambda _p, data: decode_ir_stream_to_text(data))
 
 
 def compress_from_ir(paths, out_dir: str, four_byte_hint: bool | None = None,
@@ -983,7 +1015,6 @@ def compress_from_ir(paths, out_dir: str, four_byte_hint: bool | None = None,
     import os
 
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from clp_core_ray.pipelines.compress import compress
 
@@ -991,26 +1022,20 @@ def compress_from_ir(paths, out_dir: str, four_byte_hint: bool | None = None,
     if not paths:
         raise ValueError("compress_from_ir: no .clp.ir inputs")
 
-    def read_file(batch: pa.Table) -> pa.Table:
-        tbls = []
-        for p in batch.column("path").to_pylist():
-            with open(p, "rb") as f:
-                t = decode_ir_stream_to_text(f.read())
-            stem = os.path.basename(p)
-            stem = stem[: -len(".clp.ir")] if stem.endswith(".clp.ir") else stem
-            n = len(t)
-            tbls.append(pa.table({
-                "conv_id": pa.array([stem] * n, type=pa.large_string()),
-                "turn_idx": pa.array(np.arange(n, dtype=np.int32)),
-                "role": pa.array(["system"] * n, type=pa.large_string()),
-                "text": t.column("text"),
-                "tool": pa.array([""] * n, type=pa.large_string()),
-                "ts": pc.cast(t.column("ts"), pa.timestamp("ms")),
-            }))
-        return pa.concat_tables(tbls)
+    def as_turns(path: str, data: bytes) -> pa.Table:
+        t = decode_ir_stream_to_text(data)
+        stem = os.path.basename(path)
+        stem = stem[: -len(".clp.ir")] if stem.endswith(".clp.ir") else stem
+        n = len(t)
+        return pa.table({
+            "conv_id": pa.array([stem] * n, type=pa.large_string()),
+            "turn_idx": pa.array(np.arange(n, dtype=np.int32)),
+            "role": pa.array(["system"] * n, type=pa.large_string()),
+            "text": t.column("text"),
+            "tool": pa.array([""] * n, type=pa.large_string()),
+            "ts": pc.cast(t.column("ts"), pa.timestamp("ms")),
+        })
 
-    ds = rd.from_items([{"path": p} for p in paths]).map_batches(
-        read_file, batch_format="pyarrow"
-    )
     label = compress_kwargs.pop("input_label", f"ir:{len(paths)} streams")
-    return compress(None, out_dir, ds=ds, input_label=label, **compress_kwargs)
+    return compress(None, out_dir, ds=_map_ir_files(paths, as_turns),
+                    input_label=label, **compress_kwargs)

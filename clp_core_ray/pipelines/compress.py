@@ -35,6 +35,7 @@ from clp_core_ray.execution import choose, cluster_cpus
 from clp_core_ray.sources.transcripts import (read_transcripts,
                                               transcript_files,
                                               transcripts_path)
+from clp_core_ray.stages import encode
 from clp_core_ray.stages.encode import DecodeStage, EncodeStage
 from clp_core_ray.stages.enrich import EnrichStage
 from clp_core_ray.stages.route import RouteStage
@@ -315,11 +316,9 @@ def _sink_blocks(files: list[str]) -> int:
 def build_encoded(ds, keep_text: bool = False):
     """transcripts Dataset → routed+enriched+encoded Dataset (lazy), rows
     carrying their ``logtype`` and ``dict_vars`` for in-memory decode."""
-    # resolve the dictionary-epoch cap on the driver (workers may not see
-    # env changes made after the Ray session started)
-    dict_cap = int(os.environ.get("CLP_DICT_CAP_ENTRIES", 4_000_000))
     return ds.map_batches(
-        FullEncodeStage(keep_text=keep_text, dict_cap_entries=dict_cap),
+        FullEncodeStage(keep_text=keep_text,
+                        dict_cap_entries=encode.DICT_CAP_ENTRIES),
         batch_format="pyarrow",
         batch_size=ENCODE_BATCH_SIZE,
     )
@@ -439,8 +438,7 @@ def compress(
     os.makedirs(routed_dir, exist_ok=True)
     sink = FusedSinkStage(
         routed_dir=routed_dir, dict_delta_dir=delta_dir, compact=True,
-        dict_cap_entries=int(os.environ.get("CLP_DICT_CAP_ENTRIES",
-                                            4_000_000)),
+        dict_cap_entries=encode.DICT_CAP_ENTRIES,
         dict_cols=SINK_DICT_COLS, codec=codec, codec_level=codec_level,
     )
     watcher = None

@@ -460,7 +460,8 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     dictionaries broadcast, one chunk per block, which keeps it streaming.
     A var dictionary over ``execution.DICT_BROADCAST_BYTES`` cannot be
     broadcast: that archive takes the partitioned decode, and
-    ``ir.write_ir`` serializes its text. Returns the chunk paths.
+    ``ir.write_ir`` re-encodes and frames its text. Returns the chunk
+    paths.
     """
     from clp_core_ray.ir import ArchiveIrStage, write_ir
 
@@ -468,7 +469,7 @@ def extract_ir_chunks(archive_dir: str, out_dir: str,
     need = ["ts", "logtype_id", "encoded_vars"]
     if files and _over_broadcast_cap(archive_dir):
         # only the partitioned decode resolves an over-cap var dictionary:
-        # decode it, then serialize the text
+        # decode it, then re-encode and frame the text
         return write_ir(_decode_ray(archive_dir, list(need), True, ("ts",),
                                     False, None),
                         out_dir, four_byte=four_byte, target_bytes=target_bytes)

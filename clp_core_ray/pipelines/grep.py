@@ -20,7 +20,11 @@ candidate, so extra candidates never change results):
   logtype pattern (the reference pins a dict placeholder for var tokens,
   which can miss int/float/split-token matches — Grep.cpp:447-459);
 - convertible tokens are enumerated only when they contain wildcards (for
-  precise tokens the reference generates three identical subqueries).
+  precise tokens the reference generates three identical subqueries);
+- a var token with a leading or trailing '*' whose rest is made of number
+  characters but is no number itself (``0.*``, ``*.5``) is read as an int
+  or float too: the reference reads it as a dictionary var only and
+  misses the ``0.5`` it could be part of (Grep.cpp:92-171).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from clp_core_ray import encoding as E
 WILDCARDS = "*?"
 _PLACEHOLDERS = (E.PLACEHOLDER_INT, E.PLACEHOLDER_DICT, E.PLACEHOLDER_FLOAT)
 MAX_COMBOS = 4096
+_NUMBER_CHARS = set("-.0123456789")
 
 
 def is_wildcard(c: str) -> bool:
@@ -187,7 +192,9 @@ class QueryToken:
             stripped = v[1:] if t.prefix_star else v
             stripped = stripped[:-1] if t.suffix_star else stripped
             convertible = (E.encode_int(stripped) is not None
-                           or E.encode_float(stripped) is not None)
+                           or E.encode_float(stripped) is not None
+                           or (t.contains_wildcards
+                               and set(stripped) <= _NUMBER_CHARS))
             if not convertible:
                 t.possible_types = (T_DICT,)
                 t.cannot_convert = True

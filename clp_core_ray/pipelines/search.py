@@ -3,10 +3,12 @@
 Mirrors the clp/clg flow (Grep.cpp:410-628, 900-959) restructured for Ray
 Data:
 
-1. **Compile** (driver): the wildcard query (implicitly ``*q*``) is matched
-   against the logtype dictionary — placeholders stand for "any variable", so
-   each placeholder byte is replaced by ``*`` before matching — producing a
-   candidate logtype_id set (possible-logtypes pruning, Grep.cpp:482-495).
+1. **Compile** (driver): ``grep.compile_query`` turns the wildcard query
+   (implicitly ``*q*``) into subqueries, one per reading of its tokens as
+   static text or int / float / dictionary variables. Each subquery holds
+   the logtype ids whose templates match that reading (possible-logtypes
+   pruning, Grep.cpp:482-495) and the in-order conditions on its
+   variables' encoded values, dictionary ids looked up in the var dict.
 2. **Prune** (storage): only sink partitions whose manifest counts say they
    contain candidate logtypes need reading; here we read the encoded columns
    of the routed Parquet with column pruning.
@@ -67,45 +69,6 @@ def wildcard_to_regex(pattern: str, full_match: bool = True) -> str:
 def wildcard_match(texts: pa.Array, pattern: str) -> pa.Array:
     """Vectorized CLP wildcard match (M10)."""
     return pc.match_substring_regex(texts, wildcard_to_regex(pattern))
-
-
-def _candidate_templates(templates: pa.Array, wquery: str,
-                         ignore_case: bool = False) -> np.ndarray:
-    """Which inline templates could hold a match of the wildcard ``wquery``
-    → bool mask parallel to ``templates``.
-
-    Each placeholder byte is read as ``*`` (a variable can be anything) and
-    the query's constant runs must appear in order; once a placeholder comes
-    before the next constant, the variable could absorb the rest and the
-    template is kept. Conservative: verify removes false positives, this
-    test never makes a false negative. ``ignore_case`` lowers both sides.
-    """
-    consts = [c for c in re.split(r"[*?]+", wquery.lower() if ignore_case
-                                  else wquery) if c]
-    if not consts:
-        return np.ones(len(templates), dtype=bool)
-    for ph in ("\x11", "\x12", "\x13"):
-        templates = pc.replace_substring(templates, ph, "*")
-    # collapse escape chars: '\' + c → c (escaped literal)
-    tl = [re.sub(r"\\([\s\S])", r"\1", t) for t in templates.to_pylist()]
-    if ignore_case:
-        tl = [t.lower() for t in tl]
-    cand = np.zeros(len(tl), dtype=bool)
-    for i, t in enumerate(tl):
-        pos = 0
-        ok = True
-        for c in consts:
-            j = t.find(c, pos)
-            k = t.find("*", pos)
-            if j >= 0 and (k < 0 or j < k):
-                pos = j + len(c)
-            elif k >= 0:
-                break  # a variable absorbs the rest — conservative keep
-            else:
-                ok = False
-                break
-        cand[i] = ok
-    return cand
 
 
 def regex_to_wildcard(rx: str) -> str:

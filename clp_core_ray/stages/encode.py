@@ -2,10 +2,9 @@
 
 EncodeStage is the CLP "compression" map: text → logtype + typed vars
 (reference write path: streaming_archive/writer/Archive.cpp:298-316, rebuilt
-vectorized). It is a callable class so map_batches runs it as an actor pool —
-scratch allocator pages stay warm across batches (big win in this sandbox, see
-clp_core_ray.__init__) and per-actor state (nothing today, epoch dictionaries
-later) has a home.
+vectorized). It is a callable class, run by ``map_batches`` as tasks (or
+called in process), so a stage object carries its per-epoch dictionary
+seen-sets across the batches it encodes.
 """
 
 from __future__ import annotations
@@ -28,6 +27,14 @@ def _resolve_fs(path: str):
     if "://" in path:
         return pafs.FileSystem.from_uri(path)
     return pafs.LocalFileSystem(), path
+
+
+#: Epoch rollover cap: dictionary entries a stage's seen-sets hold before
+#: it starts a new epoch (CLP splits archives when dictionaries reach
+#: 100 MiB, CommandLineArguments.hpp:28-30; here the per-stage seen-set is
+#: the bounded resource — content-hash ids make re-emission after a roll
+#: harmless, the finalize distinct dedups across epochs).
+DICT_CAP_ENTRIES = 4_000_000
 
 
 def logtype_ids(logtype: pa.Array) -> pa.Array:
@@ -59,19 +66,12 @@ class EncodeStage:
     def __init__(self, text_col: str = "text", keep_text: bool = False,
                  keep_dict_vars: bool = True, dict_delta_dir: str | None = None,
                  dict_cap_entries: int | None = None):
-        import os
-
         self.text_col = text_col
         self.keep_text = keep_text
         self.keep_dict_vars = keep_dict_vars
         self.dict_delta_dir = dict_delta_dir
-        # Epoch rollover cap (CLP splits archives when dictionaries reach
-        # 100 MiB, CommandLineArguments.hpp:28-30; here the per-actor seen-set
-        # is the bounded resource — content-hash ids make re-emission after a
-        # roll harmless, the finalize distinct dedups across epochs).
-        if dict_cap_entries is None:
-            dict_cap_entries = int(os.environ.get("CLP_DICT_CAP_ENTRIES", 4_000_000))
-        self.dict_cap_entries = dict_cap_entries
+        self.dict_cap_entries = (DICT_CAP_ENTRIES if dict_cap_entries is None
+                                 else dict_cap_entries)
         self._epoch = 0
         # per-class seen sets: the var delta is keyed (var_id, class) so the
         # finalize can build the per-variable segment index (dict entry →

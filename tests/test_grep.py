@@ -90,6 +90,21 @@ def test_compile_enumerates_ambiguous_types():
     assert len(cq.all_logtype_ids()) >= 2
 
 
+@pytest.mark.parametrize("query,text", [
+    ("value 45.*", "value 45.7 here"), ("*.7 here", "value 45.7 here"),
+    ("latency 00*", "latency 00.5 ms")])
+def test_compile_keeps_number_fragments(query, text):
+    """A starred var token that is part of a number but no number itself
+    ('45.' of 45.7) keeps the int/float templates a number could fill."""
+    from clp_core_ray.encoding import encode_message, fnv1a64
+
+    texts = ["latency 857 ms", "value 45.7 here", "latency 00.5 ms"]
+    lt_ids, lt_vals, v_ids, v_vals = _dicts_for(texts)
+    cq = compile_query(query, lt_ids, lt_vals, v_ids, v_vals)
+    want = fnv1a64(encode_message(text)[0].encode())
+    assert want in cq.all_logtype_ids().tolist()
+
+
 def test_compile_wont_match_prunes():
     texts = ["latency 857 ms", "calling svc-42 now"]
     lt_ids, lt_vals, v_ids, v_vals = _dicts_for(texts)

@@ -1,10 +1,15 @@
 """IR chunks written straight from an archive's encoded columns
-(``ir.ArchiveIrStage``): every stream must be byte for byte the one
+(``ir.ArchiveIrStage``) and from text through the same framer
+(``ir.ir_block_writer``): every stream must be byte for byte the one
 ``ir.serialize_ir_stream`` writes from the decoded text, in both
-encodings, with no decode and no re-tokenize on the way."""
+encodings, with no decode and no re-tokenize on the way. IR search
+(``ir.search_ir_stream``) must return what a brute-force match of the
+decoded text returns."""
 
 import os
+import re
 import shutil
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -161,29 +166,89 @@ _message = st.lists(st.tuples(st.sampled_from([" ", "=", ", ", ":", ""]),
     lambda parts: "".join(s + t for s, t in parts))
 
 
+def _writer_chunks(messages, ts, four, target):
+    """(stream bytes, n_events) of each file ``ir.ir_block_writer`` writes
+    for one block of ``messages``."""
+    with tempfile.TemporaryDirectory() as d:
+        write = ir.ir_block_writer(d, four_byte=four, target_bytes=target)
+        out = write(pa.table({"ts": pa.array(ts, pa.int64()),
+                              "text": pa.array(messages, pa.large_string())}))
+        chunks = []
+        for path, n in zip(out.column("path").to_pylist(),
+                           out.column("n_events").to_pylist()):
+            with open(path, "rb") as f:
+                chunks.append((f.read(), n))
+    return chunks
+
+
+def _check_chunks(chunks, messages, ts, four):
+    """Every chunk equals ``serialize_ir_stream`` over its events and
+    decodes on its own; the chunks' events concatenate to the input."""
+    lo = 0
+    for blob, n in chunks:
+        assert blob == ir.serialize_ir_stream(
+            ts[lo:lo + n], messages[lo:lo + n], four_byte=four)
+        back = ir.decode_ir_stream_to_text(blob)
+        assert back.column("text").to_pylist() == messages[lo:lo + n]
+        assert back.column("ts").to_pylist() == ts[lo:lo + n]
+        lo += n
+    assert lo == len(messages)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_message, st.integers(-(2**45), 2**45)),
                 min_size=1, max_size=30),
        st.sampled_from([None, 64, 400]))
 def test_stage_matches_serialize_ir_stream(rows, target):
-    """Every chunk equals ``serialize_ir_stream`` over its events, in both
-    encodings — ints outside int32, floats of 9+ digits or digits >= 2^25
-    and negative floats demote to dictionary vars in four-byte streams."""
+    """Every chunk of the archive framer (``ArchiveIrStage``) and of the
+    text writer (``ir_block_writer``) equals ``serialize_ir_stream`` over
+    its events, in both encodings — ints outside int32, floats of 9+
+    digits or digits >= 2^25 and negative floats demote to dictionary vars
+    in four-byte streams. Without a target each gives one stream."""
     messages = [m for m, _ in rows]
     ts = [t for _, t in rows]
     batch, dicts = _stage_inputs(messages, ts)
     for four in (True, False):
         stage = ir.ArchiveIrStage(dicts, "", four_byte=four,
                                   target_bytes=target)
-        chunks = stage.streams(batch)
-        lo = 0
-        for blob, n in chunks:
-            assert blob == ir.serialize_ir_stream(
-                ts[lo:lo + n], messages[lo:lo + n], four_byte=four)
-            lo += n
-        assert lo == len(messages)
-        if target is None:
-            assert len(chunks) == 1
+        for chunks in (stage.streams(batch),
+                       _writer_chunks(messages, ts, four, target)):
+            _check_chunks(chunks, messages, ts, four)
+            if target is None:
+                assert len(chunks) == 1
+
+
+def test_block_writer_frames_without_the_scalar_serializer(monkeypatch):
+    """``ir_block_writer`` frames through ``ArchiveIrStage``: it calls
+    neither the scalar stream serializer nor the per-event ones."""
+    messages = ["a 2147483648 b 1.5 c 123456789.5 x=abc1",
+                "a 7 b 12345678.9 c -0.5 esc \\ \x11", "plain text"]
+    ts = [5, 3, 300]
+    want = {four: ir.serialize_ir_stream(ts, messages, four_byte=four)
+            for four in (True, False)}
+
+    def boom(*a, **kw):
+        raise AssertionError("the block writer serialized per message")
+
+    for name in ("serialize_ir_stream", "serialize_log_event_four",
+                 "serialize_log_event_eight", "serialize_message_four",
+                 "serialize_message_eight"):
+        monkeypatch.setattr(ir, name, boom)
+    monkeypatch.setattr(E, "encode_message", boom)
+    for four in (True, False):
+        assert _writer_chunks(messages, ts, four, None) == [(want[four], 3)]
+        assert len(_writer_chunks(messages, ts, four, 64)) > 1
+
+
+def test_batch_dicts_rejects_an_id_collision(monkeypatch):
+    """Two distinct values under one id raise, as the finalize does."""
+    from clp_core_ray.stages import encode
+
+    monkeypatch.setattr(encode, "logtype_ids", lambda v: pa.array(
+        np.zeros(len(v), np.int64)))
+    enc_lt = pa.array(["a \x12", "b \x12"], pa.large_string())
+    with pytest.raises(ValueError, match="collision"):
+        ir.batch_dicts(enc_lt, pa.array([["x1"], ["y1"]]))
 
 
 def test_stage_demotes_four_byte_misfits():
@@ -247,3 +312,75 @@ def test_eight_byte_float_to_four_caps(tok, ok):
         return
     _, fits = ir.eight_byte_float_to_four(np.array([enc8]))
     assert bool(fits[0]) is ok
+
+
+# ---- IR search against a brute-force match of the decoded text --------------
+
+def _brute_match(query: str, text: str, ignore_case: bool) -> bool:
+    """CLP wildcard semantics, written out independently: ``*query*``
+    must match all of ``text``; '*' is any run, '?' any character, and
+    '\\' makes the next character literal (so a trailing one escapes the
+    implicit '*')."""
+    pattern, out, i = f"*{query}*", [], 0
+    while i < len(pattern):
+        c = pattern[i]
+        if c == "\\":  # never last: the pattern ends with '*'
+            out.append(re.escape(pattern[i + 1]))
+            i += 2
+            continue
+        out.append(".*" if c == "*" else "." if c == "?" else re.escape(c))
+        i += 1
+    flags = re.DOTALL | (re.IGNORECASE if ignore_case else 0)
+    return re.fullmatch("".join(out), text, flags) is not None
+
+
+@st.composite
+def _search_case(draw):
+    """A stream's messages and a query: a piece of one message, maybe with
+    a '*' or '?' inside a token, other case, or a suffix no message has."""
+    messages = draw(st.lists(_message, min_size=1, max_size=12))
+    src = draw(st.sampled_from(messages))
+    lo = draw(st.integers(0, len(src)))
+    q = src[lo:draw(st.integers(lo, len(src)))]
+    if q and draw(st.booleans()):
+        at = draw(st.integers(0, len(q) - 1))
+        q = q[:at] + draw(st.sampled_from(["*", "?"])) + q[at + 1:]
+    ignore_case = draw(st.booleans())
+    if ignore_case and draw(st.booleans()):
+        q = q.swapcase()
+    q += draw(st.sampled_from(["", "", "zq", " qq9x", "=zz7"]))
+    return messages, q, ignore_case
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case(), st.booleans())
+def test_search_ir_stream_matches_brute_force(case, four):
+    """``search_ir_stream`` (compiled subqueries over the stream's own
+    dictionaries, then a wildcard verify) returns exactly the events whose
+    decoded text matches the query, in stream order, in both widths."""
+    messages, query, ignore_case = case
+    ts = list(range(len(messages)))
+    blob = ir.serialize_ir_stream(ts, messages, four_byte=four)
+    got = ir.search_ir_stream(blob, query, ignore_case=ignore_case)
+    want = [(t, m) for t, m in zip(ts, messages)
+            if _brute_match(query, m, ignore_case)]
+    assert list(zip(got.column("ts").to_pylist(),
+                    got.column("text").to_pylist())) == want
+
+
+@pytest.mark.parametrize("query", ["zz never here", "x=abc9", "run 77 qq"])
+def test_search_ir_stream_dictionary_miss_decodes_nothing(monkeypatch, query):
+    """A query that misses every logtype and dictionary var returns before
+    any decode: ``decode_batch`` is not called."""
+    from clp_core_ray.vec import decoder
+
+    blob = ir.serialize_ir_stream(
+        [1, 2, 3], ["x=abc1 run 7 ok", "x=abc2 run 9999999999 ok", "done"])
+    calls = []
+    real = decoder.decode_batch
+    monkeypatch.setattr(decoder, "decode_batch",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert ir.search_ir_stream(blob, query).num_rows == 0
+    assert calls == []
+    assert ir.search_ir_stream(blob, "x=abc1").num_rows == 1
+    assert calls == [1]

@@ -209,6 +209,7 @@ def test_dict_epoch_rollover(ray_session, tmp_path, monkeypatch):
     from clp_core_ray.pipelines.compress import compress
     from clp_core_ray.pipelines.decompress import decompress
     from clp_core_ray.sources.transcripts import read_transcripts
+    from clp_core_ray.stages import encode
     from clp_core_ray.stages.encode import EncodeStage
 
     # unit: one long-lived stage over several batches rolls epochs
@@ -221,7 +222,7 @@ def test_dict_epoch_rollover(ray_session, tmp_path, monkeypatch):
     assert st._epoch >= 1
 
     # e2e: compress under a tiny cap still decodes byte-identical
-    monkeypatch.setenv("CLP_DICT_CAP_ENTRIES", "20")
+    monkeypatch.setattr(encode, "DICT_CAP_ENTRIES", 20)
     out = str(tmp_path / "epochs")
     compress(SF, out)
     dec = decompress(out).to_pandas().sort_values(["conv_id", "turn_idx"])
